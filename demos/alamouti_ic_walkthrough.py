@@ -1,25 +1,29 @@
 """Walkthrough: from raw relay signals to a clean per-source decision.
 
 Builds one random two-source network with a 2-antenna relay and a
-3-antenna destination, runs the concurrent-uplink pipeline step by step,
-and prints the intermediate objects: the distributed codeword, the
-equivalent Alamouti-structured channel stacks, the zero-forcing IC
-matrix, and the final whitened-metric decisions.
+3-antenna destination, runs the concurrent-uplink pipeline step by step
+on the simulator's own stages (one draw is a batch of one), and prints
+the intermediate objects: the distributed codeword, the equivalent
+Alamouti-structured channel stacks, the zero-forcing IC residuals, and
+the final whitened-metric decisions.
 
 Run:  python3 demos/alamouti_ic_walkthrough.py
 """
 
+import math
+
 import numpy as np
 
 from marnsim.airlink import NetworkConfig, RngStream, draw_channels, make_psk, modulate
-from marnsim.relay_codec import dstc_design, dstc_power_scale, encode_dstc_icrec
+from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale
 from marnsim.rx_ic import (
-    EquivalentSystem,
-    equiv_system_dstc_icrec,
+    dstc_channel_stacks,
     gtilde,
-    ic_iterative,
-    ml_decode,
-    noise_cov_dstc_icrec,
+    ic_stack_batch,
+    ml_decode_batch,
+    noise_cov_forwarded,
+    recombine,
+    symbol_spec,
 )
 
 cfg = NetworkConfig(J=2, M=2, N=3, P=10.0 ** (20 / 10))  # 20 dB transmit SNR
@@ -39,38 +43,40 @@ received = np.sqrt(cfg.P) * ch.F @ symbols + uplink_noise
 
 # The relay applies per-antenna linear transforms; no decoding, no
 # backward CSI needed.
-codeword = encode_dstc_icrec(received, design, cfg.P, cfg.J)
-print("\ndistributed codeword t (M x T):\n", np.round(codeword, 3))
 scale = dstc_power_scale(cfg.P, cfg.M, cfg.J)
+codeword = scale * apply_design(design, received)
+print("\ndistributed codeword t (M x T):\n", np.round(codeword, 3))
 print(f"power scale c = {scale:.4f}")
 
 # Destination observes G^T-mixed slots plus noise, then conjugates the
 # even slots to expose Alamouti structure.
 downlink_noise = rng.substream(1).complex_normal(cfg.N, design.T)
 raw = np.einsum("it,in->nt", codeword, ch.G) + downlink_noise
-systems = equiv_system_dstc_icrec(raw, ch, cfg)
-stacks = [s.H_eff for s in systems]
+obs = recombine(raw[None], design.T)
+stacks = dstc_channel_stacks(ch.F[None], ch.G[None])
 print("\nequivalent per-source channel stacks (2N x 2 each):")
-for j, h in enumerate(stacks):
-    print(f"  source {j}:\n", np.round(h, 3))
+for j in range(cfg.J):
+    print(f"  source {j}:\n", np.round(stacks[0, j], 3))
 
 # Zero-forcing IC: one matrix per target that annihilates the other
-# source's stack while keeping the block (Alamouti) structure.
+# source's stack while keeping the block (Alamouti) structure; the
+# decoder whitens with the post-IC covariance of the forwarded relay
+# noise plus the destination noise.
+gt = gtilde(ch.G[None])
 decided_bits = []
 for j in range(cfg.J):
-    ic = ic_iterative(stacks, cfg.N, target=j)
-    other = stacks[1 - j]
-    print(f"\ntarget {j}: residual ||B h_other|| = {np.linalg.norm(ic.B @ other):.2e}")
-    post = EquivalentSystem(
-        ic.B @ systems[j].obs,
-        ic.B @ stacks[j],
-        noise_cov_dstc_icrec(ic.B, gtilde(ch.G), cfg.P, cfg.J, cfg.M),
-        systems[j].scale,
-        j,
-        systems[j].symbols,
+    bmat, _ = ic_stack_batch(stacks, target=j)
+    other = stacks[0, 1 - j]
+    print(f"\ntarget {j}: residual ||B h_other|| = {np.linalg.norm(bmat[0] @ other):.2e}")
+    idx = ml_decode_batch(
+        np.einsum("nrk,nk->nr", bmat, obs),
+        bmat @ stacks[:, j],
+        noise_cov_forwarded(gt, scale, 1.0, bmat),
+        math.sqrt(cfg.P) * scale,
+        symbol_spec(design.T),
+        c,
     )
-    idx, dbits = ml_decode(post, c)
-    decided_bits.append(dbits)
+    decided_bits.append(c.labels[idx[0]].reshape(-1))
 
 print("\nsent bits:   ", bits.reshape(cfg.J, design.T).tolist())
 print("decided bits:", [b.tolist() for b in decided_bits])

@@ -7,19 +7,17 @@ from .airlink import (
     Constellation,
     NetworkConfig,
     RngStream,
-    draw_awgn,
     draw_channels,
     make_psk,
     modulate,
 )
 from .analysis import (
     DiversityEstimate,
-    SnrSample,
     ber_slope,
     lemma1_composite,
     outage_diversity,
-    snr_direct,
-    snr_dstc_direct,
+    snr_dstc_batch,
+    snr_tdma_batch,
     snr_tdma_closed_form,
     snr_tdma_direct,
     snr_upper_bound_dstc,
@@ -34,35 +32,23 @@ from .harness import (
     run_experiment,
 )
 from .numerics import NumericError, Projector, UsageError, is_alamouti, null_space_projector
-from .relay_codec import (
-    DstcDesign,
-    SoftEstimate,
-    dstc_design,
-    encode_dstc_icrec,
-    encode_tdma_icrec,
-    mrc_soft_estimate,
-    relay_decode_forward,
-)
+from .relay_codec import DstcDesign, apply_design, dstc_design
 from .rx_ic import (
-    EquivalentSystem,
-    IcMatrix,
-    equiv_system_dstc_icrec,
-    equiv_system_tdma_icrec,
-    ic_iterative,
-    ic_matrix_pairwise,
-    joint_ml_decode,
-    ml_decode,
-    noise_cov_dstc_icrec,
-    noise_cov_tdma_icrec,
+    ic_stack_batch,
+    ml_decode_batch,
+    noise_cov_forwarded,
+    noise_cov_on_target,
+    recombine,
 )
 from .schemes import (
     SchemeId,
     SchemeMeta,
-    TrialOutcome,
     int_free_condition,
-    run_trial,
+    relay_forward_groups,
+    relay_hard_decision,
     scheme_meta,
     simulate_batch,
+    simulate_chunk,
 )
 
 __version__ = "0.1.0"

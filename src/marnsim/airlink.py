@@ -10,7 +10,7 @@ power, so the per-node power constraint P is also the transmit SNR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ __all__ = [
     "ChannelRealization",
     "Constellation",
     "draw_channels",
-    "draw_awgn",
+    "draw_channels_batch",
     "make_psk",
     "modulate",
 ]
@@ -144,8 +144,6 @@ class NetworkConfig:
     M: int
     N: int
     P: float
-    scheme: "object" = None  # SchemeId; kept loose to avoid an import cycle
-    constellation: Constellation = field(default=None)
 
     def __post_init__(self):
         if self.J < 1 or self.M < 1 or self.N < 1:
@@ -163,7 +161,7 @@ class NetworkConfig:
         return 10.0 * math.log10(self.P)
 
     def with_power(self, p: float) -> "NetworkConfig":
-        return NetworkConfig(self.J, self.M, self.N, p, self.scheme, self.constellation)
+        return NetworkConfig(self.J, self.M, self.N, p)
 
 
 @dataclass(frozen=True)
@@ -185,10 +183,3 @@ def draw_channels_batch(cfg: NetworkConfig, rng: RngStream, n: int):
     f = rng.complex_normal(n, cfg.M, cfg.J)
     g = rng.complex_normal(n, cfg.M, cfg.N)
     return f, g
-
-
-def draw_awgn(length: int, rng: RngStream) -> np.ndarray:
-    """Unit-power complex AWGN vector."""
-    if length < 0:
-        raise UsageError("length must be >= 0")
-    return rng.complex_normal(length)

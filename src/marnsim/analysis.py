@@ -20,33 +20,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airlink import ChannelRealization, NetworkConfig, RngStream
-from .numerics import (
-    NumericError,
-    UsageError,
-    dagger,
-    hermitian_solve,
-    null_space_projector,
-)
+from .numerics import NumericError, UsageError, dagger, null_space_projector, solve_psd_stack
 from .relay_codec import dstc_power_scale, tdma_power_scale
-from .numerics import solve_psd_stack
 from .rx_ic import (
     dstc_channel_stacks,
     gtilde,
-    ic_iterative,
     ic_stack_batch,
-    noise_cov_dstc_icrec,
-    noise_cov_tdma_icrec,
+    noise_cov_forwarded,
+    noise_cov_on_target,
+    split_slices,
     tdma_channel_stacks,
 )
 
 __all__ = [
-    "SnrSample",
     "DiversityEstimate",
-    "snr_direct",
+    "whitened_snr",
     "snr_tdma_closed_form",
-    "tdma_post_ic_parts",
     "snr_tdma_direct",
-    "snr_dstc_direct",
     "snr_upper_bound_dstc",
     "snr_tdma_batch",
     "snr_dstc_batch",
@@ -55,19 +45,6 @@ __all__ = [
     "ber_slope",
     "lemma1_composite",
 ]
-
-
-@dataclass(frozen=True)
-class SnrSample:
-    """One instantaneous normalized receive SNR draw."""
-
-    gamma: float
-    channel: ChannelRealization = None
-    target_symbol: int = 0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise NumericError(f"invalid SNR sample {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -84,43 +61,36 @@ class DiversityEstimate:
         return bool(np.isfinite(self.slope) and np.isfinite(self.stderr))
 
 
-def snr_direct(h, r_n) -> float:
-    """Whitened receive SNR h* R^{-1} h of an effective channel column."""
-    h = np.asarray(h, dtype=complex).reshape(-1)
-    w = hermitian_solve(np.asarray(r_n, dtype=complex), h)
-    val = float(np.real(np.vdot(h, w)))
-    return max(val, 0.0)
-
-
-def _split_stacks(stacks: np.ndarray, t_total: int, N: int):
-    """Per-split (J, 2N, 2) channel stacks of a possibly split system."""
-    if t_total in (1, 2):
-        return [stacks]
-    return [stacks[..., : 2 * N, 0:2], stacks[..., 2 * N :, 2:4]]
-
-
-def tdma_post_ic_parts(ch: ChannelRealization, cfg: NetworkConfig, target: int = 0):
-    """Simulated-system pieces of the TDMA-uplink pipeline for one target.
-
-    Returns a list with one (h, R) pair per split, where h is the first
-    column of the post-IC effective channel (no power scale) and R the
-    exact post-IC noise covariance.
-    """
-    stacks = tdma_channel_stacks(ch.G, cfg.J)
-    t_total = stacks.shape[-1]
-    kappa = 2.0 if t_total == 4 else 1.0
-    parts = []
-    for split in _split_stacks(stacks, t_total, cfg.N):
-        ic = ic_iterative([split[j] for j in range(cfg.J)], cfg.N, target)
-        bh = ic.B @ split[target]
-        r = noise_cov_tdma_icrec(ic.B, split[target], ch.F[:, target], cfg.P, cfg.M, var=kappa)
-        parts.append((bh[:, 0], r))
-    return parts
+def whitened_snr(h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Whitened receive SNR h* R^{-1} h of (..., K) channel columns under
+    (..., K, K) noise covariances, clipped at 0."""
+    w = solve_psd_stack(r, h)
+    return np.maximum(np.einsum("...k,...k->...", np.conj(h), w).real, 0.0)
 
 
 def snr_tdma_direct(ch: ChannelRealization, cfg: NetworkConfig, target: int = 0) -> float:
-    """Receive SNR of the target's first symbol on the simulated system."""
-    return sum(snr_direct(h, r) for h, r in tdma_post_ic_parts(ch, cfg, target))
+    """Receive SNR of the target's first symbol on the simulated system.
+
+    Runs one draw through the TDMA-uplink kernel's own stages: the stacked
+    downlink channels, the IC of every split, and the post-IC covariance
+    with the forwarded combining noise c1^2 / x riding on the target's
+    channel.  Sums h* R^{-1} h over the splits.
+    """
+    x = np.sum(np.abs(ch.F[None, :, target]) ** 2, axis=-1)
+    if x[0] == 0.0:
+        raise NumericError("all-zero uplink column")
+    stacks = tdma_channel_stacks(ch.G[None], cfg.J)
+    kappa = 2.0 if stacks.shape[-1] == 4 else 1.0
+    c = tdma_power_scale(cfg.P, cfg.M)
+    s = c * c / x
+    gamma = 0.0
+    for rows, cols in split_slices(stacks):
+        split = stacks[..., rows, cols]
+        bmat, _ = ic_stack_batch(split, target)
+        bh = bmat @ split[:, target]
+        r = noise_cov_on_target(bh, kappa, s, bmat)
+        gamma += float(whitened_snr(bh[..., 0], r)[0])
+    return gamma
 
 
 def snr_tdma_closed_form(ch: ChannelRealization, cfg: NetworkConfig, target: int = 0) -> float:
@@ -132,37 +102,11 @@ def snr_tdma_closed_form(ch: ChannelRealization, cfg: NetworkConfig, target: int
     column g of the target's downlink blocks.  Equals snr_tdma_direct to
     numerical precision; the equality encodes the zero-forcing projector
     identity and the Alamouti diagonality of the whitened Gram matrix.
+    One draw of snr_tdma_batch.
     """
     if cfg.M not in (2 * cfg.J, 4 * cfg.J):
         raise UsageError(f"closed form covers M in (2J, 4J), got M={cfg.M}, J={cfg.J}")
-    x = float(np.sum(np.abs(ch.F[:, target]) ** 2))
-    if x == 0.0:
-        return 0.0
-    c = tdma_power_scale(cfg.P, cfg.M)
-    stacks = tdma_channel_stacks(ch.G, cfg.J)
-    t_total = stacks.shape[-1]
-    kappa = 2.0 if t_total == 4 else 1.0
-    gamma = 0.0
-    for split in _split_stacks(stacks, t_total, cfg.N):
-        ic = ic_iterative([split[j] for j in range(cfg.J)], cfg.N, target)
-        bg = ic.B @ split[target][:, :1]
-        w = hermitian_solve(ic.B @ dagger(ic.B), bg[:, 0])
-        y = float(np.real(np.vdot(bg[:, 0], w)))
-        if y > 0.0:
-            gamma += (x * y / (x + c * c * y)) / kappa
-    return gamma
-
-
-def snr_dstc_direct(ch: ChannelRealization, cfg: NetworkConfig, target: int = 0) -> float:
-    """Receive SNR of the target's first symbol for the concurrent-uplink
-    scheme on the post-IC system (2-antenna relay)."""
-    if cfg.M != 2:
-        raise UsageError(f"direct SNR helper covers M=2, got M={cfg.M}")
-    stacks = dstc_channel_stacks(ch.F, ch.G)
-    ic = ic_iterative([stacks[j] for j in range(cfg.J)], cfg.N, target)
-    h = (ic.B @ stacks[target])[:, 0]
-    r = noise_cov_dstc_icrec(ic.B, gtilde(ch.G), cfg.P, cfg.J, cfg.M)
-    return snr_direct(h, r)
+    return float(snr_tdma_batch(ch.F[None], ch.G[None], cfg, target)[0])
 
 
 def snr_upper_bound_dstc(ch: ChannelRealization, cfg: NetworkConfig, target: int = 0) -> float:
@@ -194,11 +138,11 @@ def snr_tdma_batch(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int
     t_total = stacks.shape[-1]
     kappa = 2.0 if t_total == 4 else 1.0
     gamma = np.zeros(x.shape)
-    for split in _split_stacks(stacks, t_total, cfg.N):
+    for rows, cols in split_slices(stacks):
+        split = stacks[..., rows, cols]
         bmat, bad = ic_stack_batch(split, target)
         bg = (bmat @ split[:, target])[..., 0]
-        w = solve_psd_stack(bmat @ dagger(bmat), bg)
-        y = np.maximum(np.einsum("...k,...k->...", np.conj(bg), w).real, 0.0)
+        y = whitened_snr(bg, bmat @ dagger(bmat))
         term = np.where(x > 0, x * y / np.maximum(x + c * c * y, 1e-300), 0.0)
         gamma += np.where(bad, 0.0, term) / kappa
     return gamma
@@ -211,13 +155,9 @@ def snr_dstc_batch(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int
     stacks = dstc_channel_stacks(F, G)
     bmat, bad = ic_stack_batch(stacks, target)
     h = (bmat @ stacks[:, target])[..., 0]
-    gt = gtilde(G)
     c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
-    bg = bmat @ gt
-    r = c * c * bg @ dagger(bg) + bmat @ dagger(bmat)
-    w = solve_psd_stack(r, h)
-    gamma = np.maximum(np.einsum("...k,...k->...", np.conj(h), w).real, 0.0)
-    return np.where(bad, 0.0, gamma)
+    r = noise_cov_forwarded(gtilde(G), c, 1.0, bmat)
+    return np.where(bad, 0.0, whitened_snr(h, r))
 
 
 # ---------------------------------------------------------------------------

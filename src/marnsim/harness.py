@@ -220,11 +220,6 @@ def make_gamma_sampler(scheme: SchemeId, cfg: NetworkConfig):
     """Vectorized instantaneous-SNR sampler for schemes with a closed-form
     or directly computable post-IC SNR."""
     if scheme is SchemeId.TdmaIcRec:
-        if cfg.M not in (cfg.J, 2 * cfg.J, 4 * cfg.J):
-            # general grouping still works; the batch formula only needs
-            # the stacked blocks, which exist for group sizes 1..4
-            pass
-
         def sampler(stream: RngStream, n: int) -> np.ndarray:
             f = stream.complex_normal(n, cfg.M, cfg.J)
             g = stream.complex_normal(n, cfg.M, cfg.N)

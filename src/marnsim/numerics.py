@@ -19,8 +19,7 @@ __all__ = [
     "dagger",
     "is_alamouti",
     "null_space_projector",
-    "hermitian_solve",
-    "matrix_inversion_lemma_check",
+    "solve_psd_stack",
 ]
 
 # Singular values / pivots below RANK_TOL * (largest value) count as zero.
@@ -98,91 +97,31 @@ def null_space_projector(columns) -> Projector:
     return Projector(p)
 
 
-def hermitian_solve(a, b, return_loaded: bool = False):
-    """Solve ``a @ x = b`` for Hermitian positive-definite ``a``.
-
-    Uses a Cholesky factorization.  If the matrix is close to singular
-    (smallest pivot under 1e-12 of the largest) a diagonal loading of
-    ``1e-12 * trace(a)/n`` is applied and reported via the second return
-    value when ``return_loaded`` is set.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise UsageError(f"matrix must be square, got {a.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NumericError("non-finite input")
-    scale = float(np.abs(a).max())
-    if np.abs(a - dagger(a)).max() > 1e-8 * max(scale, 1e-300):
-        raise UsageError("matrix is not Hermitian")
-    a = 0.5 * (a + dagger(a))
-    n = a.shape[0]
-    loaded = False
-    try:
-        c = np.linalg.cholesky(a)
-        piv = np.real(np.diag(c)) ** 2
-        if piv.min() < 1e-12 * piv.max():
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        load = 1e-12 * max(np.real(np.trace(a)) / n, 1e-300)
-        c = np.linalg.cholesky(a + load * np.eye(n))
-        loaded = True
-    y = np.linalg.solve(c, b if b.ndim > 1 else b[:, None])
-    x = np.linalg.solve(dagger(c), y)
-    if b.ndim == 1:
-        x = x[:, 0]
-    if return_loaded:
-        return x, loaded
-    return x
-
-
 def solve_psd_stack(a, b):
     """Batched Hermitian-PD solve with a loading fallback.
 
     ``a`` has shape (..., n, n) and ``b`` (..., n, k) or (..., n).  Used on
     the Monte Carlo hot path where an occasional deep-fade draw makes a
-    covariance nearly singular; such draws get diagonally loaded rather
-    than aborting the whole batch.
+    covariance nearly singular.  Only the matrices whose LU factorization
+    fails or whose solution is not finite get diagonally loaded; the rest
+    of the batch is solved as it is.
     """
     a = np.asarray(a, dtype=complex)
     vec = b.ndim == a.ndim - 1
     if vec:
         b = b[..., None]
-    n = a.shape[-1]
+    b = np.broadcast_to(b, a.shape[:-2] + b.shape[-2:])
     try:
         x = np.linalg.solve(a, b)
-        ok = np.all(np.isfinite(x))
     except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
-        tr = np.einsum("...ii->...", a).real / n
-        load = 1e-12 * np.maximum(tr, 1e-300)
-        a = a + load[..., None, None] * np.eye(n)
-        x = np.linalg.solve(a, b)
+        # One singular matrix fails the whole call: solve the others alone.
+        x = np.full(b.shape, np.nan, dtype=complex)
+        ok = np.linalg.slogdet(a)[0] != 0
+        x[ok] = np.linalg.solve(a[ok], b[ok])
+    failed = ~np.isfinite(x).all(axis=(-2, -1))
+    if failed.any():
+        n = a.shape[-1]
+        af = a[failed]
+        load = 1e-12 * np.maximum(np.einsum("...ii->...", af).real / n, 1e-300)
+        x[failed] = np.linalg.solve(af + load[..., None, None] * np.eye(n), b[failed])
     return x[..., 0] if vec else x
-
-
-def matrix_inversion_lemma_check(bb, g, s: float) -> float:
-    """Scalar SNR of a rank-augmented whitened quadratic form, two ways.
-
-    Evaluates ``gamma = s*y / (s + y)`` with ``y`` the first diagonal entry
-    of ``g^H bb^{-1} g`` -- the expanded form of
-    ``g_1^H (bb + g g^H / s)^{-1} g_1``.  Exists purely as a cross-check
-    oracle for the closed-form SNR expressions; the equality requires the
-    2x2 blocks of ``g`` to carry Alamouti structure.
-    """
-    bb = np.asarray(bb, dtype=complex)
-    g = np.atleast_2d(np.asarray(g, dtype=complex))
-    if g.shape[0] == 1 and bb.shape[0] != 1:
-        g = g.T
-    if not np.all(np.isfinite(bb)):
-        raise NumericError("non-finite input")
-    try:
-        w = hermitian_solve(bb, g)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericError("singular bb") from exc
-    q = dagger(g) @ w
-    y = float(np.real(q[0, 0]))
-    if y == 0.0:
-        return 0.0
-    return s * y / (s + y)

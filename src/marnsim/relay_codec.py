@@ -1,17 +1,11 @@
-"""Relay-side processing.
+"""Relay-side space-time designs and power scales.
 
-Two families of relay behavior live here:
-
-* the per-antenna linear transform for concurrent uplink traffic
-  (orthogonal / quasi-orthogonal distributed space-time codes, where each
-  antenna i emits ``c * (A_i r_i + B_i conj(r_i))`` with no cross-antenna
-  mixing), and
-* the TDMA uplink variant where the relay first forms a maximum-ratio
-  combined soft estimate of each source's symbols and then forwards all
-  sources' codewords concurrently on disjoint antenna groups.
-
-A decode-and-forward variant (hard ML decision at the relay) is included
-as a comparison baseline.
+Every relay applies the per-antenna linear transform of an orthogonal or
+quasi-orthogonal distributed space-time code: antenna i emits
+``c * (A_i r_i + B_i conj(r_i))`` with no cross-antenna mixing.  The
+concurrent-uplink relays apply it to what they receive; the TDMA-uplink
+relays apply it per antenna group to each source's combined (or hard
+decided) symbols, see ``schemes``.
 """
 
 from __future__ import annotations
@@ -21,19 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airlink import Constellation
 from .numerics import NumericError, UsageError
 
 __all__ = [
     "DstcDesign",
-    "SoftEstimate",
     "dstc_design",
-    "encode_dstc_icrec",
+    "apply_design",
     "dstc_power_scale",
     "tdma_power_scale",
-    "mrc_soft_estimate",
-    "encode_tdma_icrec",
-    "relay_decode_forward",
 ]
 
 
@@ -127,81 +116,3 @@ def apply_design(design: DstcDesign, received: np.ndarray) -> np.ndarray:
     return np.einsum("its,...is->...it", a, received) + np.einsum(
         "its,...is->...it", b, np.conj(received)
     )
-
-
-def encode_dstc_icrec(received, design: DstcDesign, P: float, J: int) -> np.ndarray:
-    """Concurrent-uplink relay transform t_i = c (A_i r_i + B_i conj(r_i))."""
-    r = np.asarray(received, dtype=complex)
-    if r.shape[-2:] != (design.m_used, design.T):
-        raise UsageError(
-            f"received must be (..., {design.m_used}, {design.T}), got {r.shape}"
-        )
-    return dstc_power_scale(P, design.m_used, J) * apply_design(design, r)
-
-
-@dataclass(frozen=True)
-class SoftEstimate:
-    """MRC output for one source: values = sqrt(P) s + noise."""
-
-    values: np.ndarray  # (T,) or (..., T)
-    noise_var: float | np.ndarray  # 1 / sum_i |f_i|^2
-    source: int = 0
-
-
-def mrc_soft_estimate(received, f_col, P: float, source: int = 0) -> SoftEstimate:
-    """Coherent combining across relay antennas for one source's slots.
-
-    values = (sum_i conj(f_i) r_i) / (sum_i |f_i|^2); noiseless input
-    returns exactly sqrt(P) s.
-    """
-    r = np.asarray(received, dtype=complex)  # (..., M, T)
-    f = np.asarray(f_col, dtype=complex)  # (..., M)
-    gain = np.sum(np.abs(f) ** 2, axis=-1)
-    if np.any(gain <= 0):
-        raise NumericError("all-zero channel column; trial must be resampled")
-    values = np.einsum("...i,...it->...t", np.conj(f), r) / gain[..., None]
-    return SoftEstimate(values, 1.0 / gain, source)
-
-
-def encode_tdma_icrec(
-    estimates: list[SoftEstimate], design: DstcDesign, P: float, M: int
-) -> np.ndarray:
-    """Forward all sources' codewords concurrently on disjoint antenna groups.
-
-    Source j's codeword occupies antennas (j-1)*g+1 .. j*g with
-    g = floor(M/J); antennas beyond J*g stay silent.  Returns the relay
-    transmit matrix, shape (..., M, T).
-    """
-    J = len(estimates)
-    if J > M:
-        raise UsageError(f"J={J} sources exceed M={M} relay antennas")
-    g = M // J
-    if design.m_used != g:
-        raise UsageError(f"design uses {design.m_used} antennas, group size is {g}")
-    c1 = tdma_power_scale(P, M)
-    v0 = np.asarray(estimates[0].values, dtype=complex)
-    out = np.zeros(v0.shape[:-1] + (M, design.T), dtype=complex)
-    for j, est in enumerate(estimates):
-        v = np.asarray(est.values, dtype=complex)[..., None, :]
-        out[..., j * g : (j + 1) * g, :] = c1 * apply_design(design, np.broadcast_to(v, v.shape[:-2] + (g, design.T)))
-    return out
-
-
-def relay_decode_forward(
-    estimates: list[SoftEstimate],
-    constellations: Constellation | list[Constellation],
-    P: float,
-) -> list[SoftEstimate]:
-    """Hard ML decision at the relay: each soft value is replaced by
-    sqrt(P) times the nearest scaled constellation point (ties to the
-    lowest point index); the residual noise variance becomes zero."""
-    hard = []
-    for est in estimates:
-        v = np.asarray(est.values, dtype=complex)
-        cs = constellations if isinstance(constellations, (list, tuple)) else [constellations] * v.shape[-1]
-        out = np.empty_like(v)
-        for t in range(v.shape[-1]):
-            idx = cs[t].nearest(v[..., t] / math.sqrt(P))
-            out[..., t] = math.sqrt(P) * cs[t].points[idx]
-        hard.append(SoftEstimate(out, np.zeros_like(np.asarray(est.noise_var, dtype=float)), est.source))
-    return hard

@@ -12,9 +12,11 @@ Interference from the other sources is then removed by a zero-forcing IC
 matrix built from cross-scaled conjugate blocks; the block identity
 H* H = (||H||_F^2 / t) I for family members makes each row exactly null
 the unwanted source.  Decoding whitens with the exact post-IC noise
-covariance and searches symbol components independently (symbol-wise for
-Alamouti, pair-wise for the quasi-orthogonal split).
+covariance, which takes one of two forms by how the relay noise reaches
+the destination, and searches symbol components independently
+(symbol-wise for Alamouti, pair-wise for the quasi-orthogonal split).
 
+Every stage works on leading batch axes; one system is a batch of one.
 Every observation entry is an explicit linear combination of raw samples;
 the recombination matrices are recorded so tests can audit the
 construction end to end.
@@ -24,30 +26,28 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .airlink import ChannelRealization, Constellation, NetworkConfig
+from .airlink import Constellation
 from .numerics import NumericError, UsageError, dagger, solve_psd_stack
-from .relay_codec import dstc_design, dstc_power_scale, tdma_power_scale
 
 __all__ = [
-    "EquivalentSystem",
-    "IcMatrix",
+    "DEGENERATE_TOL",
     "SymbolSpec",
     "symbol_spec",
     "default_rotation",
     "recombination_matrices",
-    "equiv_system_dstc_icrec",
-    "equiv_system_tdma_icrec",
-    "ic_matrix_pairwise",
-    "ic_iterative",
-    "noise_cov_dstc_icrec",
-    "noise_cov_tdma_icrec",
-    "propagate_noise_cov",
-    "ml_decode",
-    "joint_ml_decode",
+    "recombine",
+    "split_slices",
+    "dstc_channel_stacks",
+    "tdma_channel_stacks",
+    "gtilde",
+    "ic_stack_batch",
+    "noise_cov_forwarded",
+    "noise_cov_on_target",
+    "ml_decode_batch",
 ]
 
 # Block norms below this are treated as a degenerate fade: resample the trial.
@@ -116,48 +116,6 @@ def symbol_spec(T: int) -> SymbolSpec:
     raise UsageError(f"unsupported block length T={T}")
 
 
-@dataclass(frozen=True)
-class EquivalentSystem:
-    """Post-recombination (optionally post-IC) linear system
-
-    obs = scale * H_eff @ s_vec + n,   E[n n*] = R_n,
-
-    where s_vec follows ``symbols`` and ``target`` names the source whose
-    symbols H_eff carries.  ``audit`` holds (C1, C2) with
-    obs = C1 @ raw.ravel() + C2 @ conj(raw.ravel()).
-    """
-
-    obs: np.ndarray
-    H_eff: np.ndarray
-    R_n: np.ndarray
-    scale: float
-    target: int
-    symbols: SymbolSpec = field(default=None)
-    audit: tuple = None
-
-    def validate(self, tol: float = 1e-10) -> None:
-        k = self.obs.shape[-1]
-        if self.H_eff.shape[-2] != k or self.R_n.shape[-2:] != (k, k):
-            raise UsageError("obs / H_eff / R_n dimensions disagree")
-        r = self.R_n
-        scale = max(float(np.abs(r).max()), 1e-300)
-        if np.abs(r - dagger(r)).max() > tol * scale:
-            raise NumericError("noise covariance is not Hermitian")
-        w = np.linalg.eigvalsh(0.5 * (r + dagger(r)))
-        if w.min() < -tol * max(w.max(), 1e-300):
-            raise NumericError("noise covariance is not PSD")
-
-
-@dataclass(frozen=True)
-class IcMatrix:
-    """Zero-forcing cancellation matrix: B annihilates the stacked
-    equivalent channel of every source in ``cancelled``."""
-
-    B: np.ndarray
-    cancelled: frozenset
-    stage_count: int
-
-
 # ---------------------------------------------------------------------------
 # Sample recombination
 
@@ -219,6 +177,21 @@ def recombine(raw: np.ndarray, T: int) -> np.ndarray:
         ).reshape(*raw.shape[:-2], -1)
         return np.concatenate([plus, minus], axis=-1)
     raise UsageError(f"unsupported block length T={T}")
+
+
+def split_slices(stacks: np.ndarray):
+    """(rows, columns) index of each Alamouti system in a stacked system.
+
+    Stacks with t <= 2 columns are one system.  The t = 4 stacks of the
+    quasi-orthogonal codeword hold the + split (first half of the rows,
+    columns 0:2) and the - split (second half, columns 2:4); the two
+    share no noise.  Index a split as ``stacks[..., rows, cols]`` and its
+    observation as ``obs[..., rows]``.
+    """
+    if stacks.shape[-1] in (1, 2):
+        return [(slice(None), slice(None))]
+    half = stacks.shape[-2] // 2
+    return [(slice(None, half), slice(0, 2)), (slice(half, None), slice(2, 4))]
 
 
 # ---------------------------------------------------------------------------
@@ -329,85 +302,7 @@ def gtilde(G: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Equivalent system assembly
-
-
-def _dstc_pre_ic_cov(G: np.ndarray, c: float) -> np.ndarray:
-    """Pre-IC noise covariance of the recombined concurrent-uplink system."""
-    M = G.shape[-2]
-    N = G.shape[-1]
-    gt = gtilde(G)
-    if M == 2:
-        return c * c * gt @ dagger(gt) + np.eye(2 * N)
-    # the +/- splits double every variance and are mutually uncorrelated
-    half = 2.0 * c * c * gt @ dagger(gt) + 2.0 * np.eye(2 * N)
-    r = np.zeros(half.shape[:-2] + (4 * N, 4 * N), dtype=complex)
-    r[..., : 2 * N, : 2 * N] = half
-    r[..., 2 * N :, 2 * N :] = half
-    return r
-
-
-def equiv_system_dstc_icrec(raw, ch: ChannelRealization, cfg: NetworkConfig):
-    """Pre-IC equivalent systems for the concurrent-uplink scheme, one per
-    source.  All share the same recombined observation and noise
-    covariance; H_eff differs per source."""
-    design = dstc_design(cfg.M)
-    raw = np.asarray(raw, dtype=complex)
-    if raw.shape != (cfg.N, design.T):
-        raise UsageError(f"raw must be ({cfg.N}, {design.T}), got {raw.shape}")
-    if cfg.M not in (2, 3, 4):
-        raise UsageError(f"unsupported relay antenna count M={cfg.M}")
-    obs = recombine(raw, design.T)
-    stacks = dstc_channel_stacks(ch.F, ch.G)
-    c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
-    r = _dstc_pre_ic_cov(ch.G, c)
-    audit = recombination_matrices(cfg.N, design.T)
-    spec = symbol_spec(design.T)
-    return [
-        EquivalentSystem(obs, stacks[j], r, math.sqrt(cfg.P) * c, j, spec, audit)
-        for j in range(cfg.J)
-    ]
-
-
-def equiv_system_tdma_icrec(raw, ch: ChannelRealization, cfg: NetworkConfig):
-    """Pre-IC equivalent systems for the TDMA-uplink scheme.
-
-    The noise covariance here covers destination noise plus every source's
-    forwarded relay-combining noise; after IC the interferers' noise
-    vanishes along with their signal, which is what the post-IC covariance
-    helpers exploit.
-    """
-    gs = cfg.M // cfg.J
-    design = dstc_design(gs)
-    raw = np.asarray(raw, dtype=complex)
-    if raw.shape != (cfg.N, design.T):
-        raise UsageError(f"raw must be ({cfg.N}, {design.T}), got {raw.shape}")
-    obs = recombine(raw, design.T)
-    stacks = tdma_channel_stacks(ch.G, cfg.J)
-    c1 = tdma_power_scale(cfg.P, cfg.M)
-    x = np.sum(np.abs(ch.F) ** 2, axis=-2)  # (J,)
-    kappa = 2.0 if design.T == 4 else 1.0
-    rows = stacks.shape[-2]
-    r = kappa * np.eye(rows, dtype=complex)
-    for j in range(cfg.J):
-        r = r + (kappa * c1 * c1 / x[j]) * stacks[j] @ dagger(stacks[j])
-    audit = recombination_matrices(cfg.N, design.T)
-    spec = symbol_spec(design.T)
-    return [
-        EquivalentSystem(obs, stacks[j], r, math.sqrt(cfg.P) * c1, j, spec, audit)
-        for j in range(cfg.J)
-    ]
-
-
-# ---------------------------------------------------------------------------
 # Zero-forcing IC matrices
-
-
-def _block_norms(stack: np.ndarray, t: int) -> np.ndarray:
-    """Squared Frobenius norms of the t x t blocks of (..., K*t, t) stacks."""
-    shp = stack.shape
-    blocks = stack.reshape(*shp[:-2], shp[-2] // t, t, t)
-    return np.sum(np.abs(blocks) ** 2, axis=(-2, -1))
 
 
 def ic_stack_batch(channels: np.ndarray, target: int):
@@ -422,6 +317,8 @@ def ic_stack_batch(channels: np.ndarray, target: int):
     J = channels.shape[-3]
     t = channels.shape[-1]
     K = channels.shape[-2] // t
+    if not 0 <= target < J:
+        raise UsageError(f"target {target} out of range for J={J}")
     if J > K:
         raise UsageError(f"cannot cancel {J - 1} sources with {K} block rows")
     lead = channels.shape[:-3]
@@ -447,112 +344,42 @@ def ic_stack_batch(channels: np.ndarray, target: int):
     return bmat, bad
 
 
-def ic_iterative(eq_channels, N: int, target: int) -> IcMatrix:
-    """Iterative zero-forcing IC on per-source stacked channels.
-
-    ``eq_channels`` is a length-J list of (K*t, t) stacks (K block rows per
-    receive antenna group, normally K = N).  Cancels sources J, J-1, ...
-    skipping ``target``; the result has (N - J + 1)*t rows.
-    """
-    stacks = np.stack([np.asarray(h, dtype=complex) for h in eq_channels], axis=0)
-    J = stacks.shape[0]
-    if not 0 <= target < J:
-        raise UsageError(f"target {target} out of range for J={J}")
-    t = stacks.shape[-1]
-    if stacks.shape[-2] != N * t:
-        raise UsageError(f"expected {N} blocks of size {t}, got {stacks.shape[-2]} rows")
-    norms = _block_norms(stacks, t)
-    if np.sqrt(norms).min() < DEGENERATE_TOL:
-        raise NumericError("degenerate equivalent-channel block; resample trial")
-    b, bad = ic_stack_batch(stacks[None], target)
-    if bad[0]:
-        raise NumericError("degenerate intermediate block; resample trial")
-    return IcMatrix(b[0], frozenset(j for j in range(J) if j != target), J - 1)
-
-
-def ic_matrix_pairwise(eq_channels, N: int) -> IcMatrix:
-    """Single-interferer IC matrix pairing each antenna with the last.
-
-    ``eq_channels`` is the interferer's per-antenna block list (N blocks,
-    t x t).  Row block n combines antenna n (scaled +t H*/||H||^2) with
-    antenna N (scaled -t H*/||H||^2); the output has (N-1)*t rows.
-    """
-    blocks = np.stack([np.asarray(h, dtype=complex) for h in eq_channels], axis=0)
-    if blocks.shape[0] != N:
-        raise UsageError(f"expected {N} blocks, got {blocks.shape[0]}")
-    t = blocks.shape[-1]
-    if N < 2:
-        raise UsageError("pairwise IC needs at least 2 receive antennas")
-    norms = np.sum(np.abs(blocks) ** 2, axis=(-2, -1))
-    if np.sqrt(norms).min() < DEGENERATE_TOL:
-        raise NumericError("zero interferer block; resample trial")
-    scaled = (t / norms)[:, None, None] * dagger(blocks)
-    b = np.zeros(((N - 1) * t, N * t), dtype=complex)
-    for n in range(N - 1):
-        b[n * t : (n + 1) * t, n * t : (n + 1) * t] = scaled[n]
-        b[n * t : (n + 1) * t, (N - 1) * t :] = -scaled[N - 1]
-    return IcMatrix(b, frozenset(), 1)
-
-
 # ---------------------------------------------------------------------------
 # Noise covariances
+#
+# kappa is 1 for one Alamouti system and 2 for each split of the 4-slot
+# codeword, whose recombination adds two unit-variance samples.  B is the
+# IC matrix; None stands for the identity (no cancellation).
 
 
-def noise_cov_dstc_icrec(B, gt, P: float, J: int, M: int, var: float = 1.0) -> np.ndarray:
-    """Post-IC noise covariance of one concurrent-uplink (split) system:
+def noise_cov_forwarded(gt, c: float, kappa: float, bmat=None) -> np.ndarray:
+    """Noise covariance when the relay forwards all of its own noise:
 
-    R = var * c^2 * B Gt Gt* B* + var * B B*
+    R = kappa (c^2 B Gt (B Gt)* + B B*)
 
-    with c the relay amplification; var is 1 for the 2-antenna system and
-    2 for each +/- split of the 4-slot codeword.
+    with Gt = gtilde(G) mixing the relay noise amplified by c into the
+    recombined samples, plus unit destination noise.
     """
-    B = np.asarray(B, dtype=complex)
-    gt = np.asarray(gt, dtype=complex)
-    c = dstc_power_scale(P, M, J)
-    bg = B @ gt
-    return var * (c * c * bg @ dagger(bg) + B @ dagger(B))
+    if bmat is None:
+        return kappa * (c * c * gt @ dagger(gt) + np.eye(gt.shape[-2]))
+    bg = bmat @ gt
+    return kappa * (c * c * bg @ dagger(bg) + bmat @ dagger(bmat))
 
 
-def noise_cov_tdma_icrec(B, g1, f_col, P: float, M: int, var: float = 1.0) -> np.ndarray:
-    """Post-IC noise covariance of one TDMA-uplink (split) system:
+def noise_cov_on_target(bh, kappa: float, s=None, bmat=None) -> np.ndarray:
+    """Noise covariance when the relay noise rides on the target's channel:
 
-    R = var * (c1^2 / x) * B G1 G1* B* + var * B B*,  x = sum_i |f_i|^2.
+    R = kappa (B B* + s (B H)(B H)*)
 
-    Only the target's relay-combining noise survives because B annihilates
-    the interferers' equivalent channels along with their signal.
+    with bh = B H the target's (projected) stacked channel and s (...,)
+    the per-trial variance of the relay noise in the forwarded symbols.
+    IC removes the interferers' relay noise with their signal.  s = None
+    leaves out the relay term (a hard decision forwards no noise).
     """
-    B = np.asarray(B, dtype=complex)
-    g1 = np.asarray(g1, dtype=complex)
-    f = np.asarray(f_col, dtype=complex)
-    x = float(np.sum(np.abs(f) ** 2))
-    if x <= 0:
-        raise NumericError("all-zero uplink column")
-    c1 = tdma_power_scale(P, M)
-    bg = B @ g1
-    return var * ((c1 * c1 / x) * bg @ dagger(bg) + B @ dagger(B))
-
-
-def propagate_noise_cov(linmap, n_inputs: int, out_dim: int):
-    """Covariance of ``linmap`` applied to n i.i.d. CN(0,1) scalars.
-
-    ``linmap(v)`` must be complex-linear in (v, conj(v)); the two halves
-    are separated by probing with e_k and i e_k.  Returns (R, pseudo)
-    where pseudo is the pseudo-covariance E[n n^T] (zero for circular
-    output noise).
-    """
-    l1 = np.zeros((out_dim, n_inputs), dtype=complex)
-    l2 = np.zeros((out_dim, n_inputs), dtype=complex)
-    for k in range(n_inputs):
-        e = np.zeros(n_inputs, dtype=complex)
-        e[k] = 1.0
-        a = np.asarray(linmap(e), dtype=complex)
-        e[k] = 1.0j
-        b = np.asarray(linmap(e), dtype=complex)
-        l1[:, k] = 0.5 * (a - 1.0j * b)
-        l2[:, k] = 0.5 * (a + 1.0j * b)
-    r = l1 @ dagger(l1) + l2 @ dagger(l2)
-    pseudo = l1 @ l2.T + l2 @ l1.T
-    return r, pseudo
+    r = np.eye(bh.shape[-2]) if bmat is None else bmat @ dagger(bmat)
+    if s is not None:
+        r = r + s[..., None, None] * (bh @ dagger(bh))
+    return kappa * r
 
 
 # ---------------------------------------------------------------------------
@@ -654,43 +481,3 @@ def ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation, diag_t
         joint = combos[best]
         out = np.where(violated[..., None], joint, out)
     return out
-
-
-def ml_decode(eq: EquivalentSystem, c: Constellation):
-    """Decode one equivalent system; returns (symbol indices, bits).
-
-    Bits concatenate each symbol's Gray label in slot order (rotation does
-    not change labels).
-    """
-    if eq.symbols is None:
-        raise UsageError("equivalent system carries no symbol layout")
-    idx = ml_decode_batch(eq.obs[None], eq.H_eff[None], eq.R_n[None], eq.scale, eq.symbols, c)[0]
-    bits = c.labels[idx].reshape(-1)
-    return idx, bits
-
-
-def joint_ml_decode(raw, ch: ChannelRealization, cfg: NetworkConfig, c: Constellation):
-    """Exhaustive joint ML over all sources on the pre-IC system.
-
-    Builds the concurrent-uplink equivalent system with every source
-    retained, stacks the per-source channels side by side, and searches
-    all sources' symbol blocks jointly under the pre-IC noise covariance.
-    """
-    design = dstc_design(cfg.M)
-    if c.order ** (cfg.J * design.T) > 1 << 20:
-        raise UsageError("joint search space exceeds 2^20 hypotheses")
-    systems = equiv_system_dstc_icrec(raw, ch, cfg)
-    h_all = np.concatenate([s.H_eff for s in systems], axis=-1)
-    base = systems[0].symbols
-    entries = []
-    rotated = []
-    for j in range(cfg.J):
-        entries.extend(base.shifted(j * base.n_symbols).entries)
-        rotated.extend(base.rotated)
-    spec = SymbolSpec(cfg.J * base.n_symbols, tuple(entries), tuple(rotated))
-    idx = ml_decode_batch(
-        systems[0].obs[None], h_all[None], systems[0].R_n[None], systems[0].scale, spec, c
-    )[0]
-    per_source = idx.reshape(cfg.J, base.n_symbols)
-    bits = c.labels[per_source].reshape(cfg.J, -1)
-    return per_source, bits

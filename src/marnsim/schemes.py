@@ -14,9 +14,13 @@ per-node power P:
 5. decode_relay     tdma_icrec with a hard ML decision at the relay
 6. concurrent_joint dstc_icrec front end, joint ML over all sources, no IC
 
-Every scheme has a batch-vectorized Monte Carlo kernel (simulate_batch)
-operating on a leading trial axis; run_trial wraps a batch of one and
-handles resampling of degenerate channel draws.
+Every scheme is a composition of shared stages over a leading trial axis:
+the uplink draw, a relay operation, the downlink and its recombination,
+then one decode tail (optional zero-forcing IC, one of the two noise
+covariance stages of ``rx_ic``, whitened ML and the error count).  The
+schemes differ only in the relay operation and in how the relay noise
+reaches the destination.  simulate_chunk adds the resampling of
+degenerate channel draws.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .airlink import Constellation, NetworkConfig, RngStream, make_psk, modulate
-from .numerics import UsageError, dagger
+from .airlink import Constellation, NetworkConfig, RngStream, modulate
+from .numerics import UsageError
 from .relay_codec import (
     apply_design,
     dstc_design,
@@ -43,7 +47,10 @@ from .rx_ic import (
     gtilde,
     ic_stack_batch,
     ml_decode_batch,
+    noise_cov_forwarded,
+    noise_cov_on_target,
     recombine,
+    split_slices,
     symbol_spec,
     tdma_channel_stacks,
 )
@@ -51,12 +58,14 @@ from .rx_ic import (
 __all__ = [
     "SchemeId",
     "SchemeMeta",
-    "TrialOutcome",
     "scheme_meta",
     "int_free_condition",
     "block_length",
+    "bits_per_channel_use",
+    "relay_hard_decision",
+    "relay_forward_groups",
     "simulate_batch",
-    "run_trial",
+    "simulate_chunk",
     "MAX_RESAMPLES",
 ]
 
@@ -134,17 +143,8 @@ def block_length(scheme: SchemeId, J: int, M: int) -> int:
     return dstc_design(M).T
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    bits_sent: int
-    bit_errors: int
-    per_source: np.ndarray
-    erased: bool = False
-    resamples: int = 0
-
-
 # ---------------------------------------------------------------------------
-# Shared helpers
+# Shared stages
 
 
 def _draw_symbols(const: Constellation, T: int, stream: RngStream, n: int, J: int):
@@ -159,14 +159,43 @@ def _draw_symbols(const: Constellation, T: int, stream: RngStream, n: int, J: in
     return bits, s
 
 
-def _split_views(stacks: np.ndarray, obs: np.ndarray, T: int, N: int):
-    """Per-split (channels, observation) views of a stacked system."""
-    if T in (1, 2):
-        return [(stacks, obs)]
-    return [
-        (stacks[..., : 2 * N, 0:2], obs[..., : 2 * N]),
-        (stacks[..., 2 * N :, 2:4], obs[..., 2 * N :]),
-    ]
+def relay_hard_decision(soft: np.ndarray, const: Constellation, P: float) -> np.ndarray:
+    """Hard ML decision at the relay on (..., T) soft estimates
+    sqrt(P) s + noise: each slot becomes sqrt(P) times the nearest point of
+    its (possibly rotated) constellation, ties to the lowest index."""
+    T = soft.shape[-1]
+    hard = np.empty(soft.shape, dtype=complex)
+    rots = [default_rotation(const.order) if f else 0.0 for f in symbol_spec(T).rotated]
+    for t in range(T):
+        ct = const.rotated(rots[t]) if rots[t] else const
+        hard[..., t] = math.sqrt(P) * ct.points[ct.nearest(soft[..., t] / math.sqrt(P))]
+    return hard
+
+
+def relay_forward_groups(est: np.ndarray, design, c: float, M: int) -> np.ndarray:
+    """TDMA-uplink relay output: every source's (n, J, T) symbol estimates
+    coded at once on disjoint antenna groups.
+
+    Source j's codeword, amplified by c, occupies antennas j*g .. (j+1)*g - 1
+    with g = design.m_used; antennas past J*g stay silent.  Returns the
+    (n, M, T) relay transmit block.
+    """
+    n, J, T = est.shape
+    gs = design.m_used
+    if J * gs > M:
+        raise UsageError(f"{J} groups of {gs} antennas exceed M={M}")
+    x_relay = np.zeros((n, M, T), dtype=complex)
+    for j in range(J):
+        grp = np.broadcast_to(est[:, j, None, :], (n, gs, T))
+        x_relay[:, j * gs : (j + 1) * gs, :] = c * apply_design(design, grp)
+    return x_relay
+
+
+def _downlink(x_relay: np.ndarray, G: np.ndarray, stream: RngStream):
+    """Second hop: (n, M, T) relay output through (n, M, N) channels."""
+    n, _, T = x_relay.shape
+    N = G.shape[-1]
+    return np.einsum("nmt,nmo->not", x_relay, G) + stream.complex_normal(n, N, T)
 
 
 def _assemble(parts):
@@ -191,11 +220,30 @@ def _count_errors(idx: np.ndarray, sent_bits: np.ndarray, const: Constellation):
     return np.sum(dec != sent_bits, axis=-1)
 
 
-def _downlink(x_relay: np.ndarray, G: np.ndarray, stream: RngStream):
-    """Second hop: (n, M, T) relay output through (n, M, N) channels."""
-    n, _, T = x_relay.shape
-    N = G.shape[-1]
-    return np.einsum("nmt,nmo->not", x_relay, G) + stream.complex_normal(n, N, T)
+def _decode(stacks, obs, target, cov, scale, const, sent_bits, bad=None):
+    """Shared decode tail: bit errors (n,) of one source.
+
+    ``stacks`` (n, J, rows, t) and ``obs`` (n, rows) are the recombined
+    system.  Given a ``bad`` mask, each split first cancels every other
+    source by zero-forcing IC and ORs its degenerate draws into the mask;
+    without one the splits go to the decoder as they are.
+    ``cov(bmat, bh)`` is a split's noise covariance from its IC matrix
+    (None without IC) and the target's projected channel.
+    """
+    parts = []
+    for rows, cols in split_slices(stacks):
+        ch_s, obs_s = stacks[..., rows, cols], obs[..., rows]
+        if bad is None:
+            bmat, hp = None, ch_s[:, target]
+        else:
+            bmat, bd = ic_stack_batch(ch_s, target)
+            bad |= bd
+            obs_s = np.einsum("nrk,nk->nr", bmat, obs_s)
+            hp = bmat @ ch_s[:, target]
+        parts.append((obs_s, hp, cov(bmat, hp)))
+    obs_t, h_t, r_t = _assemble(parts)
+    idx = ml_decode_batch(obs_t, h_t, r_t, scale, symbol_spec(stacks.shape[-1]), const)
+    return _count_errors(idx, sent_bits, const)
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +266,16 @@ def _kernel_dstc(cfg, const, stream, n, joint: bool):
     obs = recombine(raw, T)
     stacks = dstc_channel_stacks(F, G)
     scale = math.sqrt(P) * c
-    spec = symbol_spec(T)
     errors = np.zeros((n, J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
 
     if joint:
         if const.order ** (J * T) > 1 << 20:
             raise UsageError("joint search space exceeds 2^20 hypotheses")
+        spec = symbol_spec(T)
         h_all = np.concatenate([stacks[:, j] for j in range(J)], axis=-1)
         gt = gtilde(G)
-        r_half = kappa * (c * c * gt @ dagger(gt) + np.eye(2 * N))
+        r_half = noise_cov_forwarded(gt, c, kappa)
         if T == 4:
             r_pre = np.zeros((n, 4 * N, 4 * N), dtype=complex)
             r_pre[:, : 2 * N, : 2 * N] = r_half
@@ -248,18 +296,10 @@ def _kernel_dstc(cfg, const, stream, n, joint: bool):
 
     gt = gtilde(G)
     for j in range(J):
-        parts = []
-        for ch_s, obs_s in _split_views(stacks, obs, T, N):
-            bmat, bd = ic_stack_batch(ch_s, j)
-            bad |= bd
-            obsp = np.einsum("nrk,nk->nr", bmat, obs_s)
-            hp = bmat @ ch_s[:, j]
-            bg = bmat @ gt
-            cov = kappa * (c * c * bg @ dagger(bg) + bmat @ dagger(bmat))
-            parts.append((obsp, hp, cov))
-        obs_t, h_t, r_t = _assemble(parts)
-        idx = ml_decode_batch(obs_t, h_t, r_t, scale, spec, const)
-        errors[:, j] = _count_errors(idx, bits[:, j], const)
+        errors[:, j] = _decode(
+            stacks, obs, j, lambda b, bh: noise_cov_forwarded(gt, c, kappa, b),
+            scale, const, bits[:, j], bad,
+        )
     return errors, bad
 
 
@@ -280,41 +320,24 @@ def _kernel_tdma(cfg, const, stream, n, hard_relay: bool):
     x = np.maximum(x, DEGENERATE_TOL**2)
     # MRC output is exactly sqrt(P) s + CN(0, 1/x) per slot given F.
     vhat = stream.complex_normal(n, J, T) / np.sqrt(x)[..., None]
+    soft = math.sqrt(P) * s + vhat
     if hard_relay:
-        rhat = np.empty((n, J, T), dtype=complex)
-        soft = math.sqrt(P) * s + vhat
-        rots = [default_rotation(const.order) if f else 0.0 for f in symbol_spec(T).rotated]
-        for t in range(T):
-            ct = const.rotated(rots[t]) if rots[t] else const
-            rhat[..., t] = math.sqrt(P) * ct.points[ct.nearest(soft[..., t] / math.sqrt(P))]
-        c_fwd = 1.0 / math.sqrt(M)
+        rhat, c_fwd, s_relay = relay_hard_decision(soft, const, P), 1.0 / math.sqrt(M), None
     else:
-        rhat = math.sqrt(P) * s + vhat
-        c_fwd = c1
-    x_relay = np.zeros((n, M, T), dtype=complex)
-    for j in range(J):
-        grp = np.broadcast_to(rhat[:, j, None, :], (n, gs, T))
-        x_relay[:, j * gs : (j + 1) * gs, :] = c_fwd * apply_design(design, grp)
-    raw = _downlink(x_relay, G, stream)
+        # the forwarded combining noise, c1^2 / x, reaches the destination
+        # on each source's own channel
+        rhat, c_fwd, s_relay = soft, c1, c1 * c1 / x
+    raw = _downlink(relay_forward_groups(rhat, design, c_fwd, M), G, stream)
     obs = recombine(raw, T)
     stacks = tdma_channel_stacks(G, J)
     scale = math.sqrt(P) * c_fwd
-    spec = symbol_spec(T)
     errors = np.zeros((n, J), dtype=np.int64)
     for j in range(J):
-        parts = []
-        for ch_s, obs_s in _split_views(stacks, obs, T, N):
-            bmat, bd = ic_stack_batch(ch_s, j)
-            bad |= bd
-            obsp = np.einsum("nrk,nk->nr", bmat, obs_s)
-            hp = bmat @ ch_s[:, j]
-            cov = kappa * (bmat @ dagger(bmat))
-            if not hard_relay:
-                cov = cov + (kappa * c1 * c1 / x[:, j])[:, None, None] * (hp @ dagger(hp))
-            parts.append((obsp, hp, cov))
-        obs_t, h_t, r_t = _assemble(parts)
-        idx = ml_decode_batch(obs_t, h_t, r_t, scale, spec, const)
-        errors[:, j] = _count_errors(idx, bits[:, j], const)
+        s_j = None if s_relay is None else s_relay[:, j]
+        errors[:, j] = _decode(
+            stacks, obs, j, lambda b, bh: noise_cov_on_target(bh, kappa, s_j, b),
+            scale, const, bits[:, j], bad,
+        )
     return errors, bad
 
 
@@ -347,23 +370,16 @@ def _kernel_ic_relay(cfg, const, stream, n):
     z = math.sqrt(P) * s + eta
     stacks = tdma_channel_stacks(G, 1)  # single-source, full-M blocks
     scale = math.sqrt(P) * c3
-    spec = symbol_spec(T)
     errors = np.zeros((n, J), dtype=np.int64)
     for j in range(J):
         grp = np.broadcast_to(z[:, j, None, :], (n, M, T))
         raw = _downlink(c3 * apply_design(design, grp), G, stream)
         obs = recombine(raw, T)
-        parts = []
-        for ch_s, obs_s in _split_views(stacks, obs, T, N):
-            hp = ch_s[:, 0]
-            k = hp.shape[-2]
-            cov = kappa * (
-                (c3 * c3 / npj[:, j])[:, None, None] * (hp @ dagger(hp)) + np.eye(k)
-            )
-            parts.append((obs_s, hp, cov))
-        obs_t, h_t, r_t = _assemble(parts)
-        idx = ml_decode_batch(obs_t, h_t, r_t, scale, spec, const)
-        errors[:, j] = _count_errors(idx, bits[:, j], const)
+        s_j = c3 * c3 / npj[:, j]
+        errors[:, j] = _decode(
+            stacks, obs, 0, lambda b, bh: noise_cov_on_target(bh, kappa, s_j),
+            scale, const, bits[:, j],
+        )
     return errors, bad
 
 
@@ -378,10 +394,8 @@ def _kernel_full_tdma(cfg, const, stream, n):
     F = stream.complex_normal(n, M, J)
     G = stream.complex_normal(n, M, N)
     bits, s = _draw_symbols(const, T, stream, n, J)
-    gt = gtilde(G)
-    relay_cov_half = kappa * (c4 * c4 * gt @ dagger(gt) + np.eye(2 * N))
+    relay_cov = noise_cov_forwarded(gtilde(G), c4, kappa)
     scale = math.sqrt(P) * c4
-    spec = symbol_spec(T)
     errors = np.zeros((n, J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
     for j in range(J):
@@ -389,12 +403,7 @@ def _kernel_full_tdma(cfg, const, stream, n):
         raw = _downlink(c4 * apply_design(design, r), G, stream)
         obs = recombine(raw, T)
         stacks = dstc_channel_stacks(F[:, :, j : j + 1], G)
-        parts = []
-        for ch_s, obs_s in _split_views(stacks, obs, T, N):
-            parts.append((obs_s, ch_s[:, 0], relay_cov_half))
-        obs_t, h_t, r_t = _assemble(parts)
-        idx = ml_decode_batch(obs_t, h_t, r_t, scale, spec, const)
-        errors[:, j] = _count_errors(idx, bits[:, j], const)
+        errors[:, j] = _decode(stacks, obs, 0, lambda b, bh: relay_cov, scale, const, bits[:, j])
     return errors, bad
 
 
@@ -436,20 +445,6 @@ def simulate_chunk(scheme: SchemeId, cfg: NetworkConfig, const: Constellation, s
         errors[idx] = err2
         bad[idx] = bad2
     return errors, bad
-
-
-def run_trial(scheme: SchemeId, cfg: NetworkConfig, rng: RngStream) -> TrialOutcome:
-    """One end-to-end trial; degenerate draws are resampled from derived
-    substreams up to MAX_RESAMPLES times, then the trial is erased."""
-    const = cfg.constellation if cfg.constellation is not None else make_psk(2)
-    T = block_length(scheme, cfg.J, cfg.M)
-    bits_sent = cfg.J * T * const.bits_per_symbol
-    for attempt in range(MAX_RESAMPLES + 1):
-        stream = rng if attempt == 0 else rng.substream(attempt)
-        errors, bad = simulate_batch(scheme, cfg, const, stream, 1)
-        if not bad[0]:
-            return TrialOutcome(bits_sent, int(errors.sum()), errors[0].copy(), False, attempt)
-    return TrialOutcome(0, 0, np.zeros(cfg.J, dtype=np.int64), True, MAX_RESAMPLES)
 
 
 def bits_per_channel_use(scheme: SchemeId, J: int, M: int, N: int, order: int) -> Fraction:

@@ -6,7 +6,6 @@ import pytest
 from marnsim.airlink import (
     NetworkConfig,
     RngStream,
-    draw_awgn,
     draw_channels,
     draw_channels_batch,
     make_psk,
@@ -50,19 +49,21 @@ class TestRngStream:
 
 
 class TestAwgn:
+    # Every noise sample of the simulator is RngStream.complex_normal.
+
     def test_zero_length(self):
-        assert draw_awgn(0, RngStream(0)).size == 0
+        assert RngStream(0).complex_normal(0).size == 0
 
     def test_unit_power(self):
-        v = draw_awgn(100_000, RngStream(3))
+        v = RngStream(3).complex_normal(100_000)
         assert abs(np.mean(np.abs(v) ** 2) - 1.0) < 0.02
 
     def test_deterministic(self):
-        assert np.array_equal(draw_awgn(32, RngStream(4)), draw_awgn(32, RngStream(4)))
+        assert np.array_equal(RngStream(4).complex_normal(32), RngStream(4).complex_normal(32))
 
     def test_negative_length_raises(self):
-        with pytest.raises(UsageError):
-            draw_awgn(-1, RngStream(0))
+        with pytest.raises(ValueError):
+            RngStream(0).complex_normal(-1)
 
 
 class TestConstellation:

@@ -1,4 +1,5 @@
-"""Unit tests for relay-side encoding and soft estimation."""
+"""Unit tests for the relay stages: space-time designs, power scales,
+the concurrent relay transform, group forwarding and the hard decision."""
 
 import math
 
@@ -6,17 +7,14 @@ import numpy as np
 import pytest
 
 from marnsim.airlink import RngStream, make_psk
-from marnsim.numerics import NumericError, UsageError
-from marnsim.relay_codec import (
-    SoftEstimate,
-    dstc_design,
-    dstc_power_scale,
-    encode_dstc_icrec,
-    encode_tdma_icrec,
-    mrc_soft_estimate,
-    relay_decode_forward,
-    tdma_power_scale,
-)
+from marnsim.numerics import UsageError
+from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
+from marnsim.schemes import relay_forward_groups, relay_hard_decision
+
+
+def _concurrent_relay(received, design, P, J):
+    """The concurrent-uplink relay: t_i = c (A_i r_i + B_i conj(r_i))."""
+    return dstc_power_scale(P, design.m_used, J) * apply_design(design, received)
 
 
 class TestDstcDesign:
@@ -88,7 +86,7 @@ class TestPowerScales:
 class TestEncodeDstc:
     def test_zero_input(self):
         d = dstc_design(2)
-        out = encode_dstc_icrec(np.zeros((2, 2)), d, 4.0, 2)
+        out = _concurrent_relay(np.zeros((2, 2)), d, 4.0, 2)
         assert not out.any()
 
     def test_locality(self):
@@ -96,16 +94,16 @@ class TestEncodeDstc:
         d = dstc_design(4)
         rng = np.random.default_rng(0)
         r = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        base = encode_dstc_icrec(r, d, 2.0, 2)
+        base = _concurrent_relay(r, d, 2.0, 2)
         bumped = r.copy()
         bumped[1] += 1.0
-        out = encode_dstc_icrec(bumped, d, 2.0, 2)
+        out = _concurrent_relay(bumped, d, 2.0, 2)
         diff = np.abs(out - base).sum(axis=-1)
         assert diff[1] > 0 and diff[[0, 2, 3]].max() == 0
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(UsageError):
-            encode_dstc_icrec(np.zeros((2, 3)), dstc_design(2), 1.0, 2)
+        with pytest.raises(ValueError):
+            apply_design(dstc_design(2), np.zeros((2, 3)))
 
     def test_average_power(self):
         # Per-antenna input power J*P + 1 maps to average output power P/M
@@ -114,73 +112,43 @@ class TestEncodeDstc:
         P, J = 9.0, 2
         rng = RngStream(5)
         r = math.sqrt(J * P + 1.0) * rng.complex_normal(20000, 2, 2)
-        t = encode_dstc_icrec(r, d, P, J)
+        t = _concurrent_relay(r, d, P, J)
         total = np.mean(np.sum(np.abs(t) ** 2, axis=-2)) / d.T * d.m_used
         assert abs(total - P) < 0.02 * P
-
-
-class TestMrcSoftEstimate:
-    def test_single_antenna_passthrough(self):
-        r = np.array([[1.0 + 2.0j, 0.5j]])
-        est = mrc_soft_estimate(r, np.array([1.0]), 4.0)
-        assert np.allclose(est.values, r[0])
-        assert np.allclose(est.noise_var, 1.0)
-
-    def test_unit_gain_antennas(self):
-        m = 4
-        f = np.exp(1j * np.linspace(0, 1, m))
-        r = np.zeros((m, 2), dtype=complex)
-        est = mrc_soft_estimate(r, f, 1.0)
-        assert abs(est.noise_var - 1.0 / m) < 1e-12
-
-    def test_noiseless_recovery(self):
-        rng = np.random.default_rng(1)
-        f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        s = np.array([1.0 - 1.0j, -2.0])
-        P = 6.25
-        r = math.sqrt(P) * f[:, None] * s[None, :]
-        est = mrc_soft_estimate(r, f, P)
-        assert np.allclose(est.values, math.sqrt(P) * s, atol=1e-12)
-
-    def test_zero_channel_raises(self):
-        with pytest.raises(NumericError):
-            mrc_soft_estimate(np.zeros((2, 2)), np.zeros(2), 1.0)
 
 
 class TestEncodeTdma:
     def test_zero_estimates(self):
         d = dstc_design(2)
-        ests = [SoftEstimate(np.zeros(2), 1.0, j) for j in range(2)]
-        assert not encode_tdma_icrec(ests, d, 3.0, 4).any()
+        assert not relay_forward_groups(np.zeros((1, 2, 2)), d, 3.0, 4).any()
 
     def test_m_equals_2j_placement(self):
         d = dstc_design(2)
         v = np.array([1.0 + 1.0j, 2.0 - 0.5j])
-        ests = [SoftEstimate(v, 1.0, 0), SoftEstimate(np.zeros(2), 1.0, 1)]
-        out = encode_tdma_icrec(ests, d, 2.0, 4)
+        est = np.stack([v, np.zeros(2)])[None]
         c1 = tdma_power_scale(2.0, 4)
+        out = relay_forward_groups(est, d, c1, 4)[0]
         assert np.allclose(out[0], c1 * v)
         assert np.allclose(out[1], c1 * np.array([[0, -1], [1, 0]]) @ np.conj(v))
         assert not out[2:].any()
 
     def test_excess_antennas_silent(self):
         d = dstc_design(2)
-        ests = [SoftEstimate(np.ones(2), 1.0, j) for j in range(2)]
-        out = encode_tdma_icrec(ests, d, 1.0, 5)  # group size 2, antenna 5 idle
-        assert out.shape == (5, 2)
-        assert not out[4].any()
+        out = relay_forward_groups(np.ones((1, 2, 2)), d, 1.0, 5)  # group size 2, antenna 5 idle
+        assert out.shape == (1, 5, 2)
+        assert not out[0, 4].any()
 
     def test_wrong_group_size_raises(self):
         with pytest.raises(UsageError):
-            encode_tdma_icrec([SoftEstimate(np.ones(2), 1.0, 0)], dstc_design(2), 1.0, 4)
+            relay_forward_groups(np.ones((1, 3, 2)), dstc_design(2), 1.0, 4)
 
     def test_codeword_gram_orthogonal(self):
         # Group size 2: the per-source codeword is a scaled orthogonal STBC.
         d = dstc_design(2)
         v = np.array([0.3 + 1.0j, -1.2 + 0.4j])
-        out = encode_tdma_icrec([SoftEstimate(v, 0.0, 0)], d, 4.0, 2)
-        gram = out @ out.conj().T
         c1 = tdma_power_scale(4.0, 2)
+        out = relay_forward_groups(v[None, None], d, c1, 2)[0]
+        gram = out @ out.conj().T
         expect = c1 * c1 * np.sum(np.abs(v) ** 2) * np.eye(2)
         assert np.allclose(gram, expect, atol=1e-12)
 
@@ -191,12 +159,9 @@ class TestEncodeTdma:
         d = dstc_design(M // J)
         rng = RngStream(6)
         n = 20000
-        s = np.exp(2j * np.pi * rng.generator.random((n, 2)))
-        ests = [
-            SoftEstimate(math.sqrt(P) * s + rng.complex_normal(n, 2), 1.0, j)
-            for j in range(J)
-        ]
-        out = encode_tdma_icrec(ests, d, P, M)
+        s = np.exp(2j * np.pi * rng.generator.random((n, 1, 2)))
+        est = math.sqrt(P) * s + rng.complex_normal(n, J, 2)
+        out = relay_forward_groups(est, d, tdma_power_scale(P, M), M)
         total = np.mean(np.sum(np.abs(out) ** 2, axis=(-2, -1))) / d.T
         assert abs(total - P) < 0.02 * P
 
@@ -206,16 +171,12 @@ class TestRelayDecodeForward:
         c = make_psk(4)
         P = 9.0
         s = c.points[[2, 1]]
-        est = SoftEstimate(math.sqrt(P) * s, 0.5, 0)
-        (hard,) = relay_decode_forward([est], c, P)
-        assert np.allclose(hard.values, math.sqrt(P) * s)
-        assert not np.asarray(hard.noise_var).any()
+        hard = relay_hard_decision(math.sqrt(P) * s, c, P)
+        assert np.allclose(hard, math.sqrt(P) * s)
 
     def test_tie_breaks_to_lowest_index(self):
-        c = make_psk(2)
-        est = SoftEstimate(np.array([0.0 + 0.0j]), 1.0, 0)
-        (hard,) = relay_decode_forward([est], c, 1.0)
-        assert hard.values[0] == 1.0 + 0.0j  # index 0 point
+        hard = relay_hard_decision(np.array([0.0 + 0.0j]), make_psk(2), 1.0)
+        assert hard[0] == 1.0 + 0.0j  # index 0 point
 
     def test_ber_matches_q_function(self):
         # BPSK on an MRC estimate sqrt(P) s + CN(0, 1/x): error probability
@@ -225,11 +186,8 @@ class TestRelayDecodeForward:
         rng = RngStream(7)
         s = 1.0 - 2.0 * rng.bits(n).astype(float)
         noise = rng.complex_normal(n) / math.sqrt(x)
-        est = SoftEstimate((math.sqrt(P) * s + noise)[:, None], 1.0 / x, 0)
-        (hard,) = relay_decode_forward([est], make_psk(2), P)
-        err = np.mean(np.sign(hard.values[:, 0].real) != np.sign(s))
-        from math import erfc, sqrt
-
-        q = 0.5 * erfc(sqrt(P * x))
+        hard = relay_hard_decision((math.sqrt(P) * s + noise)[:, None], make_psk(2), P)
+        err = np.mean(np.sign(hard[:, 0].real) != np.sign(s))
+        q = 0.5 * math.erfc(math.sqrt(P * x))
         sigma = math.sqrt(q * (1 - q) / n)
         assert abs(err - q) < 4 * sigma

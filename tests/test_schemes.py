@@ -13,7 +13,6 @@ from marnsim.schemes import (
     bits_per_channel_use,
     block_length,
     int_free_condition,
-    run_trial,
     scheme_meta,
     simulate_batch,
     simulate_chunk,
@@ -159,13 +158,14 @@ class TestSimulation:
         assert not erased.any()  # degenerate draws are measure-zero
 
     def test_run_trial_outcome(self):
+        # One trial is a chunk of one.
         cfg = NetworkConfig(2, 2, 2, 10.0)
-        out = run_trial(SchemeId.DstcIcRec, cfg, RngStream(8, 5))
-        assert out.bits_sent == 2 * 2  # J sources x T slots x 1 bit (BPSK)
-        assert 0 <= out.bit_errors <= out.bits_sent
-        assert out.per_source.shape == (2,)
-        out2 = run_trial(SchemeId.DstcIcRec, cfg, RngStream(8, 5))
-        assert out.bit_errors == out2.bit_errors
+        errors, erased = simulate_chunk(SchemeId.DstcIcRec, cfg, make_psk(2), RngStream(8, 5), 1)
+        assert errors.shape == (1, 2) and not erased.any()
+        bits_sent = 2 * block_length(SchemeId.DstcIcRec, 2, 2)  # J x T x 1 bit (BPSK)
+        assert 0 <= errors.sum() <= bits_sent
+        again, _ = simulate_chunk(SchemeId.DstcIcRec, cfg, make_psk(2), RngStream(8, 5), 1)
+        assert np.array_equal(errors, again)
 
     def test_joint_beats_ic_at_same_operating_point(self):
         # Joint decoding dominates the IC-based receiver on the same
