@@ -28,13 +28,31 @@ GOLDEN = {
         SchemeId.DecodeRelayIcDest: 289,
         SchemeId.ConcurrentJoint: 13,
     },
+    # J = 3: two IC stages per split (the projection of the remaining
+    # channels between stages) and two interferer columns at the relay.
+    (3, 4, 3): {
+        SchemeId.DstcIcRec: 2422,
+        SchemeId.TdmaIcRec: 983,
+        SchemeId.IcRelayTdma: 777,
+        SchemeId.FullTdmaDstc: 2555,
+        SchemeId.DecodeRelayIcDest: 933,
+        SchemeId.ConcurrentJoint: 49,
+    },
+    (3, 3, 4): {
+        SchemeId.DstcIcRec: 2333,
+        SchemeId.TdmaIcRec: 528,
+        SchemeId.IcRelayTdma: 1837,
+        SchemeId.FullTdmaDstc: 2343,
+        SchemeId.DecodeRelayIcDest: 456,
+        SchemeId.ConcurrentJoint: 47,
+    },
 }
 
 
 def _order(scheme, cfg3):
-    # The (2,4,3) joint search at QPSK needs 4^8 hypotheses per trial;
-    # BPSK keeps the pin small.
-    if scheme is SchemeId.ConcurrentJoint and cfg3 == (2, 4, 3):
+    # The joint search at QPSK needs 4^(J*4) hypotheses per trial on the
+    # 4-slot codeword; BPSK keeps the pin small.
+    if scheme is SchemeId.ConcurrentJoint and cfg3 != (2, 2, 3):
         return 2
     return COMPARISON_ORDERS[scheme]
 
