@@ -1,9 +1,10 @@
 """Small dense complex-matrix kernel used by the rest of the simulator.
 
-Matrices are plain complex numpy arrays.  Everything here operates on
-matrices of at most a few dozen rows (stacked 2x2 Alamouti blocks), so
-clarity wins over BLAS-level tuning.  Most helpers accept stacked inputs
-(leading batch axes) so the Monte Carlo driver can vectorize trials.
+Matrices are plain complex numpy arrays of at most a few dozen rows
+(stacked 2x2 Alamouti blocks).  Most helpers accept stacked inputs
+(leading batch axes): the Monte Carlo driver solves a whole chunk of
+trials in one LAPACK call, and callers stack every right-hand side that
+shares a matrix so it is factorized once.
 """
 
 from __future__ import annotations

@@ -322,14 +322,15 @@ def ic_stack_batch(channels: np.ndarray, target: int):
     if J > K:
         raise UsageError(f"cannot cancel {J - 1} sources with {K} block rows")
     lead = channels.shape[:-3]
-    bmat = np.broadcast_to(np.eye(K * t, dtype=complex), lead + (K * t, K * t)).copy()
-    cur = channels.copy()
     bad = np.zeros(lead, dtype=bool)
     order = [j for j in range(J - 1, -1, -1) if j != target]
-    k = K
-    for q in order:
-        stack = cur[..., q, : k * t, :]  # (..., k*t, t)
-        blocks = stack.reshape(*lead, k, t, t)
+    if not order:
+        return np.broadcast_to(np.eye(K * t, dtype=complex), lead + (K * t, K * t)).copy(), bad
+    # Each stage cancels source q from the k block rows left by the stages
+    # before it; the remaining channels are projected only for a next stage.
+    bmat, cur = None, channels
+    for k, q in zip(range(K, 0, -1), order):
+        blocks = cur[..., q, :, :].reshape(*lead, k, t, t)
         norms = np.sum(np.abs(blocks) ** 2, axis=(-2, -1))  # (..., k)
         bad |= np.sqrt(norms).min(axis=-1) < DEGENERATE_TOL
         norms = np.maximum(norms, DEGENERATE_TOL**2)
@@ -338,9 +339,9 @@ def ic_stack_batch(channels: np.ndarray, target: int):
         for p in range(k - 1):
             bi[..., p * t : (p + 1) * t, 0:t] = -scaled[..., 0, :, :]
             bi[..., p * t : (p + 1) * t, (p + 1) * t : (p + 2) * t] = scaled[..., p + 1, :, :]
-        bmat = bi @ bmat[..., : k * t, :]
-        cur = bi[..., None, :, :] @ cur[..., : k * t, :]
-        k -= 1
+        bmat = bi if bmat is None else bi @ bmat
+        if q != order[-1]:
+            cur = bi[..., None, :, :] @ cur
     return bmat, bad
 
 
@@ -446,16 +447,16 @@ def ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation, diag_t
     obs = np.asarray(obs, dtype=complex)
     h = np.asarray(h, dtype=complex)
     r = np.asarray(r, dtype=complex)
-    ri_obs = solve_psd_stack(r, obs)
-    ri_h = solve_psd_stack(r, h)
-    w = scale * np.einsum("...kt,...k->...t", np.conj(h), ri_obs)
-    q = scale * scale * dagger(h) @ ri_h
+    t = h.shape[-1]
+    # One factorization of r whitens the channel and the observation.
+    hx = dagger(h) @ solve_psd_stack(r, np.concatenate([h, obs[..., None]], axis=-1))
+    w = scale * hx[..., t]
+    q = scale * scale * hx[..., :t]
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(q))):
         raise NumericError("non-finite whitened metric; resample trial")
     comps = _symbol_components(spec)
     out = np.zeros(obs.shape[:-1] + (spec.n_symbols,), dtype=np.int64)
     # Cross-component couplings must be negligible for the decomposition.
-    t = q.shape[-1]
     comp_of = np.zeros(t, dtype=np.int64)
     for ci, (_, entries) in enumerate(comps):
         comp_of[entries] = ci
@@ -466,10 +467,15 @@ def ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation, diag_t
     for syms, entries in comps:
         combos, sv = _candidate_table(spec, syms, entries, c)
         qc = q[..., entries, :][..., :, entries]
+        # Re(sv* qc sv) - 2 Re(sv* w) as one real product: the features
+        # [Re qc, Im qc, Re w, Im w] against [Re PP, -Im PP, -2 Re sv, -2 Im sv]
+        # with the pair products PP[c, (e, f)] = conj(sv[c, e]) sv[c, f].
+        pp = (np.conj(sv)[:, :, None] * sv[:, None, :]).reshape(len(sv), -1)
+        table = np.concatenate([pp.real, -pp.imag, -2.0 * sv.real, -2.0 * sv.imag], axis=-1)
+        qf = qc.reshape(*qc.shape[:-2], -1)
         wc = w[..., entries]
-        quad = np.einsum("ce,...ef,cf->...c", np.conj(sv), qc, sv).real
-        lin = 2.0 * np.einsum("ce,...e->...c", np.conj(sv), wc).real
-        best = np.argmin(quad - lin, axis=-1)
+        feats = np.concatenate([qf.real, qf.imag, wc.real, wc.imag], axis=-1)
+        best = np.argmin(feats @ table.T, axis=-1)
         out[..., syms] = combos[best]
     if np.any(violated):
         joint_syms = sorted(range(spec.n_symbols))

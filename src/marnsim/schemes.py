@@ -64,6 +64,7 @@ __all__ = [
     "bits_per_channel_use",
     "relay_hard_decision",
     "relay_forward_groups",
+    "relay_zf_gains",
     "simulate_batch",
     "simulate_chunk",
     "MAX_RESAMPLES",
@@ -189,6 +190,24 @@ def relay_forward_groups(est: np.ndarray, design, c: float, M: int) -> np.ndarra
         grp = np.broadcast_to(est[:, j, None, :], (n, gs, T))
         x_relay[:, j * gs : (j + 1) * gs, :] = c * apply_design(design, grp)
     return x_relay
+
+
+def relay_zf_gains(F: np.ndarray) -> np.ndarray:
+    """Zero-forcing separation at the relay: (n, J) residual powers
+    ||f_j - Q_j Q_j* f_j||^2 of each source's (n, M, J) uplink column
+    projected off the other sources' columns (orthonormal basis Q_j).
+    The residual power sets the noise of the separated symbols."""
+    n, _, J = F.shape
+    npj = np.empty((n, J))
+    for j in range(J):
+        fj = F[:, :, j]
+        if J == 1:
+            resid = fj
+        else:
+            u = np.linalg.qr(np.delete(F, j, axis=2))[0]
+            resid = fj - np.einsum("nmk,nk->nm", u, np.einsum("nmk,nm->nk", np.conj(u), fj))
+        npj[:, j] = np.sum(np.abs(resid) ** 2, axis=-1)
+    return npj
 
 
 def _downlink(x_relay: np.ndarray, G: np.ndarray, stream: RngStream):
@@ -352,18 +371,7 @@ def _kernel_ic_relay(cfg, const, stream, n):
     F = stream.complex_normal(n, M, J)
     G = stream.complex_normal(n, M, N)
     bits, s = _draw_symbols(const, T, stream, n, J)
-    # ZF separation at the relay: project f_j off the other sources'
-    # uplink columns; the residual norm sets the post-separation noise.
-    npj = np.empty((n, J))
-    for j in range(J):
-        fj = F[:, :, j]
-        if J == 1:
-            resid = fj
-        else:
-            others = np.delete(F, j, axis=2)
-            u, _, _ = np.linalg.svd(others, full_matrices=False)
-            resid = fj - np.einsum("nmk,nk->nm", u, np.einsum("nmk,nm->nk", np.conj(u), fj))
-        npj[:, j] = np.sum(np.abs(resid) ** 2, axis=-1)
+    npj = relay_zf_gains(F)
     bad = np.sqrt(npj).min(axis=-1) < DEGENERATE_TOL
     npj = np.maximum(npj, DEGENERATE_TOL**2)
     eta = stream.complex_normal(n, J, T) / np.sqrt(npj)[..., None]

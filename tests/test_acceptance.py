@@ -30,6 +30,8 @@ from marnsim.rx_ic import ic_stack_batch, tdma_channel_stacks
 from marnsim.schemes import SchemeId, scheme_meta
 from marnsim.selftest import run_selftest
 
+pytestmark = pytest.mark.slow
+
 
 def _report(capsys, num, ok, detail):
     with capsys.disabled():

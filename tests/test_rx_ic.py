@@ -451,6 +451,67 @@ class TestMlDecode:
             assert tuple(got) == best
 
 
+    @staticmethod
+    def _coupled_pairs_system(rng, order, n):
+        """n T = 4 systems whose pair components {s1, s4} and {s2, s3} are
+        coupled internally (q is not diagonal within a pair) and exactly
+        decoupled from each other: each pair's columns and noise live on
+        their own rows.  Returns (obs, h, r, spec, const, true indices)."""
+        c, spec = make_psk(order), symbol_spec(4)
+        h = np.zeros((n, 8, 4), dtype=complex)
+        h[:, :4][..., [0, 2]] = _cn(rng, n, 4, 2)
+        h[:, 4:][..., [1, 3]] = _cn(rng, n, 4, 2)
+        a = _cn(rng, n, 8, 8)
+        a[:, :4, 4:] = 0
+        a[:, 4:, :4] = 0
+        r = a @ dagger(a) + 0.5 * np.eye(8)
+        consts = [c.rotated(default_rotation(order)) if f else c for f in spec.rotated]
+        true = np.array([[(3 * i + k) % order for k in range(4)] for i in range(n)])
+        sym = np.stack([consts[k].points[true[:, k]] for k in range(4)], axis=-1)
+        noise = np.linalg.cholesky(r) @ _cn(rng, n, 8)[..., None]
+        obs = h @ spec.build(sym)[..., None] + 0.8 * noise
+        return obs[..., 0], h, r, spec, c, true
+
+    @staticmethod
+    def _exhaustive(obs, h, r, scale, spec, c):
+        """argmin over every symbol tuple of the whitened distance
+        ||L^-1 (obs - scale h sv)||^2 with r = L L*, ties to the lowest
+        lexicographic tuple."""
+        consts = [c.rotated(default_rotation(c.order)) if f else c for f in spec.rotated]
+        combos = np.array(np.meshgrid(*[np.arange(c.order)] * spec.n_symbols, indexing="ij"))
+        combos = combos.reshape(spec.n_symbols, -1).T
+        sv = spec.build(np.stack([consts[k].points[combos[:, k]] for k in range(spec.n_symbols)], -1))
+        low = np.linalg.cholesky(r)
+        resid = np.linalg.solve(low, obs) - scale * sv @ np.linalg.solve(low, h).T
+        return combos[np.argmin(np.sum(np.abs(resid) ** 2, axis=-1))]
+
+    @pytest.mark.parametrize("order", [4, 16])
+    def test_coupled_pairs_match_exhaustive(self, order):
+        # 16-PSK gives 256 candidates per pair, the full_tdma_dstc path.
+        obs, h, r, spec, c, true = self._coupled_pairs_system(RngStream(32, order), order, 5)
+        q = dagger(h) @ np.linalg.solve(r, h)
+        assert np.all(np.abs(q[:, 0, 2]) > 1e-3)  # coupled within a pair
+        assert np.all(q[:, [0, 2]][..., [1, 3]] == 0)  # not across pairs
+        got = ml_decode_batch(obs, h, r, 1.0, spec, c)
+        for i in range(len(obs)):
+            assert np.array_equal(got[i], self._exhaustive(obs[i], h[i], r[i], 1.0, spec, c))
+        assert not np.array_equal(got, true)  # the noise makes some decisions wrong
+
+    def test_one_solve_per_call(self, monkeypatch):
+        from marnsim import rx_ic
+
+        calls = []
+
+        def counted(a, b):
+            calls.append(np.shape(b))
+            return solve_psd_stack(a, b)
+
+        monkeypatch.setattr(rx_ic, "solve_psd_stack", counted)
+        obs, h, r, spec, c, _ = self._coupled_pairs_system(RngStream(33), 4, 3)
+        rx_ic.ml_decode_batch(obs, h, r, 1.0, spec, c)
+        assert calls == [(3, 8, 5)]  # right-hand side [h | obs]
+
+
 class TestJointMlDecode:
     def test_noiseless_recovery(self):
         cfg = NetworkConfig(2, 2, 2, 1e12)

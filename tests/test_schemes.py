@@ -7,12 +7,13 @@ import pytest
 
 from marnsim.airlink import NetworkConfig, RngStream, make_psk
 from marnsim.harness import COMPARISON_ORDERS
-from marnsim.numerics import UsageError
+from marnsim.numerics import UsageError, null_space_projector
 from marnsim.schemes import (
     SchemeId,
     bits_per_channel_use,
     block_length,
     int_free_condition,
+    relay_zf_gains,
     scheme_meta,
     simulate_batch,
     simulate_chunk,
@@ -175,3 +176,15 @@ class TestSimulation:
         e_ic, bad_ic = simulate_batch(SchemeId.DstcIcRec, cfg, c, RngStream(9, 6), 40_000)
         e_j, bad_j = simulate_batch(SchemeId.ConcurrentJoint, cfg, c, RngStream(9, 6), 40_000)
         assert e_j[~bad_j].sum() < e_ic[~bad_ic].sum()
+
+
+class TestRelayZeroForcing:
+    @pytest.mark.parametrize("J", [1, 2, 3])
+    def test_gains_match_null_space_projector(self, J):
+        F = RngStream(60, J).complex_normal(8, 4, J)
+        got = relay_zf_gains(F)
+        for i in range(len(F)):
+            for j in range(J):
+                proj = null_space_projector(np.delete(F[i], j, axis=1)).matrix
+                want = np.linalg.norm(proj @ F[i, :, j]) ** 2
+                assert got[i, j] == pytest.approx(want, rel=1e-12)
