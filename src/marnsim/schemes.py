@@ -201,11 +201,8 @@ def relay_zf_gains(F: np.ndarray) -> np.ndarray:
     npj = np.empty((n, J))
     for j in range(J):
         fj = F[:, :, j]
-        if J == 1:
-            resid = fj
-        else:
-            u = np.linalg.qr(np.delete(F, j, axis=2))[0]
-            resid = fj - np.einsum("nmk,nk->nm", u, np.einsum("nmk,nm->nk", np.conj(u), fj))
+        u = np.linalg.qr(np.delete(F, j, axis=2))[0]  # (n, M, 0) when J = 1
+        resid = fj - np.einsum("nmk,nk->nm", u, np.einsum("nmk,nm->nk", np.conj(u), fj))
         npj[:, j] = np.sum(np.abs(resid) ** 2, axis=-1)
     return npj
 

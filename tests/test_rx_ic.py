@@ -5,6 +5,7 @@ The pipelines here are assembled from the same relay and covariance
 stages that the scheme kernels run; a single system is a batch of one.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -433,8 +434,6 @@ class TestMlDecode:
         h = _cn(rng, 3, 6, 4)
         r = np.broadcast_to(np.eye(6), (3, 6, 6)).copy()
         consts = [c.rotated(default_rotation(2)) if f else c for f in spec.rotated]
-        import itertools
-
         for trial in range(3):
             true = np.array([0, 1, 1, 0])
             sv = spec.build(np.array([consts[k].points[true[k]] for k in range(4)]))
@@ -478,8 +477,7 @@ class TestMlDecode:
         ||L^-1 (obs - scale h sv)||^2 with r = L L*, ties to the lowest
         lexicographic tuple."""
         consts = [c.rotated(default_rotation(c.order)) if f else c for f in spec.rotated]
-        combos = np.array(np.meshgrid(*[np.arange(c.order)] * spec.n_symbols, indexing="ij"))
-        combos = combos.reshape(spec.n_symbols, -1).T
+        combos = np.array(list(itertools.product(range(c.order), repeat=spec.n_symbols)))
         sv = spec.build(np.stack([consts[k].points[combos[:, k]] for k in range(spec.n_symbols)], -1))
         low = np.linalg.cholesky(r)
         resid = np.linalg.solve(low, obs) - scale * sv @ np.linalg.solve(low, h).T
