@@ -12,6 +12,23 @@ from marnsim.harness import COMPARISON_ORDERS
 from marnsim.schemes import SchemeId, simulate_batch
 
 GOLDEN = {
+    # J = 1: nothing to cancel, and the joint receiver searches one source.
+    (1, 2, 3): {
+        SchemeId.DstcIcRec: 57,
+        SchemeId.TdmaIcRec: 119,
+        SchemeId.IcRelayTdma: 119,
+        SchemeId.FullTdmaDstc: 549,
+        SchemeId.DecodeRelayIcDest: 81,
+        SchemeId.ConcurrentJoint: 6,
+    },
+    (1, 4, 3): {
+        SchemeId.DstcIcRec: 18,
+        SchemeId.TdmaIcRec: 113,
+        SchemeId.IcRelayTdma: 113,
+        SchemeId.FullTdmaDstc: 834,
+        SchemeId.DecodeRelayIcDest: 33,
+        SchemeId.ConcurrentJoint: 4,
+    },
     (2, 2, 3): {
         SchemeId.DstcIcRec: 549,
         SchemeId.TdmaIcRec: 307,
