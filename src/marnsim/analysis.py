@@ -186,6 +186,8 @@ def outage_diversity(
     fit uses per-point event counts as weights.  Fewer than 3 usable
     points yields a flagged (NaN) estimate.
     """
+    if trials < 1:
+        raise UsageError(f"need at least one trial, got {trials}")
     eps = np.sort(np.asarray(eps_grid, dtype=float))[::-1]
     if eps.size < 1 or eps[-1] <= 0:
         raise UsageError("epsilon grid must be positive")

@@ -134,6 +134,7 @@ def _cmd_simulate(args) -> int:
         raise UsageError("at least one --config J,M,N is required")
     grid = _parse_grid(str(pick(args.snr_db, "snr_db", "10:5:30")))
     order = _parse_mod(str(pick(args.mod, "mod", "bpsk")))
+    workers = pick(args.workers, "workers", None)
     spec = ExperimentSpec(
         tuple(SchemeId.parse(s) for s in schemes),
         tuple(_parse_triple(c) for c in configs),
@@ -142,7 +143,7 @@ def _cmd_simulate(args) -> int:
         min_errors=int(pick(args.min_errors, "min_errors", 200)),
         max_trials=int(pick(args.max_trials, "max_trials", 2_000_000)),
         seed=int(pick(args.seed, "seed", 0)),
-        workers=args.workers or int(settings.get("workers", 0)) or None,
+        workers=None if workers is None else int(workers),
     )
     points = run_experiment(spec, progress=sys.stderr)
     text = emit(points, args.format, args.out)

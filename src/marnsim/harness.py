@@ -96,6 +96,8 @@ class ExperimentSpec:
             raise UsageError("SNR grid must be non-empty and strictly increasing")
         if self.min_errors < 0 or self.max_trials < 1:
             raise UsageError("invalid stop rule")
+        if self.workers is not None and self.workers < 1:
+            raise UsageError(f"workers must be >= 1, got {self.workers}")
 
     def order_for(self, scheme: SchemeId) -> int:
         return self.orders.get(scheme, self.default_order)

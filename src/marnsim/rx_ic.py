@@ -15,6 +15,9 @@ the unwanted source.  Decoding whitens with the exact post-IC noise
 covariance, which takes one of two forms by how the relay noise reaches
 the destination, and searches symbol components independently
 (symbol-wise for Alamouti, pair-wise for the quasi-orthogonal split).
+The joint receiver, which cancels nothing, instead searches every symbol
+tuple of all sources at once.  The caller picks the decoder; both whiten
+with one factorization of the covariance.
 
 Every stage works on leading batch axes; one system is a batch of one.
 Every observation entry is an explicit linear combination of raw samples;
@@ -48,6 +51,7 @@ __all__ = [
     "noise_cov_forwarded",
     "noise_cov_on_target",
     "ml_decode_batch",
+    "joint_ml_decode_batch",
 ]
 
 # Block norms below this are treated as a degenerate fade: resample the trial.
@@ -377,7 +381,8 @@ def noise_cov_on_target(bh, kappa: float, s=None, bmat=None) -> np.ndarray:
     IC removes the interferers' relay noise with their signal.  s = None
     leaves out the relay term (a hard decision forwards no noise).
     """
-    r = np.eye(bh.shape[-2]) if bmat is None else bmat @ dagger(bmat)
+    k = bh.shape[-2]
+    r = np.broadcast_to(np.eye(k), bh.shape[:-2] + (k, k)) if bmat is None else bmat @ dagger(bmat)
     if s is not None:
         r = r + s[..., None, None] * (bh @ dagger(bh))
     return kappa * r
@@ -436,35 +441,35 @@ def _candidate_table(spec: SymbolSpec, syms, entries, c: Constellation):
     return combos, sv
 
 
-def ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation, diag_tol=1e-8):
-    """Whitened ML over a batch of equivalent systems.
-
-    obs (..., K), h (..., K, t), r (..., K, K).  Returns decoded symbol
-    indices (..., n_symbols).  Symbols are searched per coupled component;
-    a batch element whose cross-component coupling is not negligible falls
-    back to an exhaustive joint search.
-    """
+def _whiten(obs, h, r, scale):
+    """Whitened matched filter w = scale h* R^-1 obs and Gram
+    q = scale^2 h* R^-1 h of obs (..., K), h (..., K, t), r (..., K, K):
+    one factorization of r whitens the channel and the observation."""
     obs = np.asarray(obs, dtype=complex)
     h = np.asarray(h, dtype=complex)
     r = np.asarray(r, dtype=complex)
     t = h.shape[-1]
-    # One factorization of r whitens the channel and the observation.
     hx = dagger(h) @ solve_psd_stack(r, np.concatenate([h, obs[..., None]], axis=-1))
     w = scale * hx[..., t]
     q = scale * scale * hx[..., :t]
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(q))):
         raise NumericError("non-finite whitened metric; resample trial")
-    comps = _symbol_components(spec)
-    out = np.zeros(obs.shape[:-1] + (spec.n_symbols,), dtype=np.int64)
-    # Cross-component couplings must be negligible for the decomposition.
-    comp_of = np.zeros(t, dtype=np.int64)
-    for ci, (_, entries) in enumerate(comps):
-        comp_of[entries] = ci
-    diag = np.sqrt(np.maximum(np.einsum("...ii->...i", q).real, 0.0))
-    cross = comp_of[:, None] != comp_of[None, :]
-    bound = diag_tol * diag[..., :, None] * diag[..., None, :] + 1e-30
-    violated = np.any(np.abs(q) * cross > bound, axis=(-2, -1))
-    for syms, entries in comps:
+    return w, q
+
+
+def ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation):
+    """Whitened ML over a batch of equivalent systems whose symbol
+    components are decoupled, searched one component at a time.
+
+    obs (..., K), h (..., K, t), r (..., K, K).  Returns decoded symbol
+    indices (..., n_symbols).  The whitened Gram must not couple entries
+    of different components (groups of entries that share no symbol);
+    the block structure of one source's channel, after zero-forcing IC
+    when there are others, makes that coupling vanish.
+    """
+    w, q = _whiten(obs, h, r, scale)
+    out = np.zeros(w.shape[:-1] + (spec.n_symbols,), dtype=np.int64)
+    for syms, entries in _symbol_components(spec):
         combos, sv = _candidate_table(spec, syms, entries, c)
         qc = q[..., entries, :][..., :, entries]
         # Re(sv* qc sv) - 2 Re(sv* w) as one real product: the features
@@ -477,13 +482,19 @@ def ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation, diag_t
         feats = np.concatenate([qf.real, qf.imag, wc.real, wc.imag], axis=-1)
         best = np.argmin(feats @ table.T, axis=-1)
         out[..., syms] = combos[best]
-    if np.any(violated):
-        joint_syms = sorted(range(spec.n_symbols))
-        joint_entries = list(range(len(spec.entries)))
-        combos, sv = _candidate_table(spec, joint_syms, joint_entries, c)
-        quad = np.einsum("ce,...ef,cf->...c", np.conj(sv), q, sv).real
-        lin = 2.0 * np.einsum("ce,...e->...c", np.conj(sv), w).real
-        best = np.argmin(quad - lin, axis=-1)
-        joint = combos[best]
-        out = np.where(violated[..., None], joint, out)
     return out
+
+
+def joint_ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation):
+    """Whitened ML over every symbol tuple of ``spec`` at once, for
+    systems whose symbols are coupled (several sources, no IC).
+
+    Same arguments and result as ``ml_decode_batch``; the search holds
+    (..., order^n_symbols) metrics.
+    """
+    w, q = _whiten(obs, h, r, scale)
+    combos, sv = _candidate_table(spec, range(spec.n_symbols), range(len(spec.entries)), c)
+    quad = np.einsum("ce,...ef,cf->...c", np.conj(sv), q, sv).real
+    lin = 2.0 * np.einsum("ce,...e->...c", np.conj(sv), w).real
+    best = np.argmin(quad - lin, axis=-1)
+    return combos[best]

@@ -16,11 +16,13 @@ per-node power P:
 
 Every scheme is a composition of shared stages over a leading trial axis:
 the uplink draw, a relay operation, the downlink and its recombination,
-then one decode tail (optional zero-forcing IC, one of the two noise
-covariance stages of ``rx_ic``, whitened ML and the error count).  The
-schemes differ only in the relay operation and in how the relay noise
-reaches the destination.  simulate_chunk adds the resampling of
-degenerate channel draws.
+then one decode tail (zero-forcing IC when more than one source shares
+the stacks, one of the two noise covariance stages of ``rx_ic``,
+component-wise whitened ML and the error count).  The schemes differ
+only in the relay operation and in how the relay noise reaches the
+destination; concurrent_joint alone skips IC and searches all sources'
+symbols jointly.  simulate_chunk adds the resampling of degenerate
+channel draws.
 """
 
 from __future__ import annotations
@@ -42,10 +44,12 @@ from .relay_codec import (
 )
 from .rx_ic import (
     DEGENERATE_TOL,
+    SymbolSpec,
     default_rotation,
     dstc_channel_stacks,
     gtilde,
     ic_stack_batch,
+    joint_ml_decode_batch,
     ml_decode_batch,
     noise_cov_forwarded,
     noise_cov_on_target,
@@ -236,20 +240,21 @@ def _count_errors(idx: np.ndarray, sent_bits: np.ndarray, const: Constellation):
     return np.sum(dec != sent_bits, axis=-1)
 
 
-def _decode(stacks, obs, target, cov, scale, const, sent_bits, bad=None):
-    """Shared decode tail: bit errors (n,) of one source.
+def _decode(stacks, obs, target, cov, scale, const, sent_bits):
+    """Shared decode tail of one source: (bit errors (n,), bad (n,)).
 
     ``stacks`` (n, J, rows, t) and ``obs`` (n, rows) are the recombined
-    system.  Given a ``bad`` mask, each split first cancels every other
-    source by zero-forcing IC and ORs its degenerate draws into the mask;
-    without one the splits go to the decoder as they are.
-    ``cov(bmat, bh)`` is a split's noise covariance from its IC matrix
-    (None without IC) and the target's projected channel.
+    system.  With more than one source, each split first cancels every
+    other source by zero-forcing IC, and ``bad`` flags the draws whose IC
+    hit a degenerate block; with one source the splits go to the decoder
+    as they are.  ``cov(bmat, bh)`` is a split's noise covariance from its
+    IC matrix (None without IC) and the target's projected channel.
     """
+    bad = np.zeros(len(obs), dtype=bool)
     parts = []
     for rows, cols in split_slices(stacks):
         ch_s, obs_s = stacks[..., rows, cols], obs[..., rows]
-        if bad is None:
+        if stacks.shape[1] == 1:
             bmat, hp = None, ch_s[:, target]
         else:
             bmat, bd = ic_stack_batch(ch_s, target)
@@ -259,7 +264,7 @@ def _decode(stacks, obs, target, cov, scale, const, sent_bits, bad=None):
         parts.append((obs_s, hp, cov(bmat, hp)))
     obs_t, h_t, r_t = _assemble(parts)
     idx = ml_decode_batch(obs_t, h_t, r_t, scale, symbol_spec(stacks.shape[-1]), const)
-    return _count_errors(idx, sent_bits, const)
+    return _count_errors(idx, sent_bits, const), bad
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +303,9 @@ def _kernel_dstc(cfg, const, stream, n, joint: bool):
             r_pre[:, 2 * N :, 2 * N :] = r_half
         else:
             r_pre = r_half
-        entries, rotated = [], []
-        for j in range(J):
-            entries.extend(spec.shifted(j * spec.n_symbols).entries)
-            rotated.extend(spec.rotated)
-        jspec = type(spec)(J * spec.n_symbols, tuple(entries), tuple(rotated))
-        idx = ml_decode_batch(obs, h_all, r_pre, scale, jspec, const)
+        entries = sum((spec.shifted(j * spec.n_symbols).entries for j in range(J)), ())
+        jspec = SymbolSpec(J * spec.n_symbols, entries, spec.rotated * J)
+        idx = joint_ml_decode_batch(obs, h_all, r_pre, scale, jspec, const)
         for j in range(J):
             errors[:, j] = _count_errors(
                 idx[:, j * spec.n_symbols : (j + 1) * spec.n_symbols], bits[:, j], const
@@ -312,10 +314,11 @@ def _kernel_dstc(cfg, const, stream, n, joint: bool):
 
     gt = gtilde(G)
     for j in range(J):
-        errors[:, j] = _decode(
+        errors[:, j], bad_j = _decode(
             stacks, obs, j, lambda b, bh: noise_cov_forwarded(gt, c, kappa, b),
-            scale, const, bits[:, j], bad,
+            scale, const, bits[:, j],
         )
+        bad |= bad_j
     return errors, bad
 
 
@@ -350,10 +353,11 @@ def _kernel_tdma(cfg, const, stream, n, hard_relay: bool):
     errors = np.zeros((n, J), dtype=np.int64)
     for j in range(J):
         s_j = None if s_relay is None else s_relay[:, j]
-        errors[:, j] = _decode(
+        errors[:, j], bad_j = _decode(
             stacks, obs, j, lambda b, bh: noise_cov_on_target(bh, kappa, s_j, b),
-            scale, const, bits[:, j], bad,
+            scale, const, bits[:, j],
         )
+        bad |= bad_j
     return errors, bad
 
 
@@ -381,7 +385,7 @@ def _kernel_ic_relay(cfg, const, stream, n):
         raw = _downlink(c3 * apply_design(design, grp), G, stream)
         obs = recombine(raw, T)
         s_j = c3 * c3 / npj[:, j]
-        errors[:, j] = _decode(
+        errors[:, j], _ = _decode(
             stacks, obs, 0, lambda b, bh: noise_cov_on_target(bh, kappa, s_j),
             scale, const, bits[:, j],
         )
@@ -390,8 +394,8 @@ def _kernel_ic_relay(cfg, const, stream, n):
 
 def _kernel_full_tdma(cfg, const, stream, n):
     J, M, N, P = cfg.J, cfg.M, cfg.N, cfg.P
-    if M not in (1, 2, 3, 4):
-        raise UsageError(f"single-source coding supports M in 1..4, got {M}")
+    if M not in (2, 3, 4):
+        raise UsageError(f"fully orthogonal DSTC supports M in 2..4, got {M}")
     design = dstc_design(M)
     T = design.T
     c4 = dstc_power_scale(P, M, 1)
@@ -402,14 +406,13 @@ def _kernel_full_tdma(cfg, const, stream, n):
     relay_cov = noise_cov_forwarded(gtilde(G), c4, kappa)
     scale = math.sqrt(P) * c4
     errors = np.zeros((n, J), dtype=np.int64)
-    bad = np.zeros(n, dtype=bool)
     for j in range(J):
         r = math.sqrt(P) * F[:, :, j, None] * s[:, j, None, :] + stream.complex_normal(n, M, T)
         raw = _downlink(c4 * apply_design(design, r), G, stream)
         obs = recombine(raw, T)
         stacks = dstc_channel_stacks(F[:, :, j : j + 1], G)
-        errors[:, j] = _decode(stacks, obs, 0, lambda b, bh: relay_cov, scale, const, bits[:, j])
-    return errors, bad
+        errors[:, j], _ = _decode(stacks, obs, 0, lambda b, bh: relay_cov, scale, const, bits[:, j])
+    return errors, np.zeros(n, dtype=bool)
 
 
 def simulate_batch(scheme: SchemeId, cfg: NetworkConfig, const: Constellation, stream: RngStream, n: int):

@@ -177,6 +177,11 @@ class TestOutageDiversity:
         with pytest.raises(UsageError):
             outage_diversity(_gamma_sampler(1.0), [0.0], 100)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_nonpositive_trials_raise(self, trials):
+        with pytest.raises(UsageError):
+            outage_diversity(_gamma_sampler(1.0), make_eps_grid(0.3, 10), trials)
+
     def test_uplink_gain_slope_is_m(self):
         # x = sum_i |f_i|^2 is Gamma distributed with shape M.
         def sampler(stream, n):

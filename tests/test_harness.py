@@ -65,6 +65,11 @@ class TestExperimentSpec:
         with pytest.raises(UsageError):
             _tiny_spec(min_errors=-1)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_raise(self, workers):
+        with pytest.raises(UsageError):
+            _tiny_spec(workers=workers)
+
     def test_order_for(self):
         spec = _tiny_spec(orders={SchemeId.TdmaIcRec: 8}, default_order=4)
         assert spec.order_for(SchemeId.TdmaIcRec) == 8
@@ -263,6 +268,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "outage slope" in out
+
+    def test_simulate_negative_workers_is_usage_error(self, capsys):
+        rc = main(
+            ["simulate", "--scheme", "tdma_icrec", "--config", "2,2,3",
+             "--snr-db", "10", "--max-trials", "100", "--workers", "-2"]
+        )
+        assert rc == 1
+        assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_diversity_nonpositive_trials_is_usage_error(self, capsys, trials):
+        rc = main(["diversity", "--scheme", "tdma_icrec", "--config", "2,2,2", "--trials", trials])
+        assert rc == 1
+        assert "trial" in capsys.readouterr().err
 
     def test_selftest_exit_zero(self, capsys):
         assert main(["selftest"]) == 0

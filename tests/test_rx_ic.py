@@ -20,6 +20,7 @@ from marnsim.rx_ic import (
     dstc_channel_stacks,
     gtilde,
     ic_stack_batch,
+    joint_ml_decode_batch,
     ml_decode_batch,
     noise_cov_forwarded,
     noise_cov_on_target,
@@ -426,8 +427,9 @@ class TestMlDecode:
         assert idx[0, 0] == 0
 
     def test_coupled_fallback_matches_brute_force(self):
-        # Destroy the pairwise decoupling with a random dense channel; the
-        # batch decoder must fall back to the exhaustive joint search.
+        # A random dense channel couples every symbol with every other; the
+        # joint decoder, which the coupled concurrent_joint systems take,
+        # must match a brute-force search of the unwhitened distance.
         rng = RngStream(31)
         c = make_psk(2)
         spec = symbol_spec(4)
@@ -438,7 +440,7 @@ class TestMlDecode:
             true = np.array([0, 1, 1, 0])
             sv = spec.build(np.array([consts[k].points[true[k]] for k in range(4)]))
             obs = h[trial] @ sv + 0.3 * _cn(rng, 6)
-            got = ml_decode_batch(obs[None], h[trial][None], r[:1], 1.0, spec, c)[0]
+            got = joint_ml_decode_batch(obs[None], h[trial][None], r[:1], 1.0, spec, c)[0]
             best, best_m = None, np.inf
             for combo in itertools.product(range(2), repeat=4):
                 cand = spec.build(
@@ -510,7 +512,49 @@ class TestMlDecode:
         assert calls == [(3, 8, 5)]  # right-hand side [h | obs]
 
 
+def _capture(monkeypatch, name, scheme, cfg3, order, trials=64):
+    """Every (obs, h, r, scale, spec, const) that the kernel of ``scheme``
+    hands to ``schemes.<name>`` on one fixed-seed batch at P = 10."""
+    from marnsim import schemes
+
+    calls, orig = [], getattr(schemes, name)
+
+    def record(*args):
+        calls.append(args)
+        return orig(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(schemes, name, record)
+        simulate_batch(scheme, NetworkConfig(*cfg3, 10.0), make_psk(order), RngStream(43, order), trials)
+    assert calls
+    return calls
+
+
 class TestJointMlDecode:
+    @pytest.mark.parametrize("cfg3,order", [((2, 2, 3), 4), ((2, 4, 3), 2)])
+    def test_kernel_systems_match_exhaustive(self, monkeypatch, cfg3, order):
+        # The concurrent_joint systems couple the sources' symbols, so only
+        # a search over every symbol tuple of all sources is ML.
+        (obs, h, r, scale, spec, c), = _capture(
+            monkeypatch, "joint_ml_decode_batch", SchemeId.ConcurrentJoint, cfg3, order
+        )
+        got = joint_ml_decode_batch(obs, h, r, scale, spec, c)
+        for i in range(len(obs)):
+            want = TestMlDecode._exhaustive(obs[i], h[i], r[i], scale, spec, c)
+            assert np.array_equal(got[i], want)
+        # The component-wise search ignores the coupling and decides otherwise.
+        assert not np.array_equal(ml_decode_batch(obs, h, r, scale, spec, c), got)
+
+    def test_never_takes_component_search(self, monkeypatch):
+        from marnsim import schemes
+
+        def refuse(*args):
+            raise AssertionError("concurrent_joint ran the component-wise search")
+
+        monkeypatch.setattr(schemes, "ml_decode_batch", refuse)
+        for cfg3 in [(1, 2, 3), (2, 2, 3), (2, 4, 3)]:
+            simulate_batch(SchemeId.ConcurrentJoint, NetworkConfig(*cfg3, 10.0), make_psk(2), RngStream(44), 16)
+
     def test_noiseless_recovery(self):
         cfg = NetworkConfig(2, 2, 2, 1e12)
         errors, bad = simulate_batch(SchemeId.ConcurrentJoint, cfg, make_psk(2), RngStream(40), 200)
@@ -535,6 +579,21 @@ class TestJointMlDecode:
         cfg = NetworkConfig(3, 4, 3, 1.0)
         with pytest.raises(UsageError):
             simulate_batch(SchemeId.ConcurrentJoint, cfg, make_psk(4), RngStream(42), 1)
+
+
+class TestComponentDecoupling:
+    @pytest.mark.parametrize("scheme", [s for s in SchemeId if s is not SchemeId.ConcurrentJoint])
+    def test_kernel_systems_decouple(self, monkeypatch, scheme):
+        # ml_decode_batch searches each symbol component on its own, which
+        # is ML only when the whitened Gram couples no two entries of
+        # different components (entries that share no symbol).
+        for cfg3 in [(1, 4, 3), (2, 2, 3), (2, 4, 3), (3, 4, 3), (3, 3, 4)]:
+            for obs, h, r, scale, spec, c in _capture(monkeypatch, "ml_decode_batch", scheme, cfg3, 4):
+                syms = [{idx for idx, _, _ in terms} for terms in spec.entries]
+                cross = np.array([[not (a & b) for b in syms] for a in syms])
+                q = dagger(h) @ np.linalg.solve(r, h)
+                d = np.sqrt(np.einsum("...ii->...i", q).real)
+                assert np.all(np.abs(q)[:, cross] <= 1e-10 * (d[:, :, None] * d[:, None, :])[:, cross])
 
 
 class TestEquivalentSystemValidation:

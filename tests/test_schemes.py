@@ -168,6 +168,14 @@ class TestSimulation:
         again, _ = simulate_chunk(SchemeId.DstcIcRec, cfg, make_psk(2), RngStream(8, 5), 1)
         assert np.array_equal(errors, again)
 
+    def test_full_tdma_rejects_one_relay_antenna_before_drawing(self):
+        # The single-source code runs on the concurrent-uplink channel
+        # stacks, which need 2..4 relay antennas.
+        stream = RngStream(10, 7)
+        with pytest.raises(UsageError, match="M in 2..4"):
+            simulate_batch(SchemeId.FullTdmaDstc, NetworkConfig(1, 1, 2, 10.0), make_psk(2), stream, 4)
+        assert np.array_equal(stream.complex_normal(3), RngStream(10, 7).complex_normal(3))
+
     def test_joint_beats_ic_at_same_operating_point(self):
         # Joint decoding dominates the IC-based receiver on the same
         # concurrent front end.
