@@ -34,34 +34,34 @@ __all__ = ["main"]
 _MODS = {"bpsk": 2, "qpsk": 4, "8psk": 8, "16psk": 16}
 
 
+def _parse_number(convert, text, what: str):
+    """convert(text), with a ValueError turned into a UsageError."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise UsageError(f"{what}: {text!r} is not a valid {convert.__name__}") from exc
+
+
 def _parse_mod(text: str) -> int:
     low = text.strip().lower()
-    if low in _MODS:
-        return _MODS[low]
-    try:
-        order = int(low)
-    except ValueError as exc:
-        raise UsageError(f"unknown modulation {text!r}") from exc
-    return order
+    return _MODS[low] if low in _MODS else _parse_number(int, low, "modulation")
 
 
 def _parse_triple(text: str):
     parts = text.replace("x", ",").split(",")
     if len(parts) != 3:
         raise UsageError(f"config must be J,M,N, got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"config must be three integers, got {text!r}") from exc
+    return tuple(_parse_number(int, p, "config J,M,N") for p in parts)
 
 
 def _parse_grid(text: str):
     parts = text.split(":")
-    if len(parts) == 1:
-        return (float(parts[0]),)
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise UsageError(f"snr grid must be start:step:stop, got {text!r}")
-    start, step, stop = (float(p) for p in parts)
+    values = tuple(_parse_number(float, p, "snr grid") for p in parts)
+    if len(values) == 1:
+        return values
+    start, step, stop = values
     if step <= 0 or stop < start:
         raise UsageError(f"bad snr grid {text!r}")
     out = []
@@ -140,10 +140,10 @@ def _cmd_simulate(args) -> int:
         tuple(_parse_triple(c) for c in configs),
         grid,
         default_order=order,
-        min_errors=int(pick(args.min_errors, "min_errors", 200)),
-        max_trials=int(pick(args.max_trials, "max_trials", 2_000_000)),
-        seed=int(pick(args.seed, "seed", 0)),
-        workers=None if workers is None else int(workers),
+        min_errors=_parse_number(int, pick(args.min_errors, "min_errors", 200), "min_errors"),
+        max_trials=_parse_number(int, pick(args.max_trials, "max_trials", 2_000_000), "max_trials"),
+        seed=_parse_number(int, pick(args.seed, "seed", 0), "seed"),
+        workers=None if workers is None else _parse_number(int, workers, "workers"),
     )
     points = run_experiment(spec, progress=sys.stderr)
     text = emit(points, args.format, args.out)

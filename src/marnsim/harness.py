@@ -28,7 +28,7 @@ from .analysis import (
     snr_tdma_batch,
 )
 from .numerics import UsageError
-from .schemes import SchemeId, block_length, scheme_meta, simulate_chunk
+from .schemes import SchemeId, block_length, check_supported, scheme_meta, simulate_chunk
 
 __all__ = [
     "ExperimentSpec",
@@ -184,7 +184,12 @@ def _run_cell(scheme, J, M, N, snr_db, order, spec, cell_idx, pool):
 
 def run_experiment(spec: ExperimentSpec, progress=None):
     """Run every (scheme, config, SNR) cell of the spec; deterministic
-    aggregates for a given seed regardless of worker count."""
+    aggregates for a given seed regardless of worker count.  Every
+    (scheme, config, order) is checked before the first cell runs."""
+    for scheme in spec.schemes:
+        for J, M, N in spec.configs:
+            scheme_meta(scheme, J, M, N)  # validates J <= min(M, N)
+            check_supported(scheme, J, M, spec.order_for(scheme))
     workers = spec.workers if spec.workers else default_workers()
     pool = None
     points = []
@@ -195,7 +200,6 @@ def run_experiment(spec: ExperimentSpec, progress=None):
         for scheme in spec.schemes:
             order = spec.order_for(scheme)
             for J, M, N in spec.configs:
-                scheme_meta(scheme, J, M, N)  # validates J <= min(M, N)
                 for snr_db in spec.snr_db:
                     point = _run_cell(scheme, J, M, N, snr_db, order, spec, cell_idx, pool)
                     cell_idx += 1

@@ -44,6 +44,7 @@ __all__ = [
     "recombination_matrices",
     "recombine",
     "split_slices",
+    "block_diag",
     "dstc_channel_stacks",
     "tdma_channel_stacks",
     "gtilde",
@@ -216,76 +217,69 @@ def _anti_alamouti_block(alpha, beta):
     return np.stack([row0, row1], axis=-2)
 
 
+def block_diag(*blocks) -> np.ndarray:
+    """Zero-padded block diagonal of (..., r_k, c_k) matrices that share
+    their leading axes."""
+    r = np.cumsum([0] + [b.shape[-2] for b in blocks])
+    c = np.cumsum([0] + [b.shape[-1] for b in blocks])
+    out = np.zeros(blocks[0].shape[:-2] + (r[-1], c[-1]), dtype=complex)
+    for k, b in enumerate(blocks):
+        out[..., r[k] : r[k + 1], c[k] : c[k + 1]] = b
+    return out
+
+
+def _channel_stacks(e: np.ndarray) -> np.ndarray:
+    """Stacked equivalent channels (..., J, rows, t) from the coefficients
+    e (..., J, m, N) of relay antenna i of source j's code at destination
+    antenna n: for m = 1 the column e_1n; for m = 2 the Alamouti blocks
+    [[e_1n, -e_2n], [conj(e_2n), conj(e_1n)]]; for m in {3, 4} the + split
+    blocks of (e_1n + e_4n, e_2n - e_3n) and the - split blocks of
+    (e_1n - e_4n, e_2n + e_3n) on disjoint columns (e_4n = 0 when m = 3).
+    """
+    m, N = e.shape[-2:]
+
+    def rows(blocks):  # (..., J, N, 2, 2) -> (..., J, 2N, 2)
+        return blocks.reshape(*blocks.shape[:-3], 2 * N, 2)
+
+    if m == 1:
+        return e[..., 0, :, None]
+    if m == 2:
+        return rows(_alamouti_block(e[..., 0, :], np.conj(e[..., 1, :])))
+    if m in (3, 4):
+        e4 = e[..., 3, :] if m == 4 else 0.0
+        plus = _anti_alamouti_block(e[..., 0, :] + e4, e[..., 1, :] - e[..., 2, :])
+        minus = _anti_alamouti_block(e[..., 0, :] - e4, e[..., 1, :] + e[..., 2, :])
+        return block_diag(rows(plus), rows(minus))
+    raise UsageError(f"unsupported relay antenna group size {m}")
+
+
 def dstc_channel_stacks(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Stacked equivalent channels for the concurrent-uplink scheme.
 
-    F is (..., M, J), G is (..., M, N).  Returns (..., J, rows, t):
-    for M=2, rows=2N and t=2 with blocks
-    [[f1 g1n, -conj(f2) g2n], [f2 conj(g2n), conj(f1 g1n)]]; for M in
-    {3, 4}, rows=4N and t=4 with the +/- split blocks occupying disjoint
-    column pairs (missing fourth antenna enters as zero).
+    F is (..., M, J), G is (..., M, N).  Returns (..., J, rows, t) from
+    the coefficients f_ij g_in, with f conjugated on relay antennas 2
+    and 3, whose code conjugates what they receive: for M=2, rows=2N and
+    t=2 with blocks [[f1 g1n, -conj(f2) g2n], [f2 conj(g2n), conj(f1 g1n)]];
+    for M in {3, 4}, rows=4N and t=4 (see ``_channel_stacks``).
     """
     F = np.asarray(F, dtype=complex)
     G = np.asarray(G, dtype=complex)
-    M = F.shape[-2]
-    N = G.shape[-1]
-    fj = np.moveaxis(F, -1, -2)[..., :, :, None]  # (..., J, M, 1)
-    g = G[..., None, :, :]  # (..., 1, M, N)
-    if M == 2:
-        a = fj[..., 0, :] * g[..., 0, :]  # (..., J, N)
-        b = fj[..., 1, :] * np.conj(g[..., 1, :])
-        blocks = _alamouti_block(a, b)  # (..., J, N, 2, 2)
-        return blocks.reshape(*blocks.shape[:-3], 2 * N, 2)
-    if M in (3, 4):
-        a1 = fj[..., 0, :] * g[..., 0, :]
-        b2 = np.conj(fj[..., 1, :]) * g[..., 1, :]
-        b3 = np.conj(fj[..., 2, :]) * g[..., 2, :]
-        a4 = fj[..., 3, :] * g[..., 3, :] if M == 4 else np.zeros_like(a1)
-        plus = _anti_alamouti_block(a1 + a4, b2 - b3)
-        minus = _anti_alamouti_block(a1 - a4, b2 + b3)
-        plus = plus.reshape(*plus.shape[:-3], 2 * N, 2)
-        minus = minus.reshape(*minus.shape[:-3], 2 * N, 2)
-        h = np.zeros(plus.shape[:-2] + (4 * N, 4), dtype=complex)
-        h[..., : 2 * N, 0:2] = plus
-        h[..., 2 * N :, 2:4] = minus
-        return h
-    raise UsageError(f"unsupported relay antenna count M={M}")
+    f = np.moveaxis(F, -1, -2).copy()  # (..., J, M)
+    f[..., 1:3] = np.conj(f[..., 1:3])
+    return _channel_stacks(f[..., None] * G[..., None, :, :])
 
 
 def tdma_channel_stacks(G: np.ndarray, J: int) -> np.ndarray:
     """Stacked equivalent channels for the TDMA-uplink scheme.
 
     Source j's group of floor(M/J) relay antennas produces blocks built
-    from second-hop coefficients only.  Returns (..., J, rows, t) with
-    t in {1, 2, 4} by group size.
+    from its second-hop coefficients g_in only.  Returns (..., J, rows, t)
+    with t in {1, 2, 4} by group size.
     """
     G = np.asarray(G, dtype=complex)
-    M = G.shape[-2]
-    N = G.shape[-1]
-    gs = M // J
-    if gs < 1:
-        raise UsageError(f"J={J} exceeds M={M}")
-    stacks = []
-    for j in range(J):
-        cols = G[..., j * gs : (j + 1) * gs, :]  # (..., gs, N)
-        if gs == 1:
-            h = cols[..., 0, :, None]  # (..., N, 1)
-        elif gs == 2:
-            blocks = _alamouti_block(cols[..., 0, :], np.conj(cols[..., 1, :]))
-            h = blocks.reshape(*blocks.shape[:-3], 2 * N, 2)
-        elif gs in (3, 4):
-            g4 = cols[..., 3, :] if gs == 4 else np.zeros_like(cols[..., 0, :])
-            plus = _anti_alamouti_block(cols[..., 0, :] + g4, cols[..., 1, :] - cols[..., 2, :])
-            minus = _anti_alamouti_block(cols[..., 0, :] - g4, cols[..., 1, :] + cols[..., 2, :])
-            plus = plus.reshape(*plus.shape[:-3], 2 * N, 2)
-            minus = minus.reshape(*minus.shape[:-3], 2 * N, 2)
-            h = np.zeros(plus.shape[:-2] + (4 * N, 4), dtype=complex)
-            h[..., : 2 * N, 0:2] = plus
-            h[..., 2 * N :, 2:4] = minus
-        else:
-            raise UsageError(f"unsupported antenna group size {gs}")
-        stacks.append(h)
-    return np.stack(stacks, axis=-3)
+    M, N = G.shape[-2:]
+    gs = M // J  # 0 when J > M, which _channel_stacks refuses
+    return _channel_stacks(G[..., : J * gs, :].reshape(*G.shape[:-2], J, gs, N))
 
 
 def gtilde(G: np.ndarray) -> np.ndarray:
@@ -298,10 +292,8 @@ def gtilde(G: np.ndarray) -> np.ndarray:
     G = np.asarray(G, dtype=complex)
     M, N = G.shape[-2], G.shape[-1]
     out = np.zeros(G.shape[:-2] + (2 * N, 2 * M), dtype=complex)
-    for n in range(N):
-        for i in range(M):
-            out[..., 2 * n, 2 * i] = G[..., i, n]
-            out[..., 2 * n + 1, 2 * i + 1] = np.conj(G[..., i, n])
+    out[..., 0::2, 0::2] = np.swapaxes(G, -1, -2)
+    out[..., 1::2, 1::2] = np.conj(np.swapaxes(G, -1, -2))
     return out
 
 

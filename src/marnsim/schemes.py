@@ -1,28 +1,29 @@
 """End-to-end transmission schemes.
 
 Six two-hop protocols over the same J x M x N network, all at the same
-per-node power P:
+per-node power P.  Each is a row of ``_ROWS``: one of two relay
+families, whether the J sources share one downlink group or each gets
+its own, and the family's relay option.
 
-1. dstc_icrec       concurrent uplink, distributed space-time code at the
-                    relay, zero-forcing IC at the destination
-2. tdma_icrec       TDMA uplink with MRC at the relay, concurrent coded
-                    downlink on disjoint antenna groups, IC at the
-                    destination
-3. ic_relay_tdma    concurrent uplink, zero-forcing separation at the
-                    relay, per-source coded downlink in TDMA
-4. full_tdma_dstc   fully orthogonal: each source gets both hops alone
-5. decode_relay     tdma_icrec with a hard ML decision at the relay
-6. concurrent_joint dstc_icrec front end, joint ML over all sources, no IC
+  scheme             family  uplink      downlink  relay option
+  1 dstc_icrec       AF      concurrent  shared    -
+  2 tdma_icrec       EF      TDMA        shared    MRC estimates
+  3 ic_relay_tdma    EF      concurrent  own       zero-forcing estimates
+  4 full_tdma_dstc   AF      TDMA        own       -
+  5 decode_relay     EF      TDMA        shared    MRC, then hard decision
+  6 concurrent_joint AF      concurrent  shared    joint ML, no IC
 
-Every scheme is a composition of shared stages over a leading trial axis:
-the uplink draw, a relay operation, the downlink and its recombination,
-then one decode tail (zero-forcing IC when more than one source shares
-the stacks, one of the two noise covariance stages of ``rx_ic``,
-component-wise whitened ML and the error count).  The schemes differ
-only in the relay operation and in how the relay noise reaches the
-destination; concurrent_joint alone skips IC and searches all sources'
-symbols jointly.  simulate_chunk adds the resampling of degenerate
-channel draws.
+Amplify-and-forward (AF): the sources of a downlink group transmit at
+once, and the relay applies the M-antenna distributed space-time code to
+what it receives, forwarding its own noise (``noise_cov_forwarded``).
+Estimate-and-forward (EF): the relay estimates each source's symbols
+(MRC over a TDMA uplink, or zero-forcing separation of a concurrent one)
+and codes each group's estimates on disjoint groups of M // (group size)
+antennas; the estimates' noise rides on the target's channel
+(``noise_cov_on_target``).  All rows but concurrent_joint end in one
+decode tail: zero-forcing IC when a group holds several sources,
+component-wise whitened ML, the error count.  simulate_chunk adds the
+resampling of degenerate channel draws.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .airlink import Constellation, NetworkConfig, RngStream, modulate
+from .airlink import Constellation, NetworkConfig, RngStream, make_psk, modulate
 from .numerics import UsageError
 from .relay_codec import (
     apply_design,
@@ -45,6 +47,7 @@ from .relay_codec import (
 from .rx_ic import (
     DEGENERATE_TOL,
     SymbolSpec,
+    block_diag,
     default_rotation,
     dstc_channel_stacks,
     gtilde,
@@ -65,6 +68,7 @@ __all__ = [
     "scheme_meta",
     "int_free_condition",
     "block_length",
+    "check_supported",
     "bits_per_channel_use",
     "relay_hard_decision",
     "relay_forward_groups",
@@ -143,25 +147,37 @@ def int_free_condition(J: int, M: int, N: int) -> bool:
 
 def block_length(scheme: SchemeId, J: int, M: int) -> int:
     """Symbols per source per codeword block (downlink slot count)."""
-    if scheme in (SchemeId.TdmaIcRec, SchemeId.DecodeRelayIcDest):
-        return dstc_design(M // J).T
-    return dstc_design(M).T
+    return dstc_design(_ROWS[scheme].code_antennas(J, M)).T
+
+
+def check_supported(scheme: SchemeId, J: int, M: int, order: int) -> None:
+    """Raise UsageError unless ``scheme`` supports J sources, M relay
+    antennas and PSK of ``order``; called before any trial is drawn."""
+    make_psk(order)
+    row = _ROWS[scheme]
+    m = row.code_antennas(J, M)
+    if row.kernel is _amplify_forward and M not in (2, 3, 4):
+        raise UsageError(f"{scheme.value} supports M in 2..4, got {M}")
+    if m not in (1, 2, 3, 4):
+        raise UsageError(f"{scheme.value} supports relay antenna groups of 1..4, got {m}")
+    if row.joint and order ** (J * dstc_design(m).T) > 1 << 20:
+        raise UsageError("joint search space exceeds 2^20 hypotheses")
 
 
 # ---------------------------------------------------------------------------
 # Shared stages
 
 
-def _draw_symbols(const: Constellation, T: int, stream: RngStream, n: int, J: int):
-    """Random source bits and their symbols; for 4-slot codewords the
-    second symbol pair uses the rotated constellation."""
-    b = const.bits_per_symbol
-    bits = stream.bits(n, J, T * b)
+def _draw_trials(cfg: NetworkConfig, const: Constellation, T: int, stream: RngStream, n: int):
+    """Uplink F (n, M, J), downlink G (n, M, N), source bits and their
+    symbols; the slots that ``symbol_spec(T)`` marks rotated use the
+    rotated constellation."""
+    F = stream.complex_normal(n, cfg.M, cfg.J)
+    G = stream.complex_normal(n, cfg.M, cfg.N)
+    bits = stream.bits(n, cfg.J, T * const.bits_per_symbol)
     s = modulate(bits, const)
-    if T == 4:
-        s = s.copy()
-        s[..., 2:] = s[..., 2:] * np.exp(1j * default_rotation(const.order))
-    return bits, s
+    s[..., np.array(symbol_spec(T).rotated)] *= np.exp(1j * default_rotation(const.order))
+    return F, G, bits, s
 
 
 def relay_hard_decision(soft: np.ndarray, const: Constellation, P: float) -> np.ndarray:
@@ -178,8 +194,8 @@ def relay_hard_decision(soft: np.ndarray, const: Constellation, P: float) -> np.
 
 
 def relay_forward_groups(est: np.ndarray, design, c: float, M: int) -> np.ndarray:
-    """TDMA-uplink relay output: every source's (n, J, T) symbol estimates
-    coded at once on disjoint antenna groups.
+    """Estimate-and-forward relay output: every source's (n, J, T) symbol
+    estimates coded at once on disjoint antenna groups.
 
     Source j's codeword, amplified by c, occupies antennas j*g .. (j+1)*g - 1
     with g = design.m_used; antennas past J*g stay silent.  Returns the
@@ -189,11 +205,9 @@ def relay_forward_groups(est: np.ndarray, design, c: float, M: int) -> np.ndarra
     gs = design.m_used
     if J * gs > M:
         raise UsageError(f"{J} groups of {gs} antennas exceed M={M}")
-    x_relay = np.zeros((n, M, T), dtype=complex)
-    for j in range(J):
-        grp = np.broadcast_to(est[:, j, None, :], (n, gs, T))
-        x_relay[:, j * gs : (j + 1) * gs, :] = c * apply_design(design, grp)
-    return x_relay
+    grp = np.broadcast_to(est[:, :, None, :], (n, J, gs, T))
+    x_relay = (c * apply_design(design, grp)).reshape(n, J * gs, T)
+    return np.pad(x_relay, ((0, 0), (0, M - J * gs), (0, 0)))
 
 
 def relay_zf_gains(F: np.ndarray) -> np.ndarray:
@@ -211,208 +225,170 @@ def relay_zf_gains(F: np.ndarray) -> np.ndarray:
     return npj
 
 
+def _mrc_gains(F: np.ndarray) -> np.ndarray:
+    """Maximum-ratio combining at the relay: (n, J) gains sum_i |f_ij|^2."""
+    return np.sum(np.abs(F) ** 2, axis=1)
+
+
 def _downlink(x_relay: np.ndarray, G: np.ndarray, stream: RngStream):
     """Second hop: (n, M, T) relay output through (n, M, N) channels."""
     n, _, T = x_relay.shape
-    N = G.shape[-1]
-    return np.einsum("nmt,nmo->not", x_relay, G) + stream.complex_normal(n, N, T)
+    return np.einsum("nmt,nmo->not", x_relay, G) + stream.complex_normal(n, G.shape[-1], T)
 
 
 def _assemble(parts):
     """Stack per-split (obs, H, R) into one block-diagonal system."""
     if len(parts) == 1:
         return parts[0]
-    (o1, h1, r1), (o2, h2, r2) = parts
-    k1, k2 = o1.shape[-1], o2.shape[-1]
-    obs = np.concatenate([o1, o2], axis=-1)
-    h = np.zeros(obs.shape[:-1] + (k1 + k2, 4), dtype=complex)
-    h[..., :k1, 0:2] = h1
-    h[..., k1:, 2:4] = h2
-    r = np.zeros(obs.shape[:-1] + (k1 + k2, k1 + k2), dtype=complex)
-    r[..., :k1, :k1] = r1
-    r[..., k1:, k1:] = r2
-    return obs, h, r
+    obs, h, r = zip(*parts)
+    return np.concatenate(obs, axis=-1), block_diag(*h), block_diag(*r)
 
 
 def _count_errors(idx: np.ndarray, sent_bits: np.ndarray, const: Constellation):
-    """Bit errors of decoded symbol indices (n, T) vs sent bits (n, T*b)."""
-    dec = const.labels[idx].reshape(idx.shape[0], -1)
+    """Bit errors of decoded symbol indices (..., T) vs sent bits (..., T*b)."""
+    dec = const.labels[idx].reshape(*idx.shape[:-1], -1)
     return np.sum(dec != sent_bits, axis=-1)
 
 
-def _decode(stacks, obs, target, cov, scale, const, sent_bits):
-    """Shared decode tail of one source: (bit errors (n,), bad (n,)).
+def _decode(stacks, obs, cov, scale, const, bits):
+    """Shared decode tail of every source in the recombined system
+    ``stacks`` (n, J, rows, t), ``obs`` (n, rows) that sent ``bits``
+    (n, J, T*b): (bit errors (n, J), bad (n,)).
 
-    ``stacks`` (n, J, rows, t) and ``obs`` (n, rows) are the recombined
-    system.  With more than one source, each split first cancels every
-    other source by zero-forcing IC, and ``bad`` flags the draws whose IC
-    hit a degenerate block; with one source the splits go to the decoder
-    as they are.  ``cov(bmat, bh)`` is a split's noise covariance from its
-    IC matrix (None without IC) and the target's projected channel.
+    With more than one source, each split first cancels every other
+    source by zero-forcing IC, and ``bad`` flags the draws whose IC hit a
+    degenerate block.  ``cov(j, bmat, bh)`` is a split's noise covariance
+    for target j from its IC matrix (None without IC) and the target's
+    projected channel.
     """
-    bad = np.zeros(len(obs), dtype=bool)
-    parts = []
-    for rows, cols in split_slices(stacks):
-        ch_s, obs_s = stacks[..., rows, cols], obs[..., rows]
-        if stacks.shape[1] == 1:
-            bmat, hp = None, ch_s[:, target]
-        else:
-            bmat, bd = ic_stack_batch(ch_s, target)
-            bad |= bd
-            obs_s = np.einsum("nrk,nk->nr", bmat, obs_s)
-            hp = bmat @ ch_s[:, target]
-        parts.append((obs_s, hp, cov(bmat, hp)))
-    obs_t, h_t, r_t = _assemble(parts)
-    idx = ml_decode_batch(obs_t, h_t, r_t, scale, symbol_spec(stacks.shape[-1]), const)
-    return _count_errors(idx, sent_bits, const), bad
+    n, J = stacks.shape[:2]
+    errors = np.zeros((n, J), dtype=np.int64)
+    bad = np.zeros(n, dtype=bool)
+    for j in range(J):
+        parts = []
+        for rows, cols in split_slices(stacks):
+            ch_s, obs_s = stacks[..., rows, cols], obs[..., rows]
+            if J == 1:
+                bmat, hp = None, ch_s[:, j]
+            else:
+                bmat, bd = ic_stack_batch(ch_s, j)
+                bad |= bd
+                obs_s = np.einsum("nrk,nk->nr", bmat, obs_s)
+                hp = bmat @ ch_s[:, j]
+            parts.append((obs_s, hp, cov(j, bmat, hp)))
+        idx = ml_decode_batch(*_assemble(parts), scale, symbol_spec(stacks.shape[-1]), const)
+        errors[:, j] = _count_errors(idx, bits[:, j], const)
+    return errors, bad
+
+
+def _joint_decode(stacks, obs, cov, scale, const, bits):
+    """concurrent_joint's receiver, same arguments and result as
+    ``_decode``: no IC, whitened ML over every symbol tuple of all
+    sources at once."""
+    n, J, _, T = stacks.shape
+    spec = symbol_spec(T)
+    h_all = np.concatenate([stacks[:, j] for j in range(J)], axis=-1)
+    r_half = cov(None, None, None)
+    r_pre = block_diag(r_half, r_half) if T == 4 else r_half
+    entries = sum((spec.shifted(j * spec.n_symbols).entries for j in range(J)), ())
+    jspec = SymbolSpec(J * spec.n_symbols, entries, spec.rotated * J)
+    idx = joint_ml_decode_batch(obs, h_all, r_pre, scale, jspec, const)
+    return _count_errors(idx.reshape(n, J, -1), bits, const), np.zeros(n, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
-# Scheme kernels
+# The two relay families
 
 
-def _kernel_dstc(cfg, const, stream, n, joint: bool):
-    J, M, N, P = cfg.J, cfg.M, cfg.N, cfg.P
-    if M not in (2, 3, 4):
-        raise UsageError(f"concurrent-uplink schemes support M in 2..4, got {M}")
+def _amplify_forward(row, cfg, const, stream, n):
+    """The sources of each downlink group transmit at once and the relay
+    applies the M-antenna DSTC to what it receives, relay noise included."""
+    M, P = cfg.M, cfg.P
     design = dstc_design(M)
     T = design.T
-    c = dstc_power_scale(P, M, J)
+    c = dstc_power_scale(P, M, row.group_size(cfg.J))
     kappa = 2.0 if T == 4 else 1.0
-    F = stream.complex_normal(n, M, J)
-    G = stream.complex_normal(n, M, N)
-    bits, s = _draw_symbols(const, T, stream, n, J)
-    r = math.sqrt(P) * np.einsum("nmj,njt->nmt", F, s) + stream.complex_normal(n, M, T)
-    raw = _downlink(c * apply_design(design, r), G, stream)
-    obs = recombine(raw, T)
-    stacks = dstc_channel_stacks(F, G)
-    scale = math.sqrt(P) * c
-    errors = np.zeros((n, J), dtype=np.int64)
-    bad = np.zeros(n, dtype=bool)
-
-    if joint:
-        if const.order ** (J * T) > 1 << 20:
-            raise UsageError("joint search space exceeds 2^20 hypotheses")
-        spec = symbol_spec(T)
-        h_all = np.concatenate([stacks[:, j] for j in range(J)], axis=-1)
-        gt = gtilde(G)
-        r_half = noise_cov_forwarded(gt, c, kappa)
-        if T == 4:
-            r_pre = np.zeros((n, 4 * N, 4 * N), dtype=complex)
-            r_pre[:, : 2 * N, : 2 * N] = r_half
-            r_pre[:, 2 * N :, 2 * N :] = r_half
-        else:
-            r_pre = r_half
-        entries = sum((spec.shifted(j * spec.n_symbols).entries for j in range(J)), ())
-        jspec = SymbolSpec(J * spec.n_symbols, entries, spec.rotated * J)
-        idx = joint_ml_decode_batch(obs, h_all, r_pre, scale, jspec, const)
-        for j in range(J):
-            errors[:, j] = _count_errors(
-                idx[:, j * spec.n_symbols : (j + 1) * spec.n_symbols], bits[:, j], const
-            )
-        return errors, bad
-
-    gt = gtilde(G)
-    for j in range(J):
-        errors[:, j], bad_j = _decode(
-            stacks, obs, j, lambda b, bh: noise_cov_forwarded(gt, c, kappa, b),
-            scale, const, bits[:, j],
-        )
-        bad |= bad_j
-    return errors, bad
-
-
-def _kernel_tdma(cfg, const, stream, n, hard_relay: bool):
-    J, M, N, P = cfg.J, cfg.M, cfg.N, cfg.P
-    gs = M // J
-    if gs not in (1, 2, 3, 4):
-        raise UsageError(f"TDMA-uplink schemes support group size 1..4, got {gs}")
-    design = dstc_design(gs)
-    T = design.T
-    c1 = tdma_power_scale(P, M)
-    kappa = 2.0 if T == 4 else 1.0
-    F = stream.complex_normal(n, M, J)
-    G = stream.complex_normal(n, M, N)
-    bits, s = _draw_symbols(const, T, stream, n, J)
-    x = np.sum(np.abs(F) ** 2, axis=1)  # (n, J)
-    bad = np.sqrt(x).min(axis=-1) < DEGENERATE_TOL
-    x = np.maximum(x, DEGENERATE_TOL**2)
-    # MRC output is exactly sqrt(P) s + CN(0, 1/x) per slot given F.
-    vhat = stream.complex_normal(n, J, T) / np.sqrt(x)[..., None]
-    soft = math.sqrt(P) * s + vhat
-    if hard_relay:
-        rhat, c_fwd, s_relay = relay_hard_decision(soft, const, P), 1.0 / math.sqrt(M), None
+    F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
+    if row.joint or row.group_size(cfg.J) == 1:  # no IC: one covariance for every split
+        r0 = noise_cov_forwarded(gtilde(G), c, kappa)
+        cov = lambda j, b, bh: r0  # noqa: E731
     else:
-        # the forwarded combining noise, c1^2 / x, reaches the destination
-        # on each source's own channel
-        rhat, c_fwd, s_relay = soft, c1, c1 * c1 / x
-    raw = _downlink(relay_forward_groups(rhat, design, c_fwd, M), G, stream)
-    obs = recombine(raw, T)
-    stacks = tdma_channel_stacks(G, J)
-    scale = math.sqrt(P) * c_fwd
-    errors = np.zeros((n, J), dtype=np.int64)
-    for j in range(J):
-        s_j = None if s_relay is None else s_relay[:, j]
-        errors[:, j], bad_j = _decode(
-            stacks, obs, j, lambda b, bh: noise_cov_on_target(bh, kappa, s_j, b),
-            scale, const, bits[:, j],
-        )
-        bad |= bad_j
+        gt = gtilde(G)
+        cov = lambda j, b, bh: noise_cov_forwarded(gt, c, kappa, b)  # noqa: E731
+    decode = _joint_decode if row.joint else _decode
+    errors = np.zeros((n, cfg.J), dtype=np.int64)
+    bad = np.zeros(n, dtype=bool)
+    for grp in row.groups(cfg.J):
+        r = math.sqrt(P) * np.einsum("nmj,njt->nmt", F[:, :, grp], s[:, grp])
+        r = r + stream.complex_normal(n, M, T)
+        obs = recombine(_downlink(c * apply_design(design, r), G, stream), T)
+        stacks = dstc_channel_stacks(F[:, :, grp], G)
+        errors[:, grp], bad_g = decode(stacks, obs, cov, math.sqrt(P) * c, const, bits[:, grp])
+        bad |= bad_g
     return errors, bad
 
 
-def _kernel_ic_relay(cfg, const, stream, n):
-    J, M, N, P = cfg.J, cfg.M, cfg.N, cfg.P
-    if M not in (1, 2, 3, 4):
-        raise UsageError(f"per-source downlink coding supports M in 1..4, got {M}")
-    design = dstc_design(M)
+def _estimate_forward(row, cfg, const, stream, n):
+    """The relay estimates each source's symbols and codes each downlink
+    group's estimates on disjoint antenna groups; the estimates' noise
+    rides on the target's own downlink channel."""
+    J, M, P = cfg.J, cfg.M, cfg.P
+    design = dstc_design(row.code_antennas(J, M))
     T = design.T
-    c3 = tdma_power_scale(P, M)
+    c = tdma_power_scale(P, M)
     kappa = 2.0 if T == 4 else 1.0
-    F = stream.complex_normal(n, M, J)
-    G = stream.complex_normal(n, M, N)
-    bits, s = _draw_symbols(const, T, stream, n, J)
-    npj = relay_zf_gains(F)
-    bad = np.sqrt(npj).min(axis=-1) < DEGENERATE_TOL
-    npj = np.maximum(npj, DEGENERATE_TOL**2)
-    eta = stream.complex_normal(n, J, T) / np.sqrt(npj)[..., None]
-    z = math.sqrt(P) * s + eta
-    stacks = tdma_channel_stacks(G, 1)  # single-source, full-M blocks
-    scale = math.sqrt(P) * c3
+    F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
+    gains = row.gains(F)  # (n, J)
+    bad = np.sqrt(gains).min(axis=-1) < DEGENERATE_TOL
+    gains = np.maximum(gains, DEGENERATE_TOL**2)
+    # The relay's estimate is exactly sqrt(P) s + CN(0, 1/gain) per slot given F.
+    est = math.sqrt(P) * s + stream.complex_normal(n, J, T) / np.sqrt(gains)[..., None]
+    if row.hard:  # a hard decision forwards no noise
+        est, c, s_relay = relay_hard_decision(est, const, P), 1.0 / math.sqrt(M), [None] * J
+    else:  # forwarded estimation noise of variance c^2 / gain
+        s_relay = list((c * c / gains).T)
+    stacks = tdma_channel_stacks(G, row.group_size(J))
     errors = np.zeros((n, J), dtype=np.int64)
-    for j in range(J):
-        grp = np.broadcast_to(z[:, j, None, :], (n, M, T))
-        raw = _downlink(c3 * apply_design(design, grp), G, stream)
-        obs = recombine(raw, T)
-        s_j = c3 * c3 / npj[:, j]
-        errors[:, j], _ = _decode(
-            stacks, obs, 0, lambda b, bh: noise_cov_on_target(bh, kappa, s_j),
-            scale, const, bits[:, j],
+    for grp in row.groups(J):
+        raw = _downlink(relay_forward_groups(est[:, grp], design, c, M), G, stream)
+        s_g = s_relay[grp]
+        errors[:, grp], bad_g = _decode(
+            stacks, recombine(raw, T), lambda j, b, bh: noise_cov_on_target(bh, kappa, s_g[j], b),
+            math.sqrt(P) * c, const, bits[:, grp],
         )
+        bad |= bad_g
     return errors, bad
 
 
-def _kernel_full_tdma(cfg, const, stream, n):
-    J, M, N, P = cfg.J, cfg.M, cfg.N, cfg.P
-    if M not in (2, 3, 4):
-        raise UsageError(f"fully orthogonal DSTC supports M in 2..4, got {M}")
-    design = dstc_design(M)
-    T = design.T
-    c4 = dstc_power_scale(P, M, 1)
-    kappa = 2.0 if T == 4 else 1.0
-    F = stream.complex_normal(n, M, J)
-    G = stream.complex_normal(n, M, N)
-    bits, s = _draw_symbols(const, T, stream, n, J)
-    relay_cov = noise_cov_forwarded(gtilde(G), c4, kappa)
-    scale = math.sqrt(P) * c4
-    errors = np.zeros((n, J), dtype=np.int64)
-    for j in range(J):
-        r = math.sqrt(P) * F[:, :, j, None] * s[:, j, None, :] + stream.complex_normal(n, M, T)
-        raw = _downlink(c4 * apply_design(design, r), G, stream)
-        obs = recombine(raw, T)
-        stacks = dstc_channel_stacks(F[:, :, j : j + 1], G)
-        errors[:, j], _ = _decode(stacks, obs, 0, lambda b, bh: relay_cov, scale, const, bits[:, j])
-    return errors, np.zeros(n, dtype=bool)
+class _Row(NamedTuple):
+    """One scheme: its relay family and one choice per stage."""
+
+    kernel: object  # _amplify_forward or _estimate_forward
+    shared_downlink: bool  # all J sources in one downlink group, or one group each
+    gains: object = None  # estimate-and-forward: per-source relay gains from F
+    hard: bool = False  # estimate-and-forward: forward hard decisions
+    joint: bool = False  # amplify-and-forward: joint ML over the group, no IC
+
+    def group_size(self, J):
+        return J if self.shared_downlink else 1
+
+    def groups(self, J):
+        k = self.group_size(J)
+        return [slice(i, i + k) for i in range(0, J, k)]
+
+    def code_antennas(self, J, M):
+        """Relay antennas whose code carries one source."""
+        return M if self.kernel is _amplify_forward else M // self.group_size(J)
+
+
+_ROWS = {
+    SchemeId.DstcIcRec: _Row(_amplify_forward, True),
+    SchemeId.TdmaIcRec: _Row(_estimate_forward, True, _mrc_gains),
+    SchemeId.IcRelayTdma: _Row(_estimate_forward, False, relay_zf_gains),
+    SchemeId.FullTdmaDstc: _Row(_amplify_forward, False),
+    SchemeId.DecodeRelayIcDest: _Row(_estimate_forward, True, _mrc_gains, hard=True),
+    SchemeId.ConcurrentJoint: _Row(_amplify_forward, True, joint=True),
+}
 
 
 def simulate_batch(scheme: SchemeId, cfg: NetworkConfig, const: Constellation, stream: RngStream, n: int):
@@ -420,21 +396,12 @@ def simulate_batch(scheme: SchemeId, cfg: NetworkConfig, const: Constellation, s
 
     Returns (errors, bad): per-source bit error counts (n, J) and a mask
     of trials that hit a degenerate channel draw and must be resampled.
-    Deterministic given the stream.
+    Deterministic given the stream; an unsupported cell raises UsageError
+    before any draw.
     """
-    if scheme is SchemeId.DstcIcRec:
-        return _kernel_dstc(cfg, const, stream, n, joint=False)
-    if scheme is SchemeId.ConcurrentJoint:
-        return _kernel_dstc(cfg, const, stream, n, joint=True)
-    if scheme is SchemeId.TdmaIcRec:
-        return _kernel_tdma(cfg, const, stream, n, hard_relay=False)
-    if scheme is SchemeId.DecodeRelayIcDest:
-        return _kernel_tdma(cfg, const, stream, n, hard_relay=True)
-    if scheme is SchemeId.IcRelayTdma:
-        return _kernel_ic_relay(cfg, const, stream, n)
-    if scheme is SchemeId.FullTdmaDstc:
-        return _kernel_full_tdma(cfg, const, stream, n)
-    raise UsageError(f"unknown scheme {scheme!r}")
+    check_supported(scheme, cfg.J, cfg.M, const.order)
+    row = _ROWS[scheme]
+    return row.kernel(row, cfg, const, stream, n)
 
 
 def simulate_chunk(scheme: SchemeId, cfg: NetworkConfig, const: Constellation, stream: RngStream, n: int):

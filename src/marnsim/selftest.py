@@ -18,6 +18,7 @@ from .airlink import NetworkConfig, RngStream, make_psk, modulate
 from .numerics import dagger, is_alamouti, solve_psd_stack
 from .relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
 from .rx_ic import (
+    _alamouti_block,
     dstc_channel_stacks,
     gtilde,
     ic_stack_batch,
@@ -36,14 +37,7 @@ __all__ = ["run_selftest", "ALL_CHECKS"]
 
 def _family(rng, n):
     """n random members [[a, -conj(b)], [b, conj(a)]]."""
-    a = rng.complex_normal(n)
-    b = rng.complex_normal(n)
-    m = np.zeros((n, 2, 2), dtype=complex)
-    m[:, 0, 0] = a
-    m[:, 0, 1] = -np.conj(b)
-    m[:, 1, 0] = b
-    m[:, 1, 1] = np.conj(a)
-    return m
+    return _alamouti_block(rng.complex_normal(n), rng.complex_normal(n))
 
 
 def check_alamouti_closure(seed=0):

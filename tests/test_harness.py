@@ -99,6 +99,25 @@ class TestRunExperiment:
         assert pt.bit_errors >= 20
         assert pt.trials < 2_000_000
 
+    @pytest.mark.parametrize(
+        "schemes,configs,kw",
+        [
+            ((SchemeId.DstcIcRec,), ((2, 2, 3), (2, 5, 3)), {}),  # M outside 2..4
+            ((SchemeId.TdmaIcRec, SchemeId.TdmaIcRec), ((1, 5, 3),), {}),  # group of 5
+            ((SchemeId.TdmaIcRec, SchemeId.ConcurrentJoint), ((3, 4, 3),), {"default_order": 4}),
+            ((SchemeId.TdmaIcRec,), ((2, 2, 3),), {"orders": {SchemeId.TdmaIcRec: 3}}),
+        ],
+    )
+    def test_unsupported_cell_rejected_before_any_cell(self, monkeypatch, schemes, configs, kw):
+        import marnsim.harness as harness
+
+        def refuse(*args):
+            raise AssertionError("a cell ran before the spec was checked")
+
+        monkeypatch.setattr(harness, "_run_cell", refuse)
+        with pytest.raises(UsageError):
+            run_experiment(_tiny_spec(schemes=schemes, configs=configs, **kw))
+
 
 class TestEmitParse:
     def test_empty_raises(self):
@@ -282,6 +301,32 @@ class TestCli:
         rc = main(["diversity", "--scheme", "tdma_icrec", "--config", "2,2,2", "--trials", trials])
         assert rc == 1
         assert "trial" in capsys.readouterr().err
+
+    def test_simulate_rejects_unsupported_config_before_any_cell(self, capsys):
+        rc = main(
+            ["simulate", "--scheme", "dstc_icrec", "--config", "2,2,3", "--config", "2,5,3",
+             "--snr-db", "10:5:20", "--min-errors", "1", "--max-trials", "64"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "M in 2..4" in err
+        assert " dB: ber=" not in err  # no progress line: no cell ran
+
+    @pytest.mark.parametrize("grid", ["abc", "10:x:20", "1e"])
+    def test_simulate_non_numeric_snr_grid_is_usage_error(self, capsys, grid):
+        rc = main(["simulate", "--scheme", "tdma_icrec", "--config", "2,2,3", "--snr-db", grid])
+        assert rc == 1
+        assert "error: snr grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ["min-errors = many", "max-trials = x", "seed = x", "workers = x", "min_errors = 1.5"]
+    )
+    def test_config_file_non_integer_is_usage_error(self, tmp_path, capsys, line):
+        path = tmp_path / "sim.ini"
+        path.write_text(f"[simulate]\nscheme = tdma_icrec\nconfig = 2,2,3\nsnr-db = 6\n{line}\n")
+        rc = main(["simulate", "--config-file", str(path)])
+        assert rc == 1
+        assert "is not a valid int" in capsys.readouterr().err
 
     def test_selftest_exit_zero(self, capsys):
         assert main(["selftest"]) == 0

@@ -16,6 +16,7 @@ from marnsim.analysis import snr_tdma_direct
 from marnsim.numerics import NumericError, UsageError, dagger, null_space_projector, solve_psd_stack
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
 from marnsim.rx_ic import (
+    block_diag,
     default_rotation,
     dstc_channel_stacks,
     gtilde,
@@ -164,6 +165,37 @@ class TestChannelStacks:
             q = dagger(h) @ h
             lam = abs(f[0, 0] * g[0, n]) ** 2 + abs(f[1, 0] * g[1, n]) ** 2
             assert np.allclose(q, lam * np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("gs", [2, 3, 4])
+    @pytest.mark.parametrize("J", [1, 2])
+    def test_tdma_stacks_are_dstc_stacks_of_unit_uplinks(self, J, gs):
+        # Both stack builders share one layout: source j's TDMA stacks are
+        # the concurrent-uplink stacks of one source whose uplink gains
+        # are all 1, relayed by j's antenna group (with J = 2, the last of
+        # the 2 gs + 1 antennas stays idle).
+        n = 50
+        G = _cn(RngStream(12, 10 * J + gs), n, J * gs + J - 1, 3)
+        tdma = tdma_channel_stacks(G, J)
+        for j in range(J):
+            dstc = dstc_channel_stacks(np.ones((n, gs, 1)), G[:, j * gs : (j + 1) * gs])
+            assert np.array_equal(tdma[:, j], dstc[:, 0])
+
+    def test_gtilde_pattern(self):
+        G = _cn(RngStream(13), 4, 3, 2)
+        gt = gtilde(G)
+        want = np.zeros((4, 4, 6), dtype=complex)
+        for n in range(2):
+            for i in range(3):
+                want[:, 2 * n, 2 * i] = G[:, i, n]
+                want[:, 2 * n + 1, 2 * i + 1] = np.conj(G[:, i, n])
+        assert np.array_equal(gt, want)
+
+    def test_block_diag(self):
+        a, b = np.full((2, 1, 2), 1.0), np.full((2, 3, 1), 2.0)
+        want = np.zeros((2, 4, 3))
+        want[:, :1, :2] = 1.0
+        want[:, 1:, 2:] = 2.0
+        assert np.array_equal(block_diag(a, b), want)
 
     def test_tdma_group_size_guard(self):
         with pytest.raises(UsageError):

@@ -12,6 +12,7 @@ from marnsim.schemes import (
     SchemeId,
     bits_per_channel_use,
     block_length,
+    check_supported,
     int_free_condition,
     relay_zf_gains,
     scheme_meta,
@@ -94,6 +95,40 @@ class TestBlockLength:
         assert block_length(SchemeId.TdmaIcRec, 2, 2) == 1
         assert block_length(SchemeId.TdmaIcRec, 2, 4) == 2
         assert block_length(SchemeId.TdmaIcRec, 2, 8) == 4
+
+
+class TestCheckSupported:
+    @pytest.mark.parametrize(
+        "scheme,J,M,order,match",
+        [
+            (SchemeId.FullTdmaDstc, 1, 1, 2, "M in 2..4"),
+            (SchemeId.DstcIcRec, 2, 5, 2, "M in 2..4"),
+            (SchemeId.ConcurrentJoint, 1, 5, 2, "M in 2..4"),
+            (SchemeId.TdmaIcRec, 1, 5, 2, "groups of 1..4, got 5"),
+            (SchemeId.DecodeRelayIcDest, 2, 10, 2, "groups of 1..4, got 5"),
+            (SchemeId.IcRelayTdma, 2, 5, 2, "groups of 1..4, got 5"),
+            (SchemeId.ConcurrentJoint, 3, 4, 4, "2\\^20"),
+            (SchemeId.DstcIcRec, 2, 2, 3, "PSK order 3"),
+        ],
+    )
+    def test_unsupported_cells_raise(self, scheme, J, M, order, match):
+        with pytest.raises(UsageError, match=match):
+            check_supported(scheme, J, M, order)
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_supported_cells_pass(self, scheme):
+        for J, M in [(1, 2), (2, 2), (2, 4), (1, 4), (2, 3)]:
+            check_supported(scheme, J, M, 2)
+        # estimate-and-forward groups: 8 antennas in groups of 4 or 2
+        if scheme in (SchemeId.TdmaIcRec, SchemeId.DecodeRelayIcDest):
+            check_supported(scheme, 2, 8, 16)
+            check_supported(scheme, 4, 8, 16)
+
+    def test_joint_search_rejected_before_drawing(self):
+        stream = RngStream(11, 7)
+        with pytest.raises(UsageError, match="2\\^20"):
+            simulate_batch(SchemeId.ConcurrentJoint, NetworkConfig(3, 4, 3, 10.0), make_psk(4), stream, 4)
+        assert np.array_equal(stream.complex_normal(3), RngStream(11, 7).complex_normal(3))
 
 
 class TestBitsPerChannelUse:
