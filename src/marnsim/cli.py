@@ -72,6 +72,14 @@ def _parse_grid(text: str):
     return tuple(out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are usage errors (exit 1), not
+    argparse's exit 2, which this CLI reserves for numeric failures."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _add_common(p):
     # None means "not given on the command line" so config-file values can
     # fill in; hard defaults are applied after merging.
@@ -84,7 +92,7 @@ def _add_common(p):
 
 
 def _build_parser():
-    ap = argparse.ArgumentParser(prog="marnsim", description=__doc__)
+    ap = _Parser(prog="marnsim", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="BER sweep")
@@ -188,8 +196,8 @@ def _cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "diversity":

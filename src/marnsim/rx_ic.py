@@ -11,13 +11,25 @@ that share symbols and are decoded together.
 Interference from the other sources is then removed by a zero-forcing IC
 matrix built from cross-scaled conjugate blocks; the block identity
 H* H = (||H||_F^2 / t) I for family members makes each row exactly null
-the unwanted source.  Decoding whitens with the exact post-IC noise
-covariance, which takes one of two forms by how the relay noise reaches
-the destination, and searches symbol components independently
-(symbol-wise for Alamouti, pair-wise for the quasi-orthogonal split).
+the unwanted source.  Decoding whitens each split on its own (the splits
+share no noise) into its matched filter w = scale h* R^-1 obs and Gram
+q = scale^2 h* R^-1 h, then searches symbol components independently
+(symbol-wise for Alamouti, pair-wise for the quasi-orthogonal split) on
+the splits' concatenated w and block-diagonal q.  The exact noise
+covariance R takes one of two forms by how the relay noise reaches the
+destination, and whitening takes one of three:
+
+  whiten_on_target  no IC, R = kappa (I + s h h*): h* h = alpha I gives
+                    R^-1 h = h / (kappa (1 + s alpha)), a closed form
+  whiten_inverse    no IC, R = kappa W with W = c^2 Gt Gt* + I: W holds
+                    A = c^2 G^T conj(G) + I on its even rows and columns
+                    and conj(A) on its odd ones, so one N x N inverse per
+                    trial whitens every source and split
+  whiten            any R, one factorization per call (after IC; there
+                    R = kappa B W B* reuses W for forwarded noise)
+
 The joint receiver, which cancels nothing, instead searches every symbol
-tuple of all sources at once.  The caller picks the decoder; both whiten
-with one factorization of the covariance.
+tuple of all sources at once with the generic whitening.
 
 Every stage works on leading batch axes; one system is a batch of one.
 Every observation entry is an explicit linear combination of raw samples;
@@ -51,6 +63,12 @@ __all__ = [
     "ic_stack_batch",
     "noise_cov_forwarded",
     "noise_cov_on_target",
+    "forwarded_core",
+    "interleave",
+    "whiten",
+    "whiten_on_target",
+    "whiten_inverse",
+    "component_search",
     "ml_decode_batch",
     "joint_ml_decode_batch",
 ]
@@ -380,6 +398,71 @@ def noise_cov_on_target(bh, kappa: float, s=None, bmat=None) -> np.ndarray:
     return kappa * r
 
 
+def forwarded_core(G: np.ndarray, c: float) -> np.ndarray:
+    """A = c^2 G^T conj(G) + I (..., N, N) of (..., M, N) downlink
+    coefficients.  W = c^2 Gt Gt* + I with Gt = gtilde(G) is
+    interleave(A): Gt's even rows carry G^T and its odd rows conj(G^T) on
+    disjoint columns.  So noise_cov_forwarded(gtilde(G), c, kappa, B) =
+    kappa B W B*, and without IC R^-1 = interleave(A^-1) / kappa."""
+    G = np.asarray(G, dtype=complex)
+    return c * c * (np.swapaxes(G, -1, -2) @ np.conj(G)) + np.eye(G.shape[-1])
+
+
+def interleave(a: np.ndarray) -> np.ndarray:
+    """W (..., 2N, 2N) with a on the even and conj(a) on the odd rows and
+    columns, from (..., N, N) a."""
+    k = a.shape[-1]
+    out = np.zeros(a.shape[:-2] + (2 * k, 2 * k), dtype=complex)
+    out[..., 0::2, 0::2] = a
+    out[..., 1::2, 1::2] = np.conj(a)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Whitening: each split system (obs, h, R) becomes its matched filter w and
+# Gram q, in the cheapest form its covariance allows.
+
+
+def _checked(w, q):
+    """(w, q), or NumericError when either is not finite."""
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(q))):
+        raise NumericError("non-finite whitened metric; resample trial")
+    return w, q
+
+
+def whiten(obs, h, r, scale):
+    """Whitened matched filter w = scale h* R^-1 obs and Gram
+    q = scale^2 h* R^-1 h of obs (..., K), h (..., K, t), r (..., K, K):
+    one factorization of r whitens the channel and the observation."""
+    obs = np.asarray(obs, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    r = np.asarray(r, dtype=complex)
+    t = h.shape[-1]
+    hx = dagger(h) @ solve_psd_stack(r, np.concatenate([h, obs[..., None]], axis=-1))
+    return _checked(scale * hx[..., t], scale * scale * hx[..., :t])
+
+
+def whiten_on_target(obs, h, scale, kappa: float, s=None):
+    """``whiten`` for R = noise_cov_on_target(h, kappa, s) without IC, in
+    closed form.  One source's split channel has h* h = alpha I, so
+    h* R^-1 = h* / (kappa (1 + s alpha)): w = scale h* obs / (kappa (1 +
+    s alpha)) and q = scale^2 alpha / (kappa (1 + s alpha)) I.  s = None
+    (no relay noise) gives the factor kappa."""
+    t = h.shape[-1]
+    alpha = np.sum(h.real**2 + h.imag**2, axis=(-2, -1)) / t
+    g = scale / (np.full_like(alpha, kappa) if s is None else kappa * (1.0 + s * alpha))
+    w = g[..., None] * (obs[..., None, :] @ np.conj(h))[..., 0, :]
+    return _checked(w, (g * scale * alpha)[..., None, None] * np.eye(t))
+
+
+def whiten_inverse(obs, h, r_inv, scale):
+    """``whiten`` from the inverse r_inv (..., K, K) of the covariance, for
+    a covariance whose inverse is shared by several systems."""
+    t = h.shape[-1]
+    hx = dagger(h) @ (r_inv @ np.concatenate([h, obs[..., None]], axis=-1))
+    return _checked(scale * hx[..., t], scale * scale * hx[..., :t])
+
+
 # ---------------------------------------------------------------------------
 # ML decoding
 
@@ -433,33 +516,16 @@ def _candidate_table(spec: SymbolSpec, syms, entries, c: Constellation):
     return combos, sv
 
 
-def _whiten(obs, h, r, scale):
-    """Whitened matched filter w = scale h* R^-1 obs and Gram
-    q = scale^2 h* R^-1 h of obs (..., K), h (..., K, t), r (..., K, K):
-    one factorization of r whitens the channel and the observation."""
-    obs = np.asarray(obs, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    r = np.asarray(r, dtype=complex)
-    t = h.shape[-1]
-    hx = dagger(h) @ solve_psd_stack(r, np.concatenate([h, obs[..., None]], axis=-1))
-    w = scale * hx[..., t]
-    q = scale * scale * hx[..., :t]
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(q))):
-        raise NumericError("non-finite whitened metric; resample trial")
-    return w, q
+def component_search(w, q, spec: SymbolSpec, c: Constellation):
+    """ML decisions (..., n_symbols) from the whitened matched filter
+    w (..., E) and Gram q (..., E, E) of the E entries of ``spec``,
+    searched one symbol component at a time.
 
-
-def ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation):
-    """Whitened ML over a batch of equivalent systems whose symbol
-    components are decoupled, searched one component at a time.
-
-    obs (..., K), h (..., K, t), r (..., K, K).  Returns decoded symbol
-    indices (..., n_symbols).  The whitened Gram must not couple entries
-    of different components (groups of entries that share no symbol);
-    the block structure of one source's channel, after zero-forcing IC
-    when there are others, makes that coupling vanish.
+    q must not couple entries of different components (groups of entries
+    that share no symbol); the block structure of one source's channel,
+    after zero-forcing IC when there are others, makes that coupling
+    vanish.
     """
-    w, q = _whiten(obs, h, r, scale)
     out = np.zeros(w.shape[:-1] + (spec.n_symbols,), dtype=np.int64)
     for syms, entries in _symbol_components(spec):
         combos, sv = _candidate_table(spec, syms, entries, c)
@@ -477,6 +543,16 @@ def ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation):
     return out
 
 
+def ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation):
+    """Whitened ML over a batch of equivalent systems whose symbol
+    components are decoupled: ``whiten`` followed by ``component_search``.
+
+    obs (..., K), h (..., K, t), r (..., K, K).  Returns decoded symbol
+    indices (..., n_symbols).
+    """
+    return component_search(*whiten(obs, h, r, scale), spec, c)
+
+
 def joint_ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation):
     """Whitened ML over every symbol tuple of ``spec`` at once, for
     systems whose symbols are coupled (several sources, no IC).
@@ -484,7 +560,7 @@ def joint_ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation):
     Same arguments and result as ``ml_decode_batch``; the search holds
     (..., order^n_symbols) metrics.
     """
-    w, q = _whiten(obs, h, r, scale)
+    w, q = whiten(obs, h, r, scale)
     combos, sv = _candidate_table(spec, range(spec.n_symbols), range(len(spec.entries)), c)
     quad = np.einsum("ce,...ef,cf->...c", np.conj(sv), q, sv).real
     lin = 2.0 * np.einsum("ce,...e->...c", np.conj(sv), w).real

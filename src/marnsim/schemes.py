@@ -21,9 +21,21 @@ Estimate-and-forward (EF): the relay estimates each source's symbols
 and codes each group's estimates on disjoint groups of M // (group size)
 antennas; the estimates' noise rides on the target's channel
 (``noise_cov_on_target``).  All rows but concurrent_joint end in one
-decode tail: zero-forcing IC when a group holds several sources,
-component-wise whitened ML, the error count.  simulate_chunk adds the
-resampling of degenerate channel draws.
+decode tail: zero-forcing IC per split when a group holds several
+sources, the family's whitening per split, one component-wise ML search
+over the splits, the error count.  Whitening takes the cheapest form
+the covariance allows (see ``rx_ic``):
+
+  family  IC   whitening                              rows
+  EF      no   closed form, h* h = alpha I            3; 2 and 5 at J = 1
+  AF      no   W^-1 / kappa from one N x N inverse    4; 1 at J = 1
+               per trial, shared by every source
+               and split
+  AF      yes  generic solve of R = kappa B W B*,     1
+               W once per trial
+  EF      yes  generic solve of noise_cov_on_target   2, 5
+
+simulate_chunk adds the resampling of degenerate channel draws.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .airlink import Constellation, NetworkConfig, RngStream, make_psk, modulate
-from .numerics import UsageError
+from .numerics import UsageError, dagger
 from .relay_codec import (
     apply_design,
     dstc_design,
@@ -48,18 +60,24 @@ from .rx_ic import (
     DEGENERATE_TOL,
     SymbolSpec,
     block_diag,
+    component_search,
     default_rotation,
     dstc_channel_stacks,
+    forwarded_core,
     gtilde,
     ic_stack_batch,
+    interleave,
     joint_ml_decode_batch,
-    ml_decode_batch,
+    ml_decode_batch,  # noqa: F401  bench/layers.py traces the decoder under this name
     noise_cov_forwarded,
     noise_cov_on_target,
     recombine,
     split_slices,
     symbol_spec,
     tdma_channel_stacks,
+    whiten,
+    whiten_inverse,
+    whiten_on_target,
 )
 
 __all__ = [
@@ -236,36 +254,29 @@ def _downlink(x_relay: np.ndarray, G: np.ndarray, stream: RngStream):
     return np.einsum("nmt,nmo->not", x_relay, G) + stream.complex_normal(n, G.shape[-1], T)
 
 
-def _assemble(parts):
-    """Stack per-split (obs, H, R) into one block-diagonal system."""
-    if len(parts) == 1:
-        return parts[0]
-    obs, h, r = zip(*parts)
-    return np.concatenate(obs, axis=-1), block_diag(*h), block_diag(*r)
-
-
 def _count_errors(idx: np.ndarray, sent_bits: np.ndarray, const: Constellation):
     """Bit errors of decoded symbol indices (..., T) vs sent bits (..., T*b)."""
     dec = const.labels[idx].reshape(*idx.shape[:-1], -1)
     return np.sum(dec != sent_bits, axis=-1)
 
 
-def _decode(stacks, obs, cov, scale, const, bits):
+def _decode(stacks, obs, whiten_split, scale, const, bits):
     """Shared decode tail of every source in the recombined system
     ``stacks`` (n, J, rows, t), ``obs`` (n, rows) that sent ``bits``
     (n, J, T*b): (bit errors (n, J), bad (n,)).
 
     With more than one source, each split first cancels every other
     source by zero-forcing IC, and ``bad`` flags the draws whose IC hit a
-    degenerate block.  ``cov(j, bmat, bh)`` is a split's noise covariance
-    for target j from its IC matrix (None without IC) and the target's
-    projected channel.
+    degenerate block.  ``whiten_split(j, bmat, obs, bh, scale)`` is a split's
+    whitened (w, q) for target j from its IC matrix (None without IC),
+    projected observation and projected channel; the splits share no
+    noise, so the search runs on their concatenated w and block-diagonal q.
     """
     n, J = stacks.shape[:2]
     errors = np.zeros((n, J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
     for j in range(J):
-        parts = []
+        ws, qs = [], []
         for rows, cols in split_slices(stacks):
             ch_s, obs_s = stacks[..., rows, cols], obs[..., rows]
             if J == 1:
@@ -275,8 +286,12 @@ def _decode(stacks, obs, cov, scale, const, bits):
                 bad |= bd
                 obs_s = np.einsum("nrk,nk->nr", bmat, obs_s)
                 hp = bmat @ ch_s[:, j]
-            parts.append((obs_s, hp, cov(j, bmat, hp)))
-        idx = ml_decode_batch(*_assemble(parts), scale, symbol_spec(stacks.shape[-1]), const)
+            w, q = whiten_split(j, bmat, obs_s, hp, scale)
+            ws.append(w)
+            qs.append(q)
+        idx = component_search(
+            np.concatenate(ws, axis=-1), block_diag(*qs), symbol_spec(stacks.shape[-1]), const
+        )
         errors[:, j] = _count_errors(idx, bits[:, j], const)
     return errors, bad
 
@@ -309,13 +324,15 @@ def _amplify_forward(row, cfg, const, stream, n):
     c = dstc_power_scale(P, M, row.group_size(cfg.J))
     kappa = 2.0 if T == 4 else 1.0
     F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
-    if row.joint or row.group_size(cfg.J) == 1:  # no IC: one covariance for every split
+    if row.joint:  # no IC: one covariance for every split
         r0 = noise_cov_forwarded(gtilde(G), c, kappa)
-        cov = lambda j, b, bh: r0  # noqa: E731
-    else:
-        gt = gtilde(G)
-        cov = lambda j, b, bh: noise_cov_forwarded(gt, c, kappa, b)  # noqa: E731
-    decode = _joint_decode if row.joint else _decode
+        stage, decode = (lambda j, b, bh: r0), _joint_decode
+    elif row.group_size(cfg.J) == 1:  # no IC: R^-1 = W^-1 / kappa for every source and split
+        r_inv = interleave(np.linalg.inv(forwarded_core(G, c))) / kappa
+        stage, decode = (lambda j, b, o, bh, sc: whiten_inverse(o, bh, r_inv, sc)), _decode
+    else:  # IC: R = kappa B W B* with one W per trial
+        w_k = kappa * interleave(forwarded_core(G, c))
+        stage, decode = (lambda j, b, o, bh, sc: whiten(o, bh, b @ w_k @ dagger(b), sc)), _decode
     errors = np.zeros((n, cfg.J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
     for grp in row.groups(cfg.J):
@@ -323,7 +340,7 @@ def _amplify_forward(row, cfg, const, stream, n):
         r = r + stream.complex_normal(n, M, T)
         obs = recombine(_downlink(c * apply_design(design, r), G, stream), T)
         stacks = dstc_channel_stacks(F[:, :, grp], G)
-        errors[:, grp], bad_g = decode(stacks, obs, cov, math.sqrt(P) * c, const, bits[:, grp])
+        errors[:, grp], bad_g = decode(stacks, obs, stage, math.sqrt(P) * c, const, bits[:, grp])
         bad |= bad_g
     return errors, bad
 
@@ -352,9 +369,14 @@ def _estimate_forward(row, cfg, const, stream, n):
     for grp in row.groups(J):
         raw = _downlink(relay_forward_groups(est[:, grp], design, c, M), G, stream)
         s_g = s_relay[grp]
+
+        def stage(j, b, o, bh, sc):  # closed form without IC, else the generic solve
+            if b is None:
+                return whiten_on_target(o, bh, sc, kappa, s_g[j])
+            return whiten(o, bh, noise_cov_on_target(bh, kappa, s_g[j], b), sc)
+
         errors[:, grp], bad_g = _decode(
-            stacks, recombine(raw, T), lambda j, b, bh: noise_cov_on_target(bh, kappa, s_g[j], b),
-            math.sqrt(P) * c, const, bits[:, grp],
+            stacks, recombine(raw, T), stage, math.sqrt(P) * c, const, bits[:, grp]
         )
         bad |= bad_g
     return errors, bad

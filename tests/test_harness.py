@@ -319,6 +319,22 @@ class TestCli:
         assert "error: snr grid" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--scheme", "tdma_icrec", "--config", "2,2,3", "--seed", "x"],
+            ["diversity", "--snr-db", "abc"],
+            ["diversity", "--trials", "x"],
+        ],
+        ids=["simulate-seed", "diversity-snr-db", "diversity-trials"],
+    )
+    def test_flag_of_wrong_type_is_usage_error(self, capsys, argv):
+        # argparse's own exit status 2 would read as a numeric failure.
+        rc = main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: marnsim ") and "invalid" in err
+
+    @pytest.mark.parametrize(
         "line", ["min-errors = many", "max-trials = x", "seed = x", "workers = x", "min_errors = 1.5"]
     )
     def test_config_file_non_integer_is_usage_error(self, tmp_path, capsys, line):

@@ -19,8 +19,10 @@ from marnsim.rx_ic import (
     block_diag,
     default_rotation,
     dstc_channel_stacks,
+    forwarded_core,
     gtilde,
     ic_stack_batch,
+    interleave,
     joint_ml_decode_batch,
     ml_decode_batch,
     noise_cov_forwarded,
@@ -30,6 +32,9 @@ from marnsim.rx_ic import (
     split_slices,
     symbol_spec,
     tdma_channel_stacks,
+    whiten,
+    whiten_inverse,
+    whiten_on_target,
 )
 from marnsim.schemes import SchemeId, relay_forward_groups, simulate_batch
 from propagation import propagate_noise_cov
@@ -581,11 +586,14 @@ class TestJointMlDecode:
         from marnsim import schemes
 
         def refuse(*args):
-            raise AssertionError("concurrent_joint ran the component-wise search")
+            raise AssertionError("ran the component-wise search")
 
-        monkeypatch.setattr(schemes, "ml_decode_batch", refuse)
+        monkeypatch.setattr(schemes, "component_search", refuse)
         for cfg3 in [(1, 2, 3), (2, 2, 3), (2, 4, 3)]:
             simulate_batch(SchemeId.ConcurrentJoint, NetworkConfig(*cfg3, 10.0), make_psk(2), RngStream(44), 16)
+        # The refusal is live: the IC receiver on the same cell reaches it.
+        with pytest.raises(AssertionError, match="component-wise"):
+            simulate_batch(SchemeId.DstcIcRec, NetworkConfig(1, 2, 3, 10.0), make_psk(2), RngStream(44), 16)
 
     def test_noiseless_recovery(self):
         cfg = NetworkConfig(2, 2, 2, 1e12)
@@ -613,19 +621,195 @@ class TestJointMlDecode:
             simulate_batch(SchemeId.ConcurrentJoint, cfg, make_psk(4), RngStream(42), 1)
 
 
+_WHITENINGS = ("whiten", "whiten_inverse", "whiten_on_target")
+_TAIL_CONFIGS = [(1, 4, 3), (2, 2, 3), (2, 4, 3), (3, 4, 3), (3, 3, 4)]
+
+
+def _split_cov(name, args):
+    """(obs, h, R, scale) of one split from the arguments of a whitening
+    stage: R is the generic stage's argument, the inverse of the shared
+    inverse, or noise_cov_on_target's covariance for the closed form."""
+    if name == "whiten":
+        obs, h, r, scale = args
+    elif name == "whiten_inverse":
+        obs, h, r_inv, scale = args
+        r = np.linalg.inv(r_inv)
+    else:
+        obs, h, scale, kappa, s = args
+        r = noise_cov_on_target(h, kappa, s)
+    return obs, h, r, scale
+
+
+def _capture_tail(monkeypatch, scheme, cfg3, order, trials=64):
+    """Per search of the decode tail of ``scheme``'s kernel on one
+    fixed-seed batch at P = 10: the split systems assembled into one
+    (obs, h, R, scale), the search's (w, q, spec, const) and its
+    decisions."""
+    from marnsim import schemes
+
+    events = []
+
+    def recorder(name):
+        orig = getattr(schemes, name)
+
+        def record(*args):
+            out = orig(*args)
+            events.append((name, args, out))
+            return out
+
+        return record
+
+    with monkeypatch.context() as mp:
+        for name in _WHITENINGS + ("component_search",):
+            mp.setattr(schemes, name, recorder(name))
+        simulate_batch(scheme, NetworkConfig(*cfg3, 10.0), make_psk(order), RngStream(43, order), trials)
+    systems, splits = [], []
+    for name, args, out in events:
+        if name != "component_search":
+            splits.append(_split_cov(name, args))
+            continue
+        obs, h, r, scale = zip(*splits)
+        assembled = (np.concatenate(obs, axis=-1), block_diag(*h), block_diag(*r), scale[0])
+        systems.append((assembled, args, out))
+        splits = []
+    assert systems and not splits
+    return systems
+
+
 class TestComponentDecoupling:
     @pytest.mark.parametrize("scheme", [s for s in SchemeId if s is not SchemeId.ConcurrentJoint])
     def test_kernel_systems_decouple(self, monkeypatch, scheme):
-        # ml_decode_batch searches each symbol component on its own, which
-        # is ML only when the whitened Gram couples no two entries of
-        # different components (entries that share no symbol).
-        for cfg3 in [(1, 4, 3), (2, 2, 3), (2, 4, 3), (3, 4, 3), (3, 3, 4)]:
-            for obs, h, r, scale, spec, c in _capture(monkeypatch, "ml_decode_batch", scheme, cfg3, 4):
+        # The component-wise search is ML only when the whitened Gram it is
+        # handed couples no two entries of different components (entries
+        # that share no symbol).
+        for cfg3 in _TAIL_CONFIGS:
+            for _, (w, q, spec, c), _ in _capture_tail(monkeypatch, scheme, cfg3, 4):
                 syms = [{idx for idx, _, _ in terms} for terms in spec.entries]
                 cross = np.array([[not (a & b) for b in syms] for a in syms])
-                q = dagger(h) @ np.linalg.solve(r, h)
                 d = np.sqrt(np.einsum("...ii->...i", q).real)
                 assert np.all(np.abs(q)[:, cross] <= 1e-10 * (d[:, :, None] * d[:, None, :])[:, cross])
+
+
+class TestKernelSplitSystems:
+    @pytest.mark.parametrize("scheme", [s for s in SchemeId if s is not SchemeId.ConcurrentJoint])
+    def test_decisions_match_exhaustive(self, monkeypatch, scheme):
+        # Each search decides what an exhaustive whitened search over every
+        # symbol tuple decides on the split systems the kernel whitened,
+        # stacked block-diagonally (TestStructuredWhitening ties each
+        # stage's covariance to the covariance stages).
+        for cfg3 in _TAIL_CONFIGS:
+            for (obs, h, r, scale), (_, _, spec, c), got in _capture_tail(monkeypatch, scheme, cfg3, 4):
+                for i in range(0, len(obs), 4):
+                    want = TestMlDecode._exhaustive(obs[i], h[i], r[i], scale, spec, c)
+                    assert np.array_equal(got[i], want)
+
+    @pytest.mark.parametrize(
+        "scheme,cfg3",
+        [
+            (SchemeId.IcRelayTdma, (2, 4, 3)),
+            (SchemeId.IcRelayTdma, (3, 3, 4)),
+            (SchemeId.FullTdmaDstc, (2, 4, 3)),
+            (SchemeId.FullTdmaDstc, (2, 2, 3)),
+            (SchemeId.DstcIcRec, (1, 4, 3)),
+            (SchemeId.TdmaIcRec, (1, 4, 3)),
+            (SchemeId.DecodeRelayIcDest, (1, 2, 3)),
+        ],
+    )
+    def test_no_ic_systems_take_no_solve(self, monkeypatch, scheme, cfg3):
+        from marnsim import rx_ic
+
+        def refuse(*args):
+            raise AssertionError("solve_psd_stack on a system without IC")
+
+        monkeypatch.setattr(rx_ic, "solve_psd_stack", refuse)
+        simulate_batch(scheme, NetworkConfig(*cfg3, 10.0), make_psk(4), RngStream(45), 32)
+
+
+def _rel_err(got, want):
+    """Largest per-system error of ``got`` relative to the largest entry of
+    ``want`` in the same system."""
+    axes = tuple(range(1, np.ndim(want)))
+    return np.max(np.max(np.abs(got - want), axis=axes) / np.max(np.abs(want), axis=axes))
+
+
+class TestStructuredWhitening:
+    """Each structured whitening against the generic solve on the same
+    (obs, h) and the covariance the covariance stages build."""
+
+    @pytest.mark.parametrize(
+        "j,m,n",
+        # group sizes 1 (t = 1), 2 (t = 2) and 3-4 (t = 4, two splits)
+        [(1, 2, 3), (1, 3, 2), (1, 4, 3), (2, 2, 3), (2, 4, 3), (2, 8, 3), (3, 3, 4), (3, 6, 4), (3, 12, 4)],
+    )
+    @pytest.mark.parametrize("relay_noise", [True, False])
+    def test_on_target_closed_form(self, j, m, n, relay_noise):
+        rng = RngStream(50, j * 100 + m * 10 + n)
+        stacks = tdma_channel_stacks(_cn(rng, 40, m, n), j)
+        kappa = 2.0 if stacks.shape[-1] == 4 else 1.0
+        obs = _cn(rng, 40, stacks.shape[-2])
+        for src in range(j):
+            s = np.exp(rng.complex_normal(40).real) if relay_noise else None
+            for rows, cols in split_slices(stacks):
+                h, o = stacks[:, src, rows, cols], obs[:, rows]
+                want = whiten(o, h, noise_cov_on_target(h, kappa, s), 1.7)
+                got = whiten_on_target(o, h, 1.7, kappa, s)
+                assert _rel_err(got[0], want[0]) < 1e-12
+                assert _rel_err(got[1], want[1]) < 1e-12
+
+    @pytest.mark.parametrize("j,m,n", [(1, 2, 3), (2, 2, 3), (1, 3, 2), (2, 4, 3), (3, 4, 3), (3, 3, 4)])
+    def test_forwarded_without_ic(self, j, m, n):
+        rng = RngStream(51, j * 100 + m * 10 + n)
+        F, G = _cn(rng, 40, m, j), _cn(rng, 40, m, n)
+        stacks = dstc_channel_stacks(F, G)
+        c = dstc_power_scale(10.0, m, 1)
+        kappa = 2.0 if stacks.shape[-1] == 4 else 1.0
+        r_inv = interleave(np.linalg.inv(forwarded_core(G, c))) / kappa
+        r = noise_cov_forwarded(gtilde(G), c, kappa)
+        obs = _cn(rng, 40, stacks.shape[-2])
+        for src in range(j):
+            for rows, cols in split_slices(stacks):
+                h, o = stacks[:, src, rows, cols], obs[:, rows]
+                want = whiten(o, h, r, 1.3)
+                got = whiten_inverse(o, h, r_inv, 1.3)
+                assert _rel_err(got[0], want[0]) < 1e-12
+                assert _rel_err(got[1], want[1]) < 1e-12
+
+    @pytest.mark.parametrize("j,m,n", [(2, 2, 3), (2, 4, 3), (3, 4, 3), (3, 3, 4), (2, 3, 2)])
+    def test_forwarded_with_ic(self, j, m, n):
+        rng = RngStream(52, j * 100 + m * 10 + n)
+        F, G = _cn(rng, 40, m, j), _cn(rng, 40, m, n)
+        stacks = dstc_channel_stacks(F, G)
+        c = dstc_power_scale(10.0, m, j)
+        kappa = 2.0 if stacks.shape[-1] == 4 else 1.0
+        w_k = kappa * interleave(forwarded_core(G, c))
+        assert _rel_err(w_k, noise_cov_forwarded(gtilde(G), c, kappa)) < 1e-12
+        obs = _cn(rng, 40, stacks.shape[-2])
+        for src in range(j):
+            for rows, cols in split_slices(stacks):
+                b, _ = ic_stack_batch(stacks[..., rows, cols], src)
+                h, o = b @ stacks[:, src, rows, cols], np.einsum("nrk,nk->nr", b, obs[:, rows])
+                r_old = noise_cov_forwarded(gtilde(G), c, kappa, b)
+                r_new = b @ w_k @ dagger(b)
+                assert _rel_err(r_new, r_old) < 1e-12
+                want, got = whiten(o, h, r_old, 0.9), whiten(o, h, r_new, 0.9)
+                assert _rel_err(got[0], want[0]) < 1e-12
+                assert _rel_err(got[1], want[1]) < 1e-12
+
+    def test_non_finite_raises(self):
+        rng = RngStream(53)
+        G = _cn(rng, 3, 2, 3)
+        h = tdma_channel_stacks(G, 1)[:, 0]
+        obs = _cn(rng, 3, 6)
+        obs[1, 2] = np.nan
+        r_inv = interleave(np.linalg.inv(forwarded_core(G, 1.0)))
+        for form in (
+            lambda: whiten(obs, h, np.broadcast_to(np.eye(6), (3, 6, 6)), 1.0),
+            lambda: whiten_inverse(obs, h, r_inv, 1.0),
+            lambda: whiten_on_target(obs, h, 1.0, 1.0, np.ones(3)),
+            lambda: whiten_on_target(obs, h, 1.0, 1.0, None),
+        ):
+            with pytest.raises(NumericError):
+                form()
 
 
 class TestEquivalentSystemValidation:
