@@ -231,3 +231,51 @@ class TestRelayZeroForcing:
                 proj = null_space_projector(np.delete(F[i], j, axis=1)).matrix
                 want = np.linalg.norm(proj @ F[i, :, j]) ** 2
                 assert got[i, j] == pytest.approx(want, rel=1e-12)
+
+
+class TestDegenerateDraws:
+    """A source whose channel vanishes in a trial makes that trial
+    degenerate: simulate_batch flags it and simulate_chunk redraws it."""
+
+    ZEROED = [1, 5, 6]
+
+    @staticmethod
+    def _zero_first_draw(mp, scheme, cfg, src):
+        """Patch schemes._draw_trials so that its first call draws source
+        ``src``'s channel as zero in the ZEROED trials: its uplink column
+        for dstc_icrec, its relay group's downlink rows for tdma_icrec.
+        Later calls (the resampling rounds) draw as usual."""
+        import marnsim.schemes as schemes
+
+        orig, calls = schemes._draw_trials, []
+
+        def draw(*args):
+            F, G, bits, s = orig(*args)
+            if not calls:
+                if scheme is SchemeId.DstcIcRec:
+                    F[TestDegenerateDraws.ZEROED, :, src] = 0.0
+                else:
+                    gs = cfg.M // cfg.J
+                    G[TestDegenerateDraws.ZEROED, src * gs : (src + 1) * gs, :] = 0.0
+            calls.append(args[-1])
+            return F, G, bits, s
+
+        mp.setattr(schemes, "_draw_trials", draw)
+        return calls
+
+    @pytest.mark.parametrize("scheme", [SchemeId.DstcIcRec, SchemeId.TdmaIcRec])
+    @pytest.mark.parametrize("cfg3", [(2, 2, 3), (3, 4, 3), (3, 3, 4)])
+    def test_flagged_then_resampled(self, monkeypatch, scheme, cfg3):
+        cfg, const = NetworkConfig(*cfg3, 10.0), make_psk(4)
+        for src in range(cfg.J):
+            stream = RngStream(11, 10 * src + cfg.M)
+            with monkeypatch.context() as mp:
+                self._zero_first_draw(mp, scheme, cfg, src)
+                _, bad = simulate_batch(scheme, cfg, const, stream, 16)
+            assert np.flatnonzero(bad).tolist() == self.ZEROED
+            with monkeypatch.context() as mp:
+                calls = self._zero_first_draw(mp, scheme, cfg, src)
+                errors, erased = simulate_chunk(scheme, cfg, const, stream, 16)
+            assert calls == [16, len(self.ZEROED)] and not erased.any()
+            redrawn, _ = simulate_batch(scheme, cfg, const, stream.substream(1), len(self.ZEROED))
+            assert np.array_equal(errors[self.ZEROED], redrawn)
