@@ -123,6 +123,7 @@ def solve_psd_stack(a, b):
     if failed.any():
         n = a.shape[-1]
         af = a[failed]
-        load = 1e-12 * np.maximum(np.einsum("...ii->...", af).real / n, 1e-300)
+        # The floor keeps the load a normal number for an all-zero matrix.
+        load = np.maximum(1e-12 * np.einsum("...ii->...", af).real / n, 1e-300)
         x[failed] = np.linalg.solve(af + load[..., None, None] * np.eye(n), b[failed])
     return x[..., 0] if vec else x

@@ -131,6 +131,11 @@ class TestHermitianSolve:
         x = solve_psd_stack(np.diag([1.0, 0.0]), np.ones(2))
         assert np.all(np.isfinite(x)) and abs(x[0] - 1.0) < 1e-9
 
+    def test_all_zero_system_solves_to_zero(self):
+        # The covariance of a trial whose interferer channel is exactly zero.
+        x = solve_psd_stack(np.zeros((2, 3, 3)), np.zeros((2, 3, 2)))
+        assert np.array_equal(x, np.zeros((2, 3, 2)))
+
 
 class TestSolvePsdStack:
     def test_matches_scalar_solver(self):
