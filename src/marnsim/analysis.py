@@ -24,10 +24,11 @@ from .numerics import NumericError, UsageError, dagger, null_space_projector, so
 from .relay_codec import dstc_power_scale, tdma_power_scale
 from .rx_ic import (
     dstc_channel_stacks,
+    gram_system,
     gtilde,
     ic_stack_batch,
     noise_cov_forwarded,
-    noise_cov_on_target,
+    schur_ic,
     split_slices,
     tdma_channel_stacks,
 )
@@ -72,9 +73,10 @@ def snr_tdma_direct(ch: ChannelRealization, cfg: NetworkConfig, target: int = 0)
     """Receive SNR of the target's first symbol on the simulated system.
 
     Runs one draw through the TDMA-uplink kernel's own stages: the stacked
-    downlink channels, the IC of every split, and the post-IC covariance
-    with the forwarded combining noise c1^2 / x riding on the target's
-    channel.  Sums h* R^{-1} h over the splits.
+    downlink channels, each split's Gram system and the target's
+    zero-forcing IC as its Schur complement, with the forwarded combining
+    noise c1^2 / x riding on the target's channel.  Sums the first entry
+    of the target's whitened Gram over the splits.
     """
     x = np.sum(np.abs(ch.F[None, :, target]) ** 2, axis=-1)
     if x[0] == 0.0:
@@ -82,14 +84,12 @@ def snr_tdma_direct(ch: ChannelRealization, cfg: NetworkConfig, target: int = 0)
     stacks = tdma_channel_stacks(ch.G[None], cfg.J)
     kappa = 2.0 if stacks.shape[-1] == 4 else 1.0
     c = tdma_power_scale(cfg.P, cfg.M)
-    s = c * c / x
     gamma = 0.0
     for rows, cols in split_slices(stacks):
         split = stacks[..., rows, cols]
-        bmat, _ = ic_stack_batch(split, target)
-        bh = bmat @ split[:, target]
-        r = noise_cov_on_target(bh, kappa, s, bmat)
-        gamma += float(whitened_snr(bh[..., 0], r)[0])
+        q, z = gram_system(split, np.zeros((1, split.shape[-2])), 1.0 / kappa)
+        _, qt = schur_ic(q, z, target, split.shape[-1], kappa * c * c / x)
+        gamma += float(qt[0, 0, 0].real)
     return gamma
 
 

@@ -8,28 +8,22 @@ appears through stacked 2x2 blocks with (anti-)Alamouti structure.  For a
 the quasi-orthogonal codeword splits into a +/- pair of Alamouti systems
 that share symbols and are decoded together.
 
-Interference from the other sources is then removed by a zero-forcing IC
-matrix built from cross-scaled conjugate blocks; the block identity
-H* H = (||H||_F^2 / t) I for family members makes each row exactly null
-the unwanted source.  Decoding whitens each split on its own (the splits
-share no noise) into its matched filter w = scale h* R^-1 obs and Gram
-q = scale^2 h* R^-1 h, then searches symbol components independently
-(symbol-wise for Alamouti, pair-wise for the quasi-orthogonal split) on
-the splits' concatenated w and block-diagonal q.  The exact noise
-covariance R takes one of two forms by how the relay noise reaches the
-destination, and whitening takes one of three:
-
-  whiten_on_target  no IC, R = kappa (I + s h h*): h* h = alpha I gives
-                    R^-1 h = h / (kappa (1 + s alpha)), a closed form
-  whiten_inverse    no IC, R = kappa W with W = c^2 Gt Gt* + I: W holds
-                    A = c^2 G^T conj(G) + I on its even rows and columns
-                    and conj(A) on its odd ones, so one N x N inverse per
-                    trial whitens every source and split
-  whiten            any R, one factorization per call (after IC; there
-                    R = kappa B W B* reuses W for forwarded noise)
-
-The joint receiver, which cancels nothing, instead searches every symbol
-tuple of all sources at once with the generic whitening.
+Interference from the other sources is removed by zero-forcing IC.  The
+decode tail whitens each split once for all of its sources into the Gram
+system (Q, z) = H* R0^-1 [H | obs] (``gram_system``; the splits share no
+noise), R0 being the noise covariance before IC: kappa W for forwarded
+relay noise, whose inverse comes from one N x N inverse per trial
+(``forwarded_core``), or kappa I.  IC of a target is the Schur complement
+of the interferers' block (``schur_ic``), by the identity
+B* (B R0 B*)^-1 B = R0^-1 - R0^-1 H_I (H_I* R0^-1 H_I)^-1 H_I* R0^-1 for
+any IC matrix B that nulls the interferers H_I; relay noise riding on
+the target's channel then scales the result.  One component-wise search
+(symbol-wise for Alamouti, pair-wise for the quasi-orthogonal split)
+runs on the splits' concatenated w and block-diagonal q.  The explicit
+IC matrices (``ic_stack_batch``), the covariance stages ``noise_cov_*``
+and the generic ``whiten`` build the closed-form SNR and the tests'
+reference systems.  The joint receiver, which cancels nothing, searches
+every symbol tuple of all sources at once with ``whiten``.
 
 Every stage works on leading batch axes; one system is a batch of one.
 Every observation entry is an explicit linear combination of raw samples;
@@ -66,8 +60,8 @@ __all__ = [
     "forwarded_core",
     "interleave",
     "whiten",
-    "whiten_on_target",
-    "whiten_inverse",
+    "gram_system",
+    "schur_ic",
     "component_search",
     "ml_decode_batch",
     "joint_ml_decode_batch",
@@ -403,7 +397,7 @@ def forwarded_core(G: np.ndarray, c: float) -> np.ndarray:
     coefficients.  W = c^2 Gt Gt* + I with Gt = gtilde(G) is
     interleave(A): Gt's even rows carry G^T and its odd rows conj(G^T) on
     disjoint columns.  So noise_cov_forwarded(gtilde(G), c, kappa, B) =
-    kappa B W B*, and without IC R^-1 = interleave(A^-1) / kappa."""
+    kappa B W B*, and R0^-1 = interleave(A^-1) / kappa before IC."""
     G = np.asarray(G, dtype=complex)
     return c * c * (np.swapaxes(G, -1, -2) @ np.conj(G)) + np.eye(G.shape[-1])
 
@@ -419,8 +413,8 @@ def interleave(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Whitening: each split system (obs, h, R) becomes its matched filter w and
-# Gram q, in the cheapest form its covariance allows.
+# Whitening: an (obs, h, R) system becomes its matched filter
+# w = scale h* R^-1 obs and Gram q = scale^2 h* R^-1 h.
 
 
 def _checked(w, q):
@@ -442,25 +436,36 @@ def whiten(obs, h, r, scale):
     return _checked(scale * hx[..., t], scale * scale * hx[..., :t])
 
 
-def whiten_on_target(obs, h, scale, kappa: float, s=None):
-    """``whiten`` for R = noise_cov_on_target(h, kappa, s) without IC, in
-    closed form.  One source's split channel has h* h = alpha I, so
-    h* R^-1 = h* / (kappa (1 + s alpha)): w = scale h* obs / (kappa (1 +
-    s alpha)) and q = scale^2 alpha / (kappa (1 + s alpha)) I.  s = None
-    (no relay noise) gives the factor kappa."""
-    t = h.shape[-1]
-    alpha = np.sum(h.real**2 + h.imag**2, axis=(-2, -1)) / t
-    g = scale / (np.full_like(alpha, kappa) if s is None else kappa * (1.0 + s * alpha))
-    w = g[..., None] * (obs[..., None, :] @ np.conj(h))[..., 0, :]
-    return _checked(w, (g * scale * alpha)[..., None, None] * np.eye(t))
+def gram_system(stacks, obs, r0_inv):
+    """Gram system (Q, z) = H* R0^-1 [H | obs] of one split for all of
+    its sources: stacks (..., J, K, t) give H (..., K, J t), source j on
+    columns j t .. (j + 1) t - 1; obs is (..., K) and r0_inv (..., K, K)
+    or a scalar multiple of the identity."""
+    *lead, J, K, t = stacks.shape
+    h = np.moveaxis(stacks, -3, -2).reshape(*lead, K, J * t)
+    a = np.concatenate([h, obs[..., None]], axis=-1)
+    g = dagger(h) @ (r0_inv @ a) if np.ndim(r0_inv) else r0_inv * (dagger(h) @ a)
+    return g[..., :-1], g[..., -1]
 
 
-def whiten_inverse(obs, h, r_inv, scale):
-    """``whiten`` from the inverse r_inv (..., K, K) of the covariance, for
-    a covariance whose inverse is shared by several systems."""
-    t = h.shape[-1]
-    hx = dagger(h) @ (r_inv @ np.concatenate([h, obs[..., None]], axis=-1))
-    return _checked(scale * hx[..., t], scale * scale * hx[..., :t])
+def schur_ic(q, z, target, t, sigma=None):
+    """Whitened (w, q) of source ``target`` (scale 1) after zero-forcing
+    IC, the Schur complement of the interferers' block I of a
+    ``gram_system``: q = Q_jj - Q_jI Q_II^-1 Q_Ij and
+    w = z_j - Q_jI Q_II^-1 z_I (Q_jj and z_j for one source).  sigma (...,) adds the target's
+    own noise sigma h_j h_j* to R0; as q = y I, both then scale by
+    1 / (1 + sigma y).  NumericError when not finite."""
+    own = slice(target * t, (target + 1) * t)
+    rest = np.r_[: target * t, (target + 1) * t : q.shape[-1]]
+    w, qj = z[..., own], q[..., own, own]
+    if rest.size:
+        rhs = np.concatenate([q[..., rest, own], z[..., rest, None]], axis=-1)
+        y = q[..., own, rest] @ solve_psd_stack(q[..., rest[:, None], rest], rhs)
+        w, qj = w - y[..., t], qj - y[..., :t]
+    if sigma is not None:
+        f = 1.0 / (1.0 + sigma * np.einsum("...ii->...", qj).real / t)
+        w, qj = f[..., None] * w, f[..., None, None] * qj
+    return _checked(w, qj)
 
 
 # ---------------------------------------------------------------------------

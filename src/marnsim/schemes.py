@@ -21,19 +21,12 @@ Estimate-and-forward (EF): the relay estimates each source's symbols
 and codes each group's estimates on disjoint groups of M // (group size)
 antennas; the estimates' noise rides on the target's channel
 (``noise_cov_on_target``).  All rows but concurrent_joint end in one
-decode tail: zero-forcing IC per split when a group holds several
-sources, the family's whitening per split, one component-wise ML search
-over the splits, the error count.  Whitening takes the cheapest form
-the covariance allows (see ``rx_ic``):
-
-  family  IC   whitening                              rows
-  EF      no   closed form, h* h = alpha I            3; 2 and 5 at J = 1
-  AF      no   W^-1 / kappa from one N x N inverse    4; 1 at J = 1
-               per trial, shared by every source
-               and split
-  AF      yes  generic solve of R = kappa B W B*,     1
-               W once per trial
-  EF      yes  generic solve of noise_cov_on_target   2, 5
+decode tail (see ``rx_ic``): each split whitened once for all sources of
+the group into a Gram system, the noise covariance before IC being one
+N x N inverse per trial for AF and a multiple of I for EF; zero-forcing
+IC of each source as a Schur complement of that system, with the EF
+target's own relay noise; one component-wise ML search over the splits;
+the error count.
 
 simulate_chunk adds the resampling of degenerate channel draws.
 """
@@ -48,8 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .airlink import Constellation, NetworkConfig, RngStream, make_psk, modulate
-from .numerics import UsageError, dagger
+from .airlink import Constellation, NetworkConfig, RngStream, draw_channels_batch, make_psk, modulate
+from .numerics import UsageError
 from .relay_codec import (
     apply_design,
     dstc_design,
@@ -64,20 +57,18 @@ from .rx_ic import (
     default_rotation,
     dstc_channel_stacks,
     forwarded_core,
+    gram_system,
     gtilde,
-    ic_stack_batch,
+    ic_stack_batch,  # noqa: F401  bench/layers.py traces the IC under this name
     interleave,
     joint_ml_decode_batch,
     ml_decode_batch,  # noqa: F401  bench/layers.py traces the decoder under this name
     noise_cov_forwarded,
-    noise_cov_on_target,
     recombine,
+    schur_ic,
     split_slices,
     symbol_spec,
     tdma_channel_stacks,
-    whiten,
-    whiten_inverse,
-    whiten_on_target,
 )
 
 __all__ = [
@@ -190,8 +181,7 @@ def _draw_trials(cfg: NetworkConfig, const: Constellation, T: int, stream: RngSt
     """Uplink F (n, M, J), downlink G (n, M, N), source bits and their
     symbols; the slots that ``symbol_spec(T)`` marks rotated use the
     rotated constellation."""
-    F = stream.complex_normal(n, cfg.M, cfg.J)
-    G = stream.complex_normal(n, cfg.M, cfg.N)
+    F, G = draw_channels_batch(cfg, stream, n)
     bits = stream.bits(n, cfg.J, T * const.bits_per_symbol)
     s = modulate(bits, const)
     s[..., np.array(symbol_spec(T).rotated)] *= np.exp(1j * default_rotation(const.order))
@@ -260,51 +250,47 @@ def _count_errors(idx: np.ndarray, sent_bits: np.ndarray, const: Constellation):
     return np.sum(dec != sent_bits, axis=-1)
 
 
-def _decode(stacks, obs, whiten_split, scale, const, bits):
+def _decode(stacks, obs, r0_inv, scale, const, bits, sigma=None):
     """Shared decode tail of every source in the recombined system
     ``stacks`` (n, J, rows, t), ``obs`` (n, rows) that sent ``bits``
     (n, J, T*b): (bit errors (n, J), bad (n,)).
 
-    With more than one source, each split first cancels every other
-    source by zero-forcing IC, and ``bad`` flags the draws whose IC hit a
-    degenerate block.  ``whiten_split(j, bmat, obs, bh, scale)`` is a split's
-    whitened (w, q) for target j from its IC matrix (None without IC),
-    projected observation and projected channel; the splits share no
-    noise, so the search runs on their concatenated w and block-diagonal q.
+    Each split becomes one Gram system of all J sources under the noise
+    covariance R0 before IC (inverse ``r0_inv``, shared by the splits);
+    each source is cancelled from the others as a Schur complement of it,
+    with its own relay noise sigma[:, j] h h* added when ``sigma`` (n, J)
+    is given.  The splits share no noise, so the search runs on their
+    concatenated w and block-diagonal q.  With more than one source,
+    ``bad`` flags the draws where some source's block in a split fades.
     """
     n, J = stacks.shape[:2]
     errors = np.zeros((n, J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
+    systems = []
+    for rows, cols in split_slices(stacks):
+        ch_s = stacks[..., rows, cols]
+        t = ch_s.shape[-1]
+        if J > 1:
+            norms = np.sum(np.abs(ch_s.reshape(n, J, -1, t, t)) ** 2, axis=(-2, -1))
+            bad |= np.sqrt(norms).min(axis=(1, 2)) < DEGENERATE_TOL
+        systems.append(gram_system(ch_s, obs[..., rows], r0_inv))
     for j in range(J):
-        ws, qs = [], []
-        for rows, cols in split_slices(stacks):
-            ch_s, obs_s = stacks[..., rows, cols], obs[..., rows]
-            if J == 1:
-                bmat, hp = None, ch_s[:, j]
-            else:
-                bmat, bd = ic_stack_batch(ch_s, j)
-                bad |= bd
-                obs_s = np.einsum("nrk,nk->nr", bmat, obs_s)
-                hp = bmat @ ch_s[:, j]
-            w, q = whiten_split(j, bmat, obs_s, hp, scale)
-            ws.append(w)
-            qs.append(q)
-        idx = component_search(
-            np.concatenate(ws, axis=-1), block_diag(*qs), symbol_spec(stacks.shape[-1]), const
-        )
+        s_j = None if sigma is None else sigma[:, j]
+        ws, qs = zip(*(schur_ic(q, z, j, t, s_j) for q, z in systems))
+        w, q = scale * np.concatenate(ws, axis=-1), scale * scale * block_diag(*qs)
+        idx = component_search(w, q, symbol_spec(stacks.shape[-1]), const)
         errors[:, j] = _count_errors(idx, bits[:, j], const)
     return errors, bad
 
 
-def _joint_decode(stacks, obs, cov, scale, const, bits):
+def _joint_decode(stacks, obs, r0, scale, const, bits):
     """concurrent_joint's receiver, same arguments and result as
-    ``_decode``: no IC, whitened ML over every symbol tuple of all
-    sources at once."""
+    ``_decode`` but the covariance r0 of one split itself: no IC, whitened
+    ML over every symbol tuple of all sources at once."""
     n, J, _, T = stacks.shape
     spec = symbol_spec(T)
     h_all = np.concatenate([stacks[:, j] for j in range(J)], axis=-1)
-    r_half = cov(None, None, None)
-    r_pre = block_diag(r_half, r_half) if T == 4 else r_half
+    r_pre = block_diag(r0, r0) if T == 4 else r0
     entries = sum((spec.shifted(j * spec.n_symbols).entries for j in range(J)), ())
     jspec = SymbolSpec(J * spec.n_symbols, entries, spec.rotated * J)
     idx = joint_ml_decode_batch(obs, h_all, r_pre, scale, jspec, const)
@@ -324,15 +310,10 @@ def _amplify_forward(row, cfg, const, stream, n):
     c = dstc_power_scale(P, M, row.group_size(cfg.J))
     kappa = 2.0 if T == 4 else 1.0
     F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
-    if row.joint:  # no IC: one covariance for every split
-        r0 = noise_cov_forwarded(gtilde(G), c, kappa)
-        stage, decode = (lambda j, b, bh: r0), _joint_decode
-    elif row.group_size(cfg.J) == 1:  # no IC: R^-1 = W^-1 / kappa for every source and split
-        r_inv = interleave(np.linalg.inv(forwarded_core(G, c))) / kappa
-        stage, decode = (lambda j, b, o, bh, sc: whiten_inverse(o, bh, r_inv, sc)), _decode
-    else:  # IC: R = kappa B W B* with one W per trial
-        w_k = kappa * interleave(forwarded_core(G, c))
-        stage, decode = (lambda j, b, o, bh, sc: whiten(o, bh, b @ w_k @ dagger(b), sc)), _decode
+    if row.joint:  # no IC: the covariance of every split
+        decode, r0 = _joint_decode, noise_cov_forwarded(gtilde(G), c, kappa)
+    else:  # R0^-1 = W^-1 / kappa: one N x N inverse per trial for every source and split
+        decode, r0 = _decode, interleave(np.linalg.inv(forwarded_core(G, c))) / kappa
     errors = np.zeros((n, cfg.J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
     for grp in row.groups(cfg.J):
@@ -340,7 +321,7 @@ def _amplify_forward(row, cfg, const, stream, n):
         r = r + stream.complex_normal(n, M, T)
         obs = recombine(_downlink(c * apply_design(design, r), G, stream), T)
         stacks = dstc_channel_stacks(F[:, :, grp], G)
-        errors[:, grp], bad_g = decode(stacks, obs, stage, math.sqrt(P) * c, const, bits[:, grp])
+        errors[:, grp], bad_g = decode(stacks, obs, r0, math.sqrt(P) * c, const, bits[:, grp])
         bad |= bad_g
     return errors, bad
 
@@ -361,23 +342,15 @@ def _estimate_forward(row, cfg, const, stream, n):
     # The relay's estimate is exactly sqrt(P) s + CN(0, 1/gain) per slot given F.
     est = math.sqrt(P) * s + stream.complex_normal(n, J, T) / np.sqrt(gains)[..., None]
     if row.hard:  # a hard decision forwards no noise
-        est, c, s_relay = relay_hard_decision(est, const, P), 1.0 / math.sqrt(M), [None] * J
-    else:  # forwarded estimation noise of variance c^2 / gain
-        s_relay = list((c * c / gains).T)
+        est, c, sigma = relay_hard_decision(est, const, P), 1.0 / math.sqrt(M), None
+    else:  # R = kappa (I + (c^2 / gain) h h*) with h the target's channel
+        sigma = kappa * c * c / gains
     stacks = tdma_channel_stacks(G, row.group_size(J))
     errors = np.zeros((n, J), dtype=np.int64)
     for grp in row.groups(J):
-        raw = _downlink(relay_forward_groups(est[:, grp], design, c, M), G, stream)
-        s_g = s_relay[grp]
-
-        def stage(j, b, o, bh, sc):  # closed form without IC, else the generic solve
-            if b is None:
-                return whiten_on_target(o, bh, sc, kappa, s_g[j])
-            return whiten(o, bh, noise_cov_on_target(bh, kappa, s_g[j], b), sc)
-
-        errors[:, grp], bad_g = _decode(
-            stacks, recombine(raw, T), stage, math.sqrt(P) * c, const, bits[:, grp]
-        )
+        obs = recombine(_downlink(relay_forward_groups(est[:, grp], design, c, M), G, stream), T)
+        s_g = None if sigma is None else sigma[:, grp]
+        errors[:, grp], bad_g = _decode(stacks, obs, 1.0 / kappa, math.sqrt(P) * c, const, bits[:, grp], s_g)
         bad |= bad_g
     return errors, bad
 

@@ -20,6 +20,7 @@ from marnsim.rx_ic import (
     default_rotation,
     dstc_channel_stacks,
     forwarded_core,
+    gram_system,
     gtilde,
     ic_stack_batch,
     interleave,
@@ -29,12 +30,11 @@ from marnsim.rx_ic import (
     noise_cov_on_target,
     recombination_matrices,
     recombine,
+    schur_ic,
     split_slices,
     symbol_spec,
     tdma_channel_stacks,
     whiten,
-    whiten_inverse,
-    whiten_on_target,
 )
 from marnsim.schemes import SchemeId, relay_forward_groups, simulate_batch
 from propagation import propagate_noise_cov
@@ -621,58 +621,60 @@ class TestJointMlDecode:
             simulate_batch(SchemeId.ConcurrentJoint, cfg, make_psk(4), RngStream(42), 1)
 
 
-_WHITENINGS = ("whiten", "whiten_inverse", "whiten_on_target")
 _TAIL_CONFIGS = [(1, 4, 3), (2, 2, 3), (2, 4, 3), (3, 4, 3), (3, 3, 4)]
 
 
-def _split_cov(name, args):
-    """(obs, h, R, scale) of one split from the arguments of a whitening
-    stage: R is the generic stage's argument, the inverse of the shared
-    inverse, or noise_cov_on_target's covariance for the closed form."""
-    if name == "whiten":
-        obs, h, r, scale = args
-    elif name == "whiten_inverse":
-        obs, h, r_inv, scale = args
-        r = np.linalg.inv(r_inv)
-    else:
-        obs, h, scale, kappa, s = args
-        r = noise_cov_on_target(h, kappa, s)
-    return obs, h, r, scale
+def _explicit_system(ch_s, obs_s, r0, target, sigma=None):
+    """The post-IC split system (obs, h, R) of ``target`` built the
+    explicit way: the IC matrix B of ``ic_stack_batch`` applied to the
+    observation, the channel and the covariance r0 before IC, plus the
+    target's own noise sigma (B h)(B h)*."""
+    b, _ = ic_stack_batch(ch_s, target)
+    h = b @ ch_s[:, target]
+    r = b @ r0 @ dagger(b)
+    if sigma is not None:
+        r = r + sigma[:, None, None] * (h @ dagger(h))
+    return np.einsum("nrk,nk->nr", b, obs_s), h, r
 
 
 def _capture_tail(monkeypatch, scheme, cfg3, order, trials=64):
     """Per search of the decode tail of ``scheme``'s kernel on one
-    fixed-seed batch at P = 10: the split systems assembled into one
+    fixed-seed batch at P = 10: the target's split systems rebuilt the
+    explicit way from the tail's arguments and assembled into one
     (obs, h, R, scale), the search's (w, q, spec, const) and its
     decisions."""
     from marnsim import schemes
 
-    events = []
+    tails, searches = [], []
 
-    def recorder(name):
-        orig = getattr(schemes, name)
-
-        def record(*args):
+    def record(store, orig):
+        def wrapped(*args):
             out = orig(*args)
-            events.append((name, args, out))
+            store.append((args, out))
             return out
 
-        return record
+        return wrapped
 
     with monkeypatch.context() as mp:
-        for name in _WHITENINGS + ("component_search",):
-            mp.setattr(schemes, name, recorder(name))
+        mp.setattr(schemes, "_decode", record(tails, schemes._decode))
+        mp.setattr(schemes, "component_search", record(searches, schemes.component_search))
         simulate_batch(scheme, NetworkConfig(*cfg3, 10.0), make_psk(order), RngStream(43, order), trials)
-    systems, splits = [], []
-    for name, args, out in events:
-        if name != "component_search":
-            splits.append(_split_cov(name, args))
-            continue
-        obs, h, r, scale = zip(*splits)
-        assembled = (np.concatenate(obs, axis=-1), block_diag(*h), block_diag(*r), scale[0])
-        systems.append((assembled, args, out))
-        splits = []
-    assert systems and not splits
+    systems = []
+    for (stacks, obs, r0_inv, scale, _, _, *sigma), _ in tails:
+        sigma = sigma[0] if sigma else None
+        for j in range(stacks.shape[1]):
+            splits = []
+            for rows, cols in split_slices(stacks):
+                o = obs[..., rows]
+                # R0 is the inverse of r0_inv, or a multiple of the identity
+                r0 = np.linalg.inv(r0_inv) if np.ndim(r0_inv) else np.eye(o.shape[-1]) / r0_inv
+                s_j = None if sigma is None else sigma[:, j]
+                splits.append(_explicit_system(stacks[..., rows, cols], o, r0, j, s_j))
+            o, h, r = zip(*splits)
+            assembled = (np.concatenate(o, axis=-1), block_diag(*h), block_diag(*r), scale)
+            args, out = searches[len(systems)]
+            systems.append((assembled, args, out))
+    assert systems and len(systems) == len(searches)
     return systems
 
 
@@ -694,14 +696,47 @@ class TestKernelSplitSystems:
     @pytest.mark.parametrize("scheme", [s for s in SchemeId if s is not SchemeId.ConcurrentJoint])
     def test_decisions_match_exhaustive(self, monkeypatch, scheme):
         # Each search decides what an exhaustive whitened search over every
-        # symbol tuple decides on the split systems the kernel whitened,
-        # stacked block-diagonally (TestStructuredWhitening ties each
-        # stage's covariance to the covariance stages).
+        # symbol tuple decides on the explicit post-IC split systems of the
+        # decode tail's arguments, stacked block-diagonally.
         for cfg3 in _TAIL_CONFIGS:
             for (obs, h, r, scale), (_, _, spec, c), got in _capture_tail(monkeypatch, scheme, cfg3, 4):
                 for i in range(0, len(obs), 4):
                     want = TestMlDecode._exhaustive(obs[i], h[i], r[i], scale, spec, c)
                     assert np.array_equal(got[i], want)
+
+    @pytest.mark.parametrize("scheme", [s for s in SchemeId if s is not SchemeId.ConcurrentJoint])
+    def test_search_input_matches_explicit_ic(self, monkeypatch, scheme):
+        # The (w, q) each search receives is the generic whitening of the
+        # same explicit post-IC systems.
+        for cfg3 in _TAIL_CONFIGS:
+            for (obs, h, r, scale), (w, q, _, _), _ in _capture_tail(monkeypatch, scheme, cfg3, 4):
+                want = whiten(obs, h, r, scale)
+                assert _rel_err(w, want[0]) < 1e-10
+                assert _rel_err(q, want[1]) < 1e-10
+
+    @pytest.mark.parametrize("cfg3", [(2, 2, 3), (2, 4, 3), (3, 4, 3), (3, 3, 4)])
+    def test_kernels_build_no_ic_matrix(self, monkeypatch, cfg3):
+        # IC is a Schur complement of each split's Gram system: no kernel
+        # builds an IC matrix or a post-IC covariance or whitens one.
+        from marnsim import rx_ic, schemes
+
+        def refuse(*args):
+            raise AssertionError("explicit IC stage on the kernel path")
+
+        for owner, name in [
+            (schemes, "ic_stack_batch"),
+            (rx_ic, "ic_stack_batch"),
+            (rx_ic, "noise_cov_on_target"),
+            (rx_ic, "whiten"),
+        ]:
+            monkeypatch.setattr(owner, name, refuse)
+        cfg = NetworkConfig(*cfg3, 10.0)
+        for scheme in SchemeId:
+            if scheme is not SchemeId.ConcurrentJoint:
+                simulate_batch(scheme, cfg, make_psk(4), RngStream(46), 32)
+        # The refusal is live: the joint receiver whitens with ``whiten``.
+        with pytest.raises(AssertionError, match="explicit IC"):
+            simulate_batch(SchemeId.ConcurrentJoint, NetworkConfig(2, 2, 3, 10.0), make_psk(2), RngStream(46), 8)
 
     @pytest.mark.parametrize(
         "scheme,cfg3",
@@ -733,8 +768,9 @@ def _rel_err(got, want):
 
 
 class TestStructuredWhitening:
-    """Each structured whitening against the generic solve on the same
-    (obs, h) and the covariance the covariance stages build."""
+    """The decode tail's stages on one source (nothing to cancel) against
+    the generic solve on the same (obs, h) and the covariance the
+    covariance stages build."""
 
     @pytest.mark.parametrize(
         "j,m,n",
@@ -751,8 +787,9 @@ class TestStructuredWhitening:
             s = np.exp(rng.complex_normal(40).real) if relay_noise else None
             for rows, cols in split_slices(stacks):
                 h, o = stacks[:, src, rows, cols], obs[:, rows]
-                want = whiten(o, h, noise_cov_on_target(h, kappa, s), 1.7)
-                got = whiten_on_target(o, h, 1.7, kappa, s)
+                want = whiten(o, h, noise_cov_on_target(h, kappa, s), 1.0)
+                q, z = gram_system(stacks[:, src : src + 1, rows, cols], o, 1.0 / kappa)
+                got = schur_ic(q, z, 0, h.shape[-1], None if s is None else kappa * s)
                 assert _rel_err(got[0], want[0]) < 1e-12
                 assert _rel_err(got[1], want[1]) < 1e-12
 
@@ -763,14 +800,15 @@ class TestStructuredWhitening:
         stacks = dstc_channel_stacks(F, G)
         c = dstc_power_scale(10.0, m, 1)
         kappa = 2.0 if stacks.shape[-1] == 4 else 1.0
-        r_inv = interleave(np.linalg.inv(forwarded_core(G, c))) / kappa
+        r0_inv = interleave(np.linalg.inv(forwarded_core(G, c))) / kappa
         r = noise_cov_forwarded(gtilde(G), c, kappa)
         obs = _cn(rng, 40, stacks.shape[-2])
         for src in range(j):
             for rows, cols in split_slices(stacks):
                 h, o = stacks[:, src, rows, cols], obs[:, rows]
-                want = whiten(o, h, r, 1.3)
-                got = whiten_inverse(o, h, r_inv, 1.3)
+                want = whiten(o, h, r, 1.0)
+                q, z = gram_system(stacks[:, src : src + 1, rows, cols], o, r0_inv)
+                got = schur_ic(q, z, 0, h.shape[-1])
                 assert _rel_err(got[0], want[0]) < 1e-12
                 assert _rel_err(got[1], want[1]) < 1e-12
 
@@ -797,19 +835,88 @@ class TestStructuredWhitening:
 
     def test_non_finite_raises(self):
         rng = RngStream(53)
-        G = _cn(rng, 3, 2, 3)
-        h = tdma_channel_stacks(G, 1)[:, 0]
+        G = _cn(rng, 3, 4, 3)
         obs = _cn(rng, 3, 6)
         obs[1, 2] = np.nan
-        r_inv = interleave(np.linalg.inv(forwarded_core(G, 1.0)))
+        one, two = tdma_channel_stacks(G[:, :2], 1), tdma_channel_stacks(G, 2)
+        r0_inv = interleave(np.linalg.inv(forwarded_core(G, 1.0)))
         for form in (
-            lambda: whiten(obs, h, np.broadcast_to(np.eye(6), (3, 6, 6)), 1.0),
-            lambda: whiten_inverse(obs, h, r_inv, 1.0),
-            lambda: whiten_on_target(obs, h, 1.0, 1.0, np.ones(3)),
-            lambda: whiten_on_target(obs, h, 1.0, 1.0, None),
+            lambda: whiten(obs, one[:, 0], np.broadcast_to(np.eye(6), (3, 6, 6)), 1.0),
+            lambda: schur_ic(*gram_system(one, obs, r0_inv), 0, 2),
+            lambda: schur_ic(*gram_system(one, obs, 1.0), 0, 2, np.ones(3)),
+            lambda: schur_ic(*gram_system(one, obs, 1.0), 0, 2),
+            lambda: schur_ic(*gram_system(two, obs, 1.0), 1, 2, np.ones(3)),
         ):
             with pytest.raises(NumericError):
                 form()
+
+
+# (family, J, M, N): the amplify-and-forward stacks have t = 2 (M = 2) or
+# t = 4 (M = 3, 4; two splits), the estimate-and-forward stacks t = 1, 2
+# or 4 by the group size M // J.
+_SCHUR_CASES = [
+    ("af", 2, 2, 3), ("af", 2, 4, 3), ("af", 3, 4, 3), ("af", 3, 3, 4),
+    ("ef", 2, 2, 3), ("ef", 2, 4, 3), ("ef", 2, 8, 3),
+    ("ef", 3, 3, 4), ("ef", 3, 6, 4), ("ef", 3, 12, 4),
+]
+
+
+class TestSchurIc:
+    """Zero-forcing IC as a Schur complement of each split's Gram system
+    against the explicit path: the IC matrix of ``ic_stack_batch``, the
+    post-IC covariance of ``noise_cov_forwarded`` or
+    ``noise_cov_on_target``, and the generic ``whiten``."""
+
+    @pytest.mark.parametrize("family,j,m,n", _SCHUR_CASES)
+    @pytest.mark.parametrize("relay_noise", [True, False])
+    def test_matches_explicit_ic(self, family, j, m, n, relay_noise):
+        rng = RngStream(54, j * 100 + m * 10 + n)
+        F, G = _cn(rng, 40, m, j), _cn(rng, 40, m, n)
+        if family == "af":
+            stacks = dstc_channel_stacks(F, G)
+            c = dstc_power_scale(10.0, m, j)
+        else:
+            stacks = tdma_channel_stacks(G, j)
+            c = tdma_power_scale(10.0, m)
+        kappa = 2.0 if stacks.shape[-1] == 4 else 1.0
+        r0_inv = interleave(np.linalg.inv(forwarded_core(G, c))) / kappa if family == "af" else 1.0 / kappa
+        obs = _cn(rng, 40, stacks.shape[-2])
+        for src in range(j):
+            s = np.exp(rng.complex_normal(40).real) if relay_noise else None
+            for rows, cols in split_slices(stacks):
+                split, o = stacks[..., rows, cols], obs[:, rows]
+                q, z = gram_system(split, o, r0_inv)
+                got = schur_ic(q, z, src, split.shape[-1], None if s is None else kappa * s)
+                b, _ = ic_stack_batch(split, src)
+                h = b @ split[:, src]
+                if family == "af":
+                    r = noise_cov_forwarded(gtilde(G), c, kappa, b)
+                    if s is not None:
+                        r = r + kappa * s[:, None, None] * (h @ dagger(h))
+                else:
+                    r = noise_cov_on_target(h, kappa, s, b)
+                want = whiten(np.einsum("nrk,nk->nr", b, o), h, r, 1.0)
+                assert _rel_err(got[0], want[0]) < 1e-12
+                assert _rel_err(got[1], want[1]) < 1e-12
+
+    def test_one_source_is_the_gram_system(self):
+        rng = RngStream(55)
+        q, z = _cn(rng, 5, 2, 2), _cn(rng, 5, 2)
+        w, qj = schur_ic(q, z, 0, 2)
+        assert np.array_equal(w, z) and np.array_equal(qj, q)
+
+    def test_singular_interferer_block_fails_no_other_trial(self):
+        # An interferer whose channel is exactly zero leaves Q_II singular
+        # in that trial alone; the others match their lone solves.
+        rng = RngStream(56)
+        stacks = tdma_channel_stacks(_cn(rng, 6, 4, 3), 2)
+        stacks[2, 1] = 0.0
+        obs = _cn(rng, 6, stacks.shape[-2])
+        w, q = schur_ic(*gram_system(stacks, obs, 1.0), 0, 2)
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(q))
+        for i in (0, 1, 3, 4, 5):
+            wi, qi = schur_ic(*gram_system(stacks[i : i + 1], obs[i : i + 1], 1.0), 0, 2)
+            assert np.array_equal(w[i], wi[0]) and np.array_equal(q[i], qi[0])
 
 
 class TestEquivalentSystemValidation:
