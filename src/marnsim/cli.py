@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .airlink import NetworkConfig
@@ -122,6 +123,19 @@ def _build_parser():
     return ap
 
 
+def _run_and_emit(spec, args) -> int:
+    """Run the sweep and write its points to --out, or to stdout; an --out
+    path that cannot be written is refused before the first cell."""
+    if args.out is not None:
+        parent = os.path.dirname(os.path.abspath(args.out))
+        if os.path.isdir(args.out) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+            raise UsageError(f"cannot write --out {args.out!r}")
+    text = emit(run_experiment(spec, progress=sys.stderr), args.format, args.out)
+    if not args.out:
+        sys.stdout.write(text)
+    return 0
+
+
 def _cmd_simulate(args) -> int:
     settings = load_config_file(args.config_file) if args.config_file else {}
 
@@ -153,16 +167,17 @@ def _cmd_simulate(args) -> int:
         seed=_parse_number(int, pick(args.seed, "seed", 0), "seed"),
         workers=None if workers is None else _parse_number(int, workers, "workers"),
     )
-    points = run_experiment(spec, progress=sys.stderr)
-    text = emit(points, args.format, args.out)
-    if not args.out:
-        sys.stdout.write(text)
-    return 0
+    return _run_and_emit(spec, args)
 
 
 def _cmd_diversity(args) -> int:
     if args.from_csv:
-        slopes = ber_slope_from_csv(args.from_csv, args.window)
+        try:
+            with open(args.from_csv) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --from-csv {args.from_csv!r}: {exc.strerror}") from exc
+        slopes = ber_slope_from_csv(text, args.window)
         for (scheme, j, m, n), est in sorted(slopes.items(), key=lambda kv: kv[0][0].value):
             print(
                 f"{scheme.value} {j}x{m}x{n}: slope {est.slope:.3f} "
@@ -188,11 +203,7 @@ def _cmd_compare(args) -> int:
         max_trials=args.max_trials if args.max_trials is not None else 2_000_000,
         workers=args.workers,
     )
-    points = run_experiment(spec, progress=sys.stderr)
-    text = emit(points, args.format, args.out)
-    if not args.out:
-        sys.stdout.write(text)
-    return 0
+    return _run_and_emit(spec, args)
 
 
 def main(argv=None) -> int:

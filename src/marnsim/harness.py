@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .airlink import NetworkConfig, RngStream, make_psk
+from .airlink import NetworkConfig, RngStream, draw_channels_batch, make_psk
 from .analysis import (
     DiversityEstimate,
     ber_slope,
@@ -225,24 +225,17 @@ def run_experiment(spec: ExperimentSpec, progress=None):
 def make_gamma_sampler(scheme: SchemeId, cfg: NetworkConfig):
     """Vectorized instantaneous-SNR sampler for schemes with a closed-form
     or directly computable post-IC SNR."""
-    if scheme is SchemeId.TdmaIcRec:
-        def sampler(stream: RngStream, n: int) -> np.ndarray:
-            f = stream.complex_normal(n, cfg.M, cfg.J)
-            g = stream.complex_normal(n, cfg.M, cfg.N)
-            return snr_tdma_batch(f, g, cfg)
+    names = {SchemeId.TdmaIcRec: "snr_tdma_batch", SchemeId.DstcIcRec: "snr_dstc_batch"}
+    if scheme not in names:
+        raise UsageError(f"no SNR sampler for scheme {scheme.value}")
+    if scheme is SchemeId.DstcIcRec and cfg.M != 2:
+        raise UsageError("SNR sampler for the concurrent scheme covers M=2")
 
-        return sampler
-    if scheme is SchemeId.DstcIcRec:
-        if cfg.M != 2:
-            raise UsageError("SNR sampler for the concurrent scheme covers M=2")
+    def sampler(stream: RngStream, n: int) -> np.ndarray:
+        # Looked up at call time, so a wrapper installed on the module applies.
+        return globals()[names[scheme]](*draw_channels_batch(cfg, stream, n), cfg)
 
-        def sampler(stream: RngStream, n: int) -> np.ndarray:
-            f = stream.complex_normal(n, cfg.M, cfg.J)
-            g = stream.complex_normal(n, cfg.M, cfg.N)
-            return snr_dstc_batch(f, g, cfg)
-
-        return sampler
-    raise UsageError(f"no SNR sampler for scheme {scheme.value}")
+    return sampler
 
 
 def run_diversity(

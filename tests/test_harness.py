@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from marnsim.airlink import NetworkConfig
+from marnsim.airlink import NetworkConfig, RngStream
 from marnsim.cli import main
 from marnsim.harness import (
     CSV_HEADER,
@@ -209,6 +209,25 @@ class TestRunDiversity:
         with pytest.raises(UsageError):
             run_diversity(SchemeId.FullTdmaDstc, cfg, trials=1000)
 
+    @pytest.mark.parametrize(
+        "scheme,name", [(SchemeId.TdmaIcRec, "snr_tdma_batch"), (SchemeId.DstcIcRec, "snr_dstc_batch")]
+    )
+    def test_sampler_draws_uplink_then_downlink(self, monkeypatch, scheme, name):
+        # The sampler draws F (n, M, J) then G (n, M, N) from the stream and
+        # calls the SNR function the harness module holds at call time.
+        import marnsim.harness as harness
+
+        cfg = NetworkConfig(2, 2, 3, 10.0)
+        sampler = harness.make_gamma_sampler(scheme, cfg)
+        ref = RngStream(5, 1)
+        f, g = ref.complex_normal(64, 2, 2), ref.complex_normal(64, 2, 3)
+        want = getattr(harness, name)(f, g, cfg)
+        calls = []
+        orig = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a: calls.append(a) or orig(*a))
+        assert np.array_equal(sampler(RngStream(5, 1), 64), want)
+        assert len(calls) == 1
+
 
 class TestConfigFile:
     def test_load_and_merge(self, tmp_path):
@@ -343,6 +362,31 @@ class TestCli:
         rc = main(["simulate", "--config-file", str(path)])
         assert rc == 1
         assert "is not a valid int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--scheme", "tdma_icrec", "--config", "2,2,3", "--snr-db", "10"],
+            ["compare", "fig7"],
+        ],
+        ids=["simulate", "compare"],
+    )
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_fails_before_any_cell(self, monkeypatch, tmp_path, capsys, argv, target):
+        import marnsim.harness as harness
+
+        def refuse(*args):
+            raise AssertionError("a cell ran before --out was checked")
+
+        monkeypatch.setattr(harness, "_run_cell", refuse)
+        rc = main(argv + ["--out", str(tmp_path / target)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: cannot write --out")
+
+    def test_diversity_missing_csv_is_usage_error(self, tmp_path, capsys):
+        rc = main(["diversity", "--from-csv", str(tmp_path / "missing.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: cannot read --from-csv")
 
     def test_selftest_exit_zero(self, capsys):
         assert main(["selftest"]) == 0
