@@ -48,9 +48,13 @@ class RngStream:
         return RngStream(self.seed ^ (0x9E3779B97F4A7C15 * (k + 1) & 0xFFFFFFFFFFFFFFFF), self.stream)
 
     def complex_normal(self, *shape) -> np.ndarray:
-        """CN(0,1) samples: (x + iy)/sqrt(2) with x, y standard normal."""
+        """CN(0,1) samples: (x + iy)/sqrt(2) with x, y standard normal.
+        The pairs are scaled in place and viewed as complex: a complex
+        divided by a real scalar is multiplied by its reciprocal, so this
+        is bitwise (x + iy) / sqrt(2)."""
         z = self._gen.standard_normal(shape + (2,))
-        return (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+        z *= 1.0 / math.sqrt(2.0)
+        return z.view(np.complex128)[..., 0]
 
     def bits(self, *shape) -> np.ndarray:
         return self._gen.integers(0, 2, size=shape, dtype=np.int8)

@@ -24,11 +24,11 @@ from .numerics import NumericError, UsageError, dagger, null_space_projector, so
 from .relay_codec import dstc_power_scale, tdma_power_scale
 from .rx_ic import (
     dstc_channel_stacks,
-    gram_system,
+    gram_pairs,
     gtilde,
     ic_stack_batch,
     noise_cov_forwarded,
-    schur_ic,
+    schur_pairs,
     split_slices,
     tdma_channel_stacks,
 )
@@ -75,21 +75,21 @@ def snr_tdma_direct(ch: ChannelRealization, cfg: NetworkConfig, target: int = 0)
     Runs one draw through the TDMA-uplink kernel's own stages: the stacked
     downlink channels, each split's Gram system and the target's
     zero-forcing IC as its Schur complement, with the forwarded combining
-    noise c1^2 / x riding on the target's channel.  Sums the first entry
-    of the target's whitened Gram over the splits.
+    noise c1^2 / x riding on the target's channel.  Sums the target's
+    post-IC Gram gamma over the splits.
     """
     x = np.sum(np.abs(ch.F[None, :, target]) ** 2, axis=-1)
     if x[0] == 0.0:
         raise NumericError("all-zero uplink column")
     stacks = tdma_channel_stacks(ch.G[None], cfg.J)
-    kappa = 2.0 if stacks.shape[-1] == 4 else 1.0
+    t = stacks.shape[-1]
+    kappa = 2.0 if t == 4 else 1.0
     c = tdma_power_scale(cfg.P, cfg.M)
     gamma = 0.0
     for rows, cols in split_slices(stacks):
         split = stacks[..., rows, cols]
-        q, z = gram_system(split, np.zeros((1, split.shape[-2])), 1.0 / kappa)
-        _, qt = schur_ic(q, z, target, split.shape[-1], kappa * c * c / x)
-        gamma += float(qt[0, 0, 0].real)
+        p, q = gram_pairs(split, np.zeros((1, split.shape[-2])), 1.0 / kappa)
+        gamma += float(schur_pairs(p, q, target, t, kappa * c * c / x)[1][0])
     return gamma
 
 

@@ -106,13 +106,28 @@ def tdma_power_scale(P: float, M: int) -> float:
     return math.sqrt(P / (M * P + M))
 
 
+def _signed_gather(design: DstcDesign):
+    """(source slot (m, T), factors (m, 2T)) of ``apply_design``: entry t
+    of antenna i is sign * r_i[slot] or sign * conj(r_i[slot]), and its
+    (real, imaginary) parts are the slot's times the interleaved factors."""
+    coef = design.A + design.B  # exactly one of the two is nonzero per antenna
+    slot = np.argmax(np.abs(coef), axis=-1)
+    sign = np.take_along_axis(coef, slot[..., None], axis=-1)[..., 0].astype(float)
+    conj = np.where(np.any(design.B, axis=(1, 2)), -1.0, 1.0)[:, None]
+    return slot, np.stack([sign, conj * sign], axis=-1).reshape(len(slot), -1)
+
+
 def apply_design(design: DstcDesign, received: np.ndarray) -> np.ndarray:
     """Unscaled per-antenna transform A_i r_i + B_i conj(r_i).
 
-    ``received`` has shape (..., m_used, T); so does the result.
+    ``received`` has shape (..., m_used, T); so does the result.  Each
+    entry is a signed slot of r_i or of its conjugate, gathered rather
+    than multiplied by 0/+-1 coefficients.
     """
-    a = design.A.astype(float)
-    b = design.B.astype(float)
-    return np.einsum("its,...is->...it", a, received) + np.einsum(
-        "its,...is->...it", b, np.conj(received)
-    )
+    received = np.asarray(received, dtype=complex)
+    if received.shape[-2:] != (design.m_used, design.T):
+        raise UsageError(f"received shape {received.shape} != (..., {design.m_used}, {design.T})")
+    slot, factors = _signed_gather(design)
+    out = np.ascontiguousarray(received[..., np.arange(design.m_used)[:, None], slot])
+    out.view(float).__imul__(factors)
+    return out

@@ -8,24 +8,33 @@ appears through stacked 2x2 blocks with (anti-)Alamouti structure.  For a
 the quasi-orthogonal codeword splits into a +/- pair of Alamouti systems
 that share symbols and are decoded together.
 
-Interference from the other sources is removed by zero-forcing IC.  The
-decode tail whitens each split once for all of its sources into the Gram
-system (Q, z) = H* R0^-1 [H | obs] (``gram_system``; the splits share no
-noise), R0 being the noise covariance before IC: kappa W for forwarded
-relay noise, whose inverse comes from one N x N inverse per trial
+Interference from the other sources is removed by zero-forcing IC, in
+pair arithmetic.  Every t x t block of a split is a pair
+Q(a, b) = [[a, -conj(b)], [b, conj(a)]]: the Alamouti blocks of t = 2,
+each split of t = 4 as Q(a, b) diag(1, -1), and at t = 1 the scalar a
+with b = 0.  The decode tail forms each split's Gram system
+(Q, z) = H* R0^-1 [H | obs] once for all of its sources (``gram_pairs``;
+the splits share no noise), R0 being the noise covariance before IC:
+kappa W for forwarded relay noise, whose inverse has the pair blocks
+Q(x, 0) of x = A^-1 / kappa from one N x N inverse per trial
 (``forwarded_core``), or kappa I.  IC of a target is the Schur complement
-of the interferers' block (``schur_ic``), by the identity
+of the interferers' block (``schur_pairs``), by the identity
 B* (B R0 B*)^-1 B = R0^-1 - R0^-1 H_I (H_I* R0^-1 H_I)^-1 H_I* R0^-1 for
-any IC matrix B that nulls the interferers H_I; relay noise riding on
-the target's channel then scales the result.  One component-wise search
-(symbol-wise for Alamouti, pair-wise for the quasi-orthogonal split)
-runs on the splits' concatenated w and block-diagonal q.  The explicit
-IC matrices (``ic_stack_batch``), the covariance stages ``noise_cov_*``
-and the generic ``whiten`` build the closed-form SNR and the tests'
-reference systems.  The joint receiver, which cancels nothing, searches
-every symbol tuple of all sources at once with ``whiten``.
+any IC matrix B that nulls the interferers H_I, eliminated one
+interferer at a time: each pivot is a Hermitian pair, a real scalar.
+Relay noise riding on the target's channel then scales the result.
+Both stages are elementwise complex arithmetic on (..., n) arrays whose
+batch axis is last.  After IC each split's Gram is a real multiple of
+the identity, so a PSK slicer decides (``psk_slicer``): per symbol for
+Alamouti, and for the quasi-orthogonal pair one slice per candidate of
+its other symbol.  The explicit IC matrices (``ic_stack_batch``), the
+covariance stages ``noise_cov_*``, the generic ``whiten`` and
+``component_search`` build the closed-form SNR and the tests' reference
+systems.  The joint receiver, which cancels nothing, searches every
+symbol tuple of all sources at once with ``whiten``.
 
-Every stage works on leading batch axes; one system is a batch of one.
+Every stage but the pair stages works on leading batch axes; those take
+one batch axis first and return it last.  One system is a batch of one.
 Every observation entry is an explicit linear combination of raw samples;
 the recombination matrices are recorded so tests can audit the
 construction end to end.
@@ -58,10 +67,10 @@ __all__ = [
     "noise_cov_forwarded",
     "noise_cov_on_target",
     "forwarded_core",
-    "interleave",
     "whiten",
-    "gram_system",
-    "schur_ic",
+    "gram_pairs",
+    "schur_pairs",
+    "psk_slicer",
     "component_search",
     "ml_decode_batch",
     "joint_ml_decode_batch",
@@ -394,22 +403,13 @@ def noise_cov_on_target(bh, kappa: float, s=None, bmat=None) -> np.ndarray:
 
 def forwarded_core(G: np.ndarray, c: float) -> np.ndarray:
     """A = c^2 G^T conj(G) + I (..., N, N) of (..., M, N) downlink
-    coefficients.  W = c^2 Gt Gt* + I with Gt = gtilde(G) is
-    interleave(A): Gt's even rows carry G^T and its odd rows conj(G^T) on
-    disjoint columns.  So noise_cov_forwarded(gtilde(G), c, kappa, B) =
-    kappa B W B*, and R0^-1 = interleave(A^-1) / kappa before IC."""
+    coefficients.  W = c^2 Gt Gt* + I with Gt = gtilde(G) carries A on
+    its even and conj(A) on its odd rows and columns: Gt's even rows carry
+    G^T and its odd rows conj(G^T) on disjoint columns.  So
+    noise_cov_forwarded(gtilde(G), c, kappa, B) = kappa B W B*, and the
+    2 x 2 blocks of R0^-1 before IC are Q(x, 0) with x = A^-1 / kappa."""
     G = np.asarray(G, dtype=complex)
     return c * c * (np.swapaxes(G, -1, -2) @ np.conj(G)) + np.eye(G.shape[-1])
-
-
-def interleave(a: np.ndarray) -> np.ndarray:
-    """W (..., 2N, 2N) with a on the even and conj(a) on the odd rows and
-    columns, from (..., N, N) a."""
-    k = a.shape[-1]
-    out = np.zeros(a.shape[:-2] + (2 * k, 2 * k), dtype=complex)
-    out[..., 0::2, 0::2] = a
-    out[..., 1::2, 1::2] = np.conj(a)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -436,36 +436,129 @@ def whiten(obs, h, r, scale):
     return _checked(scale * hx[..., t], scale * scale * hx[..., :t])
 
 
-def gram_system(stacks, obs, r0_inv):
-    """Gram system (Q, z) = H* R0^-1 [H | obs] of one split for all of
-    its sources: stacks (..., J, K, t) give H (..., K, J t), source j on
-    columns j t .. (j + 1) t - 1; obs is (..., K) and r0_inv (..., K, K)
-    or a scalar multiple of the identity."""
-    *lead, J, K, t = stacks.shape
-    h = np.moveaxis(stacks, -3, -2).reshape(*lead, K, J * t)
-    a = np.concatenate([h, obs[..., None]], axis=-1)
-    g = dagger(h) @ (r0_inv @ a) if np.ndim(r0_inv) else r0_inv * (dagger(h) @ a)
-    return g[..., :-1], g[..., -1]
+# ---------------------------------------------------------------------------
+# The decode tail in pair arithmetic
+#
+# A block's pair (a, b) is its first column.  Pairs multiply as
+# Q(a, b) Q(c, d) = Q(ac - conj(b) d, bc + conj(a) d), Q(a, b)* = Q(conj(a), -b),
+# and a vector (u, v) is the first column of Q(u, v).
+
+# Floor of a pivot: an interferer whose channel is zero has g = 0 and an
+# all-zero row, which then eliminates to 0 instead of NaN.
+_PIVOT_FLOOR = 1e-300
 
 
-def schur_ic(q, z, target, t, sigma=None):
-    """Whitened (w, q) of source ``target`` (scale 1) after zero-forcing
-    IC, the Schur complement of the interferers' block I of a
-    ``gram_system``: q = Q_jj - Q_jI Q_II^-1 Q_Ij and
-    w = z_j - Q_jI Q_II^-1 z_I (Q_jj and z_j for one source).  sigma (...,) adds the target's
-    own noise sigma h_j h_j* to R0; as q = y I, both then scale by
-    1 / (1 + sigma y).  NumericError when not finite."""
-    own = slice(target * t, (target + 1) * t)
-    rest = np.r_[: target * t, (target + 1) * t : q.shape[-1]]
-    w, qj = z[..., own], q[..., own, own]
-    if rest.size:
-        rhs = np.concatenate([q[..., rest, own], z[..., rest, None]], axis=-1)
-        y = q[..., own, rest] @ solve_psd_stack(q[..., rest[:, None], rest], rhs)
-        w, qj = w - y[..., t], qj - y[..., :t]
+def gram_pairs(split, obs, r0_inv):
+    """Gram system (Q, z) = H* R0^-1 [H | obs] of one split for all J of
+    its sources, as pairs (p, q) (J, J + 1, n): Q_jk = Q(p_jk, q_jk) and
+    z_j = (p_jJ, q_jJ).
+
+    ``split`` (n, J, K t, t) with t in {1, 2} and ``obs`` (n, K t) give the
+    pairs (a_rj, b_rj) of each source's K blocks r and the observation
+    (u_r, v_r).  ``r0_inv`` is a scalar multiple of the identity or the
+    (n, K, K) x of the blocks Q(x_rs, 0) of R0^-1: then
+    (a', b') = (x a, conj(x) b), and Q_jk = sum_r Q(a_rj, b_rj)* Q(a'_rk, b'_rk)
+    has p = sum_r conj(a) a' + conj(b) b' and q = sum_r a b' - b a'.
+    """
+    n, J, rows, t = split.shape
+    a = np.empty((rows // t, J + 1, n), dtype=complex)  # (block row, source, trial)
+    b = np.zeros_like(a)
+    a[:, :J] = np.transpose(split[..., ::t, 0], (2, 1, 0))
+    a[:, J] = obs[:, ::t].T
+    if t == 2:
+        b[:, :J] = np.transpose(split[..., 1::2, 0], (2, 1, 0))
+        b[:, J] = obs[:, 1::2].T
+    if np.ndim(r0_inv):  # a'_r = sum_s x_rs a_s, b'_r = sum_s conj(x_rs) b_s
+        x = np.transpose(r0_inv, (2, 1, 0))[..., None, :].copy()  # x[s, r] = x_rs
+        ax, bx = x[0] * a[0], np.conj(x[0]) * b[0]
+        for s in range(1, len(a)):
+            ax += x[s] * a[s]
+            bx += np.conj(x[s]) * b[s]
+    else:
+        ax, bx = r0_inv * a, r0_inv * b
+    # Accumulate over block rows r: each term is a contiguous (J, J + 1, n) array.
+    ac, bc = np.conj(a[:, :J, None]), np.conj(b[:, :J, None])
+    p, q = ac[0] * ax[0], a[0, :J, None] * bx[0]
+    p += bc[0] * bx[0]
+    q -= b[0, :J, None] * ax[0]
+    for r in range(1, len(a)):
+        p += ac[r] * ax[r]
+        p += bc[r] * bx[r]
+        q += a[r, :J, None] * bx[r]
+        q -= b[r, :J, None] * ax[r]
+    return p, q
+
+
+def schur_pairs(p, q, target, t, sigma=None):
+    """Whitened (w, gamma) of source ``target`` (scale 1) after
+    zero-forcing IC, the Schur complement of the interferers' block of a
+    ``gram_pairs`` system: the interferers are eliminated one at a time,
+    each pivot a Hermitian pair Q(g, 0) with g real.  The target's Gram
+    is then gamma I with gamma (n,), and w (min(t, 2), n) its matched
+    filter; t = 4 splits are Q(a, b) diag(1, -1), so their second entry
+    changes sign.  sigma (n,) adds the target's own noise sigma h h* to
+    R0, which scales both by 1 / (1 + sigma gamma).  NumericError when
+    not finite.
+    """
+    J = p.shape[0]
+    order = [k for k in range(J) if k != target] + [target]
+    idx = np.ix_(order, order + [J])
+    p, q = p[idx], q[idx]
+    for k in range(J - 1):
+        g = np.maximum(p[k, k].real, _PIVOT_FLOOR)
+        ra, rb = p[k + 1 :, k, None] / g, q[k + 1 :, k, None] / g
+        ca, cb = p[k, None, k + 1 :], q[k, None, k + 1 :]
+        p[k + 1 :, k + 1 :] -= ra * ca - np.conj(rb) * cb
+        q[k + 1 :, k + 1 :] -= rb * ca + np.conj(ra) * cb
+    gamma = p[-1, -2].real
+    w = np.stack([p[-1, -1], -q[-1, -1] if t == 4 else q[-1, -1]][: min(t, 2)])
     if sigma is not None:
-        f = 1.0 / (1.0 + sigma * np.einsum("...ii->...", qj).real / t)
-        w, qj = f[..., None] * w, f[..., None, None] * qj
-    return _checked(w, qj)
+        f = 1.0 / (1.0 + sigma * gamma)
+        w, gamma = f * w, f * gamma
+    return _checked(w, gamma)
+
+
+def _nearest_psk(y, order):
+    """Index k of the PSK point exp(2 pi i k / order) closest to y: the
+    nearest angle."""
+    return np.rint(np.angle(y) * (order / (2.0 * math.pi))).astype(np.int64) % order
+
+
+def _pair_slice(wa, wb, ga, gb, c: Constellation):
+    """ML (x, y) indices of x + y seen as wa under Gram ga and x - y as wb
+    under gb, x from ``c`` and y from its rotated copy: for each y, slice
+    x on (wa + wb) - (ga - gb) y, then keep the y of least pair metric."""
+    rot = default_rotation(c.order)
+    ys = c.rotated(rot).points[:, None]
+    xi = _nearest_psk((wa + wb) - (ga - gb) * ys, c.order)
+    xs = c.points[xi]
+    plus, minus = xs + ys, xs - ys
+    metric = (
+        ga * (plus.real**2 + plus.imag**2)
+        + gb * (minus.real**2 + minus.imag**2)
+        - 2.0 * (plus.real * wa.real + plus.imag * wa.imag + minus.real * wb.real + minus.imag * wb.imag)
+    )
+    yi = np.argmin(metric, axis=0)
+    return np.take_along_axis(xi, yi[None], axis=0)[0], yi
+
+
+def psk_slicer(w, gamma, c: Constellation):
+    """ML decisions (n, T) of the T = E symbols of ``symbol_spec(T)``
+    from the post-IC matched filter w (E, n) of the splits' entries,
+    each split's Gram gamma_s I (gamma (S, n)).
+
+    T <= 2 slices each symbol on its own entry (s2 on the conjugate of
+    conj(s2)'s).  T = 4 slices each pair component {s1, s4} and {s2, s3}:
+    ``order`` metrics per component instead of order^2.
+    """
+    if len(w) < 4:
+        y = w.copy()
+        y[1:] = np.conj(y[1:])
+        return _nearest_psk(y, c.order).T
+    s1, s4 = _pair_slice(w[0], w[2], gamma[0], gamma[1], c)
+    # conj(s3) - conj(s2) = -conj(s2 - s3) and -conj(s3) - conj(s2) = -conj(s2 + s3)
+    s2, s3 = _pair_slice(-np.conj(w[3]), -np.conj(w[1]), gamma[1], gamma[0], c)
+    return np.stack([s1, s2, s3, s4], axis=-1)
 
 
 # ---------------------------------------------------------------------------

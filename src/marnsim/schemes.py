@@ -21,12 +21,17 @@ Estimate-and-forward (EF): the relay estimates each source's symbols
 and codes each group's estimates on disjoint groups of M // (group size)
 antennas; the estimates' noise rides on the target's channel
 (``noise_cov_on_target``).  All rows but concurrent_joint end in one
-decode tail (see ``rx_ic``): each split whitened once for all sources of
-the group into a Gram system, the noise covariance before IC being one
-N x N inverse per trial for AF and a multiple of I for EF; zero-forcing
-IC of each source as a Schur complement of that system, with the EF
-target's own relay noise; one component-wise ML search over the splits;
-the error count.
+decode tail (see ``rx_ic``), in pair arithmetic over the batch axis:
+every block of a split is a pair Q(a, b) = [[a, -conj(b)], [b, conj(a)]]
+(times diag(1, -1) in the splits of the 4-slot codeword, a scalar for
+single-antenna groups).  Each split is whitened once for all sources of
+the group into a Gram system of pairs, the noise covariance before IC
+being one N x N inverse per trial for AF (blocks Q(x, 0)) and a multiple
+of I for EF; zero-forcing IC of each source is the Schur complement of
+that system, interferer by interferer on real pivots, with the EF
+target's own relay noise; each split's Gram is then a real multiple of
+I, so a PSK slicer decides (per symbol, or one slice per candidate of
+the other symbol of a quasi-orthogonal pair); then the error count.
 
 simulate_chunk adds the resampling of degenerate channel draws.
 """
@@ -53,19 +58,18 @@ from .rx_ic import (
     DEGENERATE_TOL,
     SymbolSpec,
     block_diag,
-    component_search,
     default_rotation,
     dstc_channel_stacks,
     forwarded_core,
-    gram_system,
+    gram_pairs,
     gtilde,
     ic_stack_batch,  # noqa: F401  bench/layers.py traces the IC under this name
-    interleave,
     joint_ml_decode_batch,
     ml_decode_batch,  # noqa: F401  bench/layers.py traces the decoder under this name
     noise_cov_forwarded,
+    psk_slicer,
     recombine,
-    schur_ic,
+    schur_pairs,
     split_slices,
     symbol_spec,
     tdma_channel_stacks,
@@ -256,29 +260,29 @@ def _decode(stacks, obs, r0_inv, scale, const, bits, sigma=None):
     (n, J, T*b): (bit errors (n, J), bad (n,)).
 
     Each split becomes one Gram system of all J sources under the noise
-    covariance R0 before IC (inverse ``r0_inv``, shared by the splits);
-    each source is cancelled from the others as a Schur complement of it,
-    with its own relay noise sigma[:, j] h h* added when ``sigma`` (n, J)
-    is given.  The splits share no noise, so the search runs on their
-    concatenated w and block-diagonal q.  With more than one source,
-    ``bad`` flags the draws where some source's block in a split fades.
+    covariance R0 before IC, whose inverse ``r0_inv`` the splits share: a
+    scalar multiple of I, or the (n, N, N) x of the blocks Q(x, 0) of
+    R0^-1 (``forwarded_core``).  Each source is cancelled from the others as a Schur
+    complement of it, with its own relay noise sigma[:, j] h h* added when
+    ``sigma`` (n, J) is given; its splits' Grams are then real multiples
+    of I and a PSK slicer decides.  With more than one source, ``bad``
+    flags the draws where some source's block in a split fades.
     """
-    n, J = stacks.shape[:2]
+    n, J, _, t = stacks.shape
     errors = np.zeros((n, J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
     systems = []
     for rows, cols in split_slices(stacks):
         ch_s = stacks[..., rows, cols]
-        t = ch_s.shape[-1]
         if J > 1:
-            norms = np.sum(np.abs(ch_s.reshape(n, J, -1, t, t)) ** 2, axis=(-2, -1))
+            ts = ch_s.shape[-1]
+            norms = np.sum(np.abs(ch_s.reshape(n, J, -1, ts, ts)) ** 2, axis=(-2, -1))
             bad |= np.sqrt(norms).min(axis=(1, 2)) < DEGENERATE_TOL
-        systems.append(gram_system(ch_s, obs[..., rows], r0_inv))
+        systems.append(gram_pairs(ch_s, obs[..., rows], r0_inv))
     for j in range(J):
         s_j = None if sigma is None else sigma[:, j]
-        ws, qs = zip(*(schur_ic(q, z, j, t, s_j) for q, z in systems))
-        w, q = scale * np.concatenate(ws, axis=-1), scale * scale * block_diag(*qs)
-        idx = component_search(w, q, symbol_spec(stacks.shape[-1]), const)
+        ws, gs = zip(*(schur_pairs(p, q, j, t, s_j) for p, q in systems))
+        idx = psk_slicer(scale * np.concatenate(ws), scale * scale * np.stack(gs), const)
         errors[:, j] = _count_errors(idx, bits[:, j], const)
     return errors, bad
 
@@ -312,8 +316,8 @@ def _amplify_forward(row, cfg, const, stream, n):
     F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
     if row.joint:  # no IC: the covariance of every split
         decode, r0 = _joint_decode, noise_cov_forwarded(gtilde(G), c, kappa)
-    else:  # R0^-1 = W^-1 / kappa: one N x N inverse per trial for every source and split
-        decode, r0 = _decode, interleave(np.linalg.inv(forwarded_core(G, c))) / kappa
+    else:  # R0^-1 has blocks Q(A^-1 / kappa, 0): one N x N inverse per trial for every source and split
+        decode, r0 = _decode, np.linalg.inv(forwarded_core(G, c)) / kappa
     errors = np.zeros((n, cfg.J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
     for grp in row.groups(cfg.J):

@@ -1,0 +1,52 @@
+"""The decode tail's Gram system and Schur-complement IC as complex
+matrices, the reference for the pair stages of ``marnsim.rx_ic``.
+
+One split's Gram system is (Q, z) = H* R0^-1 [H | obs] for all of its
+sources, and zero-forcing IC of a target is the Schur complement of the
+interferers' block, solved with ``solve_psd_stack``.  ``interleave``
+embeds the pair blocks Q(x, 0) of R0^-1 as a complex matrix.
+"""
+
+import numpy as np
+
+from marnsim.numerics import dagger, solve_psd_stack
+
+
+def interleave(a):
+    """W (..., 2N, 2N) with a on the even and conj(a) on the odd rows and
+    columns, from (..., N, N) a."""
+    k = a.shape[-1]
+    out = np.zeros(a.shape[:-2] + (2 * k, 2 * k), dtype=complex)
+    out[..., 0::2, 0::2] = a
+    out[..., 1::2, 1::2] = np.conj(a)
+    return out
+
+
+def gram_system(stacks, obs, r0_inv):
+    """Gram system (Q, z) = H* R0^-1 [H | obs] of one split for all of
+    its sources: stacks (..., J, K, t) give H (..., K, J t), source j on
+    columns j t .. (j + 1) t - 1; obs is (..., K) and r0_inv (..., K, K)
+    or a scalar multiple of the identity."""
+    *lead, J, K, t = stacks.shape
+    h = np.moveaxis(stacks, -3, -2).reshape(*lead, K, J * t)
+    a = np.concatenate([h, obs[..., None]], axis=-1)
+    g = dagger(h) @ (r0_inv @ a) if np.ndim(r0_inv) else r0_inv * (dagger(h) @ a)
+    return g[..., :-1], g[..., -1]
+
+
+def schur_ic(q, z, target, t, sigma=None):
+    """Whitened (w, q) of source ``target`` (scale 1) after zero-forcing
+    IC: q = Q_jj - Q_jI Q_II^-1 Q_Ij and w = z_j - Q_jI Q_II^-1 z_I (Q_jj
+    and z_j for one source).  sigma (...,) adds the target's own noise
+    sigma h_j h_j* to R0; as q = y I, both then scale by 1 / (1 + sigma y)."""
+    own = slice(target * t, (target + 1) * t)
+    rest = np.r_[: target * t, (target + 1) * t : q.shape[-1]]
+    w, qj = z[..., own], q[..., own, own]
+    if rest.size:
+        rhs = np.concatenate([q[..., rest, own], z[..., rest, None]], axis=-1)
+        y = q[..., own, rest] @ solve_psd_stack(q[..., rest[:, None], rest], rhs)
+        w, qj = w - y[..., t], qj - y[..., :t]
+    if sigma is not None:
+        f = 1.0 / (1.0 + sigma * np.einsum("...ii->...", qj).real / t)
+        w, qj = f[..., None] * w, f[..., None, None] * qj
+    return w, qj

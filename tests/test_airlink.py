@@ -1,5 +1,7 @@
 """Unit tests for the network model: RNG streams, channels, constellations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,17 @@ class TestRngStream:
         power = np.mean(np.abs(f) ** 2)
         assert abs(power - 1.0) < 0.02
         assert abs(np.mean(np.abs(g) ** 2) - 1.0) < 0.02
+
+    @pytest.mark.parametrize("key", [(0, 0), (42, 7), (2024, 391)])
+    @pytest.mark.parametrize("shape", [(1,), (5, 3), (4096, 4, 4), (2, 1, 3, 2)])
+    def test_complex_normal_bitwise_formula(self, key, shape):
+        # The in-place scaled complex view is bitwise (x + iy) / sqrt(2) of
+        # the same standard normal draw.
+        z = np.random.Generator(np.random.Philox(key=key[0] << 64 | key[1])).standard_normal(shape + (2,))
+        want = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+        got = RngStream(*key).complex_normal(*shape)
+        assert got.shape == shape and got.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_kurtosis_of_real_part(self):
         z = RngStream(2).complex_normal(100_000)

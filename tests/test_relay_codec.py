@@ -84,6 +84,20 @@ class TestPowerScales:
 
 
 class TestEncodeDstc:
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_gather_matches_coefficient_form(self, M):
+        # The signed gather is bitwise the 0/+-1 coefficient products
+        # sum_s A_its r_is + B_its conj(r_is), with leading batch axes.
+        d = dstc_design(M)
+        r = RngStream(6, M).complex_normal(3, 5, M, d.T)
+        want = np.einsum("its,...is->...it", d.A.astype(float), r) + np.einsum(
+            "its,...is->...it", d.B.astype(float), np.conj(r)
+        )
+        got = apply_design(d, r)
+        assert got.shape == r.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(apply_design(d, r[1, 2]), want[1, 2])
+
     def test_zero_input(self):
         d = dstc_design(2)
         out = _concurrent_relay(np.zeros((2, 2)), d, 4.0, 2)

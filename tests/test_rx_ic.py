@@ -17,26 +17,28 @@ from marnsim.numerics import NumericError, UsageError, dagger, null_space_projec
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
 from marnsim.rx_ic import (
     block_diag,
+    component_search,
     default_rotation,
     dstc_channel_stacks,
     forwarded_core,
-    gram_system,
+    gram_pairs,
     gtilde,
     ic_stack_batch,
-    interleave,
     joint_ml_decode_batch,
     ml_decode_batch,
     noise_cov_forwarded,
     noise_cov_on_target,
+    psk_slicer,
     recombination_matrices,
     recombine,
-    schur_ic,
+    schur_pairs,
     split_slices,
     symbol_spec,
     tdma_channel_stacks,
     whiten,
 )
 from marnsim.schemes import SchemeId, relay_forward_groups, simulate_batch
+from gram_oracle import gram_system, interleave, schur_ic
 from propagation import propagate_noise_cov
 
 
@@ -583,15 +585,16 @@ class TestJointMlDecode:
         assert not np.array_equal(ml_decode_batch(obs, h, r, scale, spec, c), got)
 
     def test_never_takes_component_search(self, monkeypatch):
-        from marnsim import schemes
+        from marnsim import rx_ic, schemes
 
         def refuse(*args):
-            raise AssertionError("ran the component-wise search")
+            raise AssertionError("ran a component-wise decision")
 
-        monkeypatch.setattr(schemes, "component_search", refuse)
+        monkeypatch.setattr(rx_ic, "component_search", refuse)
+        monkeypatch.setattr(schemes, "psk_slicer", refuse)
         for cfg3 in [(1, 2, 3), (2, 2, 3), (2, 4, 3)]:
             simulate_batch(SchemeId.ConcurrentJoint, NetworkConfig(*cfg3, 10.0), make_psk(2), RngStream(44), 16)
-        # The refusal is live: the IC receiver on the same cell reaches it.
+        # The refusal is live: the IC receiver on the same cell reaches the slicer.
         with pytest.raises(AssertionError, match="component-wise"):
             simulate_batch(SchemeId.DstcIcRec, NetworkConfig(1, 2, 3, 10.0), make_psk(2), RngStream(44), 16)
 
@@ -637,15 +640,16 @@ def _explicit_system(ch_s, obs_s, r0, target, sigma=None):
     return np.einsum("nrk,nk->nr", b, obs_s), h, r
 
 
-def _capture_tail(monkeypatch, scheme, cfg3, order, trials=64):
-    """Per search of the decode tail of ``scheme``'s kernel on one
+def _capture_tail(monkeypatch, scheme, cfg3, order, trials=64, refuse=()):
+    """Per slicer call of the decode tail of ``scheme``'s kernel on one
     fixed-seed batch at P = 10: the target's split systems rebuilt the
     explicit way from the tail's arguments and assembled into one
-    (obs, h, R, scale), the search's (w, q, spec, const) and its
-    decisions."""
+    (obs, h, R, scale), the slicer's (w, gamma, const) and its
+    decisions.  Each (owner, name) of ``refuse`` raises while the
+    kernel runs."""
     from marnsim import schemes
 
-    tails, searches = [], []
+    tails, slices = [], []
 
     def record(store, orig):
         def wrapped(*args):
@@ -655,9 +659,14 @@ def _capture_tail(monkeypatch, scheme, cfg3, order, trials=64):
 
         return wrapped
 
+    def refused(*args):
+        raise AssertionError("refused stage on the kernel path")
+
     with monkeypatch.context() as mp:
+        for owner, name in refuse:
+            mp.setattr(owner, name, refused)
         mp.setattr(schemes, "_decode", record(tails, schemes._decode))
-        mp.setattr(schemes, "component_search", record(searches, schemes.component_search))
+        mp.setattr(schemes, "psk_slicer", record(slices, schemes.psk_slicer))
         simulate_batch(scheme, NetworkConfig(*cfg3, 10.0), make_psk(order), RngStream(43, order), trials)
     systems = []
     for (stacks, obs, r0_inv, scale, _, _, *sigma), _ in tails:
@@ -666,26 +675,34 @@ def _capture_tail(monkeypatch, scheme, cfg3, order, trials=64):
             splits = []
             for rows, cols in split_slices(stacks):
                 o = obs[..., rows]
-                # R0 is the inverse of r0_inv, or a multiple of the identity
-                r0 = np.linalg.inv(r0_inv) if np.ndim(r0_inv) else np.eye(o.shape[-1]) / r0_inv
+                # R0 is the inverse of interleave(r0_inv), or a multiple of the identity
+                r0 = np.linalg.inv(interleave(r0_inv)) if np.ndim(r0_inv) else np.eye(o.shape[-1]) / r0_inv
                 s_j = None if sigma is None else sigma[:, j]
                 splits.append(_explicit_system(stacks[..., rows, cols], o, r0, j, s_j))
             o, h, r = zip(*splits)
             assembled = (np.concatenate(o, axis=-1), block_diag(*h), block_diag(*r), scale)
-            args, out = searches[len(systems)]
+            args, out = slices[len(systems)]
             systems.append((assembled, args, out))
-    assert systems and len(systems) == len(searches)
+    assert systems and len(systems) == len(slices)
     return systems
+
+
+def _split_grams(gamma, e):
+    """(n, E, E) block diagonal of gamma_s I over the S splits of E
+    entries, from gamma (S, n): the Gram the slicer assumes."""
+    return np.eye(e) * np.repeat(gamma, e // len(gamma), axis=0).T[:, None, :]
 
 
 class TestComponentDecoupling:
     @pytest.mark.parametrize("scheme", [s for s in SchemeId if s is not SchemeId.ConcurrentJoint])
     def test_kernel_systems_decouple(self, monkeypatch, scheme):
-        # The component-wise search is ML only when the whitened Gram it is
-        # handed couples no two entries of different components (entries
-        # that share no symbol).
+        # Component-wise decisions are ML only when the whitened Gram of
+        # the explicit post-IC systems couples no two entries of different
+        # components (entries that share no symbol).
         for cfg3 in _TAIL_CONFIGS:
-            for _, (w, q, spec, c), _ in _capture_tail(monkeypatch, scheme, cfg3, 4):
+            for (obs, h, r, scale), (w, _, _), _ in _capture_tail(monkeypatch, scheme, cfg3, 4):
+                spec = symbol_spec(len(w))
+                q = whiten(obs, h, r, scale)[1]
                 syms = [{idx for idx, _, _ in terms} for terms in spec.entries]
                 cross = np.array([[not (a & b) for b in syms] for a in syms])
                 d = np.sqrt(np.einsum("...ii->...i", q).real)
@@ -695,29 +712,35 @@ class TestComponentDecoupling:
 class TestKernelSplitSystems:
     @pytest.mark.parametrize("scheme", [s for s in SchemeId if s is not SchemeId.ConcurrentJoint])
     def test_decisions_match_exhaustive(self, monkeypatch, scheme):
-        # Each search decides what an exhaustive whitened search over every
-        # symbol tuple decides on the explicit post-IC split systems of the
-        # decode tail's arguments, stacked block-diagonally.
+        # Each slicer call decides what an exhaustive whitened search over
+        # every symbol tuple decides on the explicit post-IC split systems
+        # of the decode tail's arguments, stacked block-diagonally.
         for cfg3 in _TAIL_CONFIGS:
-            for (obs, h, r, scale), (_, _, spec, c), got in _capture_tail(monkeypatch, scheme, cfg3, 4):
+            for (obs, h, r, scale), (w, _, c), got in _capture_tail(monkeypatch, scheme, cfg3, 4):
+                spec = symbol_spec(len(w))
                 for i in range(0, len(obs), 4):
                     want = TestMlDecode._exhaustive(obs[i], h[i], r[i], scale, spec, c)
                     assert np.array_equal(got[i], want)
 
     @pytest.mark.parametrize("scheme", [s for s in SchemeId if s is not SchemeId.ConcurrentJoint])
     def test_search_input_matches_explicit_ic(self, monkeypatch, scheme):
-        # The (w, q) each search receives is the generic whitening of the
-        # same explicit post-IC systems.
+        # The (w, gamma) each slicer call receives is the generic whitening
+        # of the same explicit post-IC systems, whose Gram is gamma_s I per
+        # split; the kernel reaches neither the candidate search nor a solve.
+        from marnsim import rx_ic
+
+        refuse = [(rx_ic, "component_search"), (rx_ic, "solve_psd_stack")]
         for cfg3 in _TAIL_CONFIGS:
-            for (obs, h, r, scale), (w, q, _, _), _ in _capture_tail(monkeypatch, scheme, cfg3, 4):
+            for (obs, h, r, scale), (w, g, _), _ in _capture_tail(monkeypatch, scheme, cfg3, 4, refuse=refuse):
                 want = whiten(obs, h, r, scale)
-                assert _rel_err(w, want[0]) < 1e-10
-                assert _rel_err(q, want[1]) < 1e-10
+                assert _rel_err(w.T, want[0]) < 1e-10
+                assert _rel_err(_split_grams(g, len(w)), want[1]) < 1e-10
 
     @pytest.mark.parametrize("cfg3", [(2, 2, 3), (2, 4, 3), (3, 4, 3), (3, 3, 4)])
     def test_kernels_build_no_ic_matrix(self, monkeypatch, cfg3):
-        # IC is a Schur complement of each split's Gram system: no kernel
-        # builds an IC matrix or a post-IC covariance or whitens one.
+        # IC is a Schur complement of each split's Gram system in pair
+        # arithmetic: no kernel builds an IC matrix or a post-IC covariance,
+        # whitens one, solves a matrix system or searches candidates.
         from marnsim import rx_ic, schemes
 
         def refuse(*args):
@@ -728,6 +751,9 @@ class TestKernelSplitSystems:
             (rx_ic, "ic_stack_batch"),
             (rx_ic, "noise_cov_on_target"),
             (rx_ic, "whiten"),
+            (rx_ic, "component_search"),
+            (rx_ic, "solve_psd_stack"),
+            (np.linalg, "solve"),
         ]:
             monkeypatch.setattr(owner, name, refuse)
         cfg = NetworkConfig(*cfg3, 10.0)
@@ -767,48 +793,61 @@ def _rel_err(got, want):
     return np.max(np.max(np.abs(got - want), axis=axes) / np.max(np.abs(want), axis=axes))
 
 
+def _pair_ic(split, obs, r0_inv, target, t, sigma=None):
+    """The pair stages' whitened system of ``target`` in one split, laid
+    out as ``whiten``'s: w (n, E) and q = gamma I (n, E, E)."""
+    w, g = schur_pairs(*gram_pairs(split, obs, r0_inv), target, t, sigma)
+    return w.T, _split_grams(g[None], len(w))
+
+
 class TestStructuredWhitening:
-    """The decode tail's stages on one source (nothing to cancel) against
-    the generic solve on the same (obs, h) and the covariance the
+    """The decode tail's pair stages on one source (nothing to cancel)
+    against the generic solve on the same (obs, h) and the covariance the
     covariance stages build."""
 
     @pytest.mark.parametrize(
         "j,m,n",
         # group sizes 1 (t = 1), 2 (t = 2) and 3-4 (t = 4, two splits)
-        [(1, 2, 3), (1, 3, 2), (1, 4, 3), (2, 2, 3), (2, 4, 3), (2, 8, 3), (3, 3, 4), (3, 6, 4), (3, 12, 4)],
+        [
+            (1, 2, 3), (1, 3, 2), (1, 4, 3), (2, 2, 3), (2, 4, 3), (2, 8, 3), (3, 3, 4), (3, 6, 4), (3, 12, 4),
+            (4, 4, 4), (4, 8, 4), (4, 16, 4),
+        ],
     )
     @pytest.mark.parametrize("relay_noise", [True, False])
     def test_on_target_closed_form(self, j, m, n, relay_noise):
         rng = RngStream(50, j * 100 + m * 10 + n)
         stacks = tdma_channel_stacks(_cn(rng, 40, m, n), j)
-        kappa = 2.0 if stacks.shape[-1] == 4 else 1.0
+        t = stacks.shape[-1]
+        kappa = 2.0 if t == 4 else 1.0
         obs = _cn(rng, 40, stacks.shape[-2])
         for src in range(j):
             s = np.exp(rng.complex_normal(40).real) if relay_noise else None
             for rows, cols in split_slices(stacks):
                 h, o = stacks[:, src, rows, cols], obs[:, rows]
                 want = whiten(o, h, noise_cov_on_target(h, kappa, s), 1.0)
-                q, z = gram_system(stacks[:, src : src + 1, rows, cols], o, 1.0 / kappa)
-                got = schur_ic(q, z, 0, h.shape[-1], None if s is None else kappa * s)
+                split = stacks[:, src : src + 1, rows, cols]
+                got = _pair_ic(split, o, 1.0 / kappa, 0, t, None if s is None else kappa * s)
                 assert _rel_err(got[0], want[0]) < 1e-12
                 assert _rel_err(got[1], want[1]) < 1e-12
 
-    @pytest.mark.parametrize("j,m,n", [(1, 2, 3), (2, 2, 3), (1, 3, 2), (2, 4, 3), (3, 4, 3), (3, 3, 4)])
+    @pytest.mark.parametrize(
+        "j,m,n", [(1, 2, 3), (2, 2, 3), (1, 3, 2), (2, 4, 3), (3, 4, 3), (3, 3, 4), (4, 4, 4)]
+    )
     def test_forwarded_without_ic(self, j, m, n):
         rng = RngStream(51, j * 100 + m * 10 + n)
         F, G = _cn(rng, 40, m, j), _cn(rng, 40, m, n)
         stacks = dstc_channel_stacks(F, G)
+        t = stacks.shape[-1]
         c = dstc_power_scale(10.0, m, 1)
-        kappa = 2.0 if stacks.shape[-1] == 4 else 1.0
-        r0_inv = interleave(np.linalg.inv(forwarded_core(G, c))) / kappa
+        kappa = 2.0 if t == 4 else 1.0
+        r0_inv = np.linalg.inv(forwarded_core(G, c)) / kappa
         r = noise_cov_forwarded(gtilde(G), c, kappa)
         obs = _cn(rng, 40, stacks.shape[-2])
         for src in range(j):
             for rows, cols in split_slices(stacks):
                 h, o = stacks[:, src, rows, cols], obs[:, rows]
                 want = whiten(o, h, r, 1.0)
-                q, z = gram_system(stacks[:, src : src + 1, rows, cols], o, r0_inv)
-                got = schur_ic(q, z, 0, h.shape[-1])
+                got = _pair_ic(stacks[:, src : src + 1, rows, cols], o, r0_inv, 0, t)
                 assert _rel_err(got[0], want[0]) < 1e-12
                 assert _rel_err(got[1], want[1]) < 1e-12
 
@@ -839,13 +878,13 @@ class TestStructuredWhitening:
         obs = _cn(rng, 3, 6)
         obs[1, 2] = np.nan
         one, two = tdma_channel_stacks(G[:, :2], 1), tdma_channel_stacks(G, 2)
-        r0_inv = interleave(np.linalg.inv(forwarded_core(G, 1.0)))
+        r0_inv = np.linalg.inv(forwarded_core(G, 1.0))
         for form in (
             lambda: whiten(obs, one[:, 0], np.broadcast_to(np.eye(6), (3, 6, 6)), 1.0),
-            lambda: schur_ic(*gram_system(one, obs, r0_inv), 0, 2),
-            lambda: schur_ic(*gram_system(one, obs, 1.0), 0, 2, np.ones(3)),
-            lambda: schur_ic(*gram_system(one, obs, 1.0), 0, 2),
-            lambda: schur_ic(*gram_system(two, obs, 1.0), 1, 2, np.ones(3)),
+            lambda: schur_pairs(*gram_pairs(one, obs, r0_inv), 0, 2),
+            lambda: schur_pairs(*gram_pairs(one, obs, 1.0), 0, 2, np.ones(3)),
+            lambda: schur_pairs(*gram_pairs(one, obs, 1.0), 0, 2),
+            lambda: schur_pairs(*gram_pairs(two, obs, 1.0), 1, 2, np.ones(3)),
         ):
             with pytest.raises(NumericError):
                 form()
@@ -858,35 +897,42 @@ _SCHUR_CASES = [
     ("af", 2, 2, 3), ("af", 2, 4, 3), ("af", 3, 4, 3), ("af", 3, 3, 4),
     ("ef", 2, 2, 3), ("ef", 2, 4, 3), ("ef", 2, 8, 3),
     ("ef", 3, 3, 4), ("ef", 3, 6, 4), ("ef", 3, 12, 4),
+    ("af", 4, 4, 5), ("ef", 4, 4, 4), ("ef", 4, 8, 4), ("ef", 4, 16, 4),
 ]
 
 
+def _schur_case(family, j, m, n, seed):
+    """(stacks, obs, r0_inv, kappa, c, G) of 40 draws of one case."""
+    rng = RngStream(seed, j * 100 + m * 10 + n)
+    F, G = _cn(rng, 40, m, j), _cn(rng, 40, m, n)
+    if family == "af":
+        stacks = dstc_channel_stacks(F, G)
+        c = dstc_power_scale(10.0, m, j)
+    else:
+        stacks = tdma_channel_stacks(G, j)
+        c = tdma_power_scale(10.0, m)
+    kappa = 2.0 if stacks.shape[-1] == 4 else 1.0
+    r0_inv = np.linalg.inv(forwarded_core(G, c)) / kappa if family == "af" else 1.0 / kappa
+    return stacks, _cn(rng, 40, stacks.shape[-2]), r0_inv, kappa, c, G, rng
+
+
 class TestSchurIc:
-    """Zero-forcing IC as a Schur complement of each split's Gram system
-    against the explicit path: the IC matrix of ``ic_stack_batch``, the
-    post-IC covariance of ``noise_cov_forwarded`` or
-    ``noise_cov_on_target``, and the generic ``whiten``."""
+    """Zero-forcing IC as a Schur complement of each split's Gram system,
+    in pair arithmetic, against the explicit path: the IC matrix of
+    ``ic_stack_batch``, the post-IC covariance of ``noise_cov_forwarded``
+    or ``noise_cov_on_target``, and the generic ``whiten``; and against
+    the same stages as complex matrices (``tests/gram_oracle.py``)."""
 
     @pytest.mark.parametrize("family,j,m,n", _SCHUR_CASES)
     @pytest.mark.parametrize("relay_noise", [True, False])
     def test_matches_explicit_ic(self, family, j, m, n, relay_noise):
-        rng = RngStream(54, j * 100 + m * 10 + n)
-        F, G = _cn(rng, 40, m, j), _cn(rng, 40, m, n)
-        if family == "af":
-            stacks = dstc_channel_stacks(F, G)
-            c = dstc_power_scale(10.0, m, j)
-        else:
-            stacks = tdma_channel_stacks(G, j)
-            c = tdma_power_scale(10.0, m)
-        kappa = 2.0 if stacks.shape[-1] == 4 else 1.0
-        r0_inv = interleave(np.linalg.inv(forwarded_core(G, c))) / kappa if family == "af" else 1.0 / kappa
-        obs = _cn(rng, 40, stacks.shape[-2])
+        stacks, obs, r0_inv, kappa, c, G, rng = _schur_case(family, j, m, n, 54)
+        t = stacks.shape[-1]
         for src in range(j):
             s = np.exp(rng.complex_normal(40).real) if relay_noise else None
             for rows, cols in split_slices(stacks):
                 split, o = stacks[..., rows, cols], obs[:, rows]
-                q, z = gram_system(split, o, r0_inv)
-                got = schur_ic(q, z, src, split.shape[-1], None if s is None else kappa * s)
+                got = _pair_ic(split, o, r0_inv, src, t, None if s is None else kappa * s)
                 b, _ = ic_stack_batch(split, src)
                 h = b @ split[:, src]
                 if family == "af":
@@ -899,24 +945,106 @@ class TestSchurIc:
                 assert _rel_err(got[0], want[0]) < 1e-12
                 assert _rel_err(got[1], want[1]) < 1e-12
 
+    # At J = N = 4 one block row is left after IC, and forming the Gram
+    # (as matrices or as pairs) loses about three digits to cancellation
+    # against the explicit path (1.7e-12 here), so that case is checked
+    # against the matrix Gram only.
+    @pytest.mark.parametrize("family,j,m,n", _SCHUR_CASES + [("af", 4, 4, 4)])
+    def test_matches_matrix_oracle(self, family, j, m, n):
+        # Every block of the pair Gram system is the matrix Gram's block:
+        # Q(p, q) for t <= 2 and Q(p, q) diag(1, -1) on both sides for the
+        # t = 4 splits.  The Schur complements agree for J <= 3; at J = 4
+        # the matrix form's LU solve of Q_II is itself off by up to 6e-11
+        # at (4, 4, 5), where the pair form matches the explicit path.
+        stacks, obs, r0_inv, _, _, _, rng = _schur_case(family, j, m, n, 57)
+        t = stacks.shape[-1]
+        sign = np.array([1.0, -1.0]) if t == 4 else np.ones(2)
+        r0_mat = interleave(r0_inv) if np.ndim(r0_inv) else r0_inv
+        sigma = np.exp(rng.complex_normal(40).real)
+        for rows, cols in split_slices(stacks):
+            split, o = stacks[..., rows, cols], obs[:, rows]
+            ts = split.shape[-1]
+            q_m, z_m = gram_system(split, o, r0_mat)
+            p, q = gram_pairs(split, o, r0_inv)
+            pairs = np.stack([[p, -np.conj(q)], [q, np.conj(p)]])[:ts, :ts]  # (ts, ts, J, J + 1, n)
+            blocks = np.moveaxis(pairs, (2, 3, 4), (1, 3, 0))  # (n, J, ts, J + 1, ts)
+            blocks = blocks * sign[:ts, None, None] * sign[:ts]
+            q_p = blocks[..., :j, :].reshape(40, j * ts, j * ts)
+            z_p = blocks[..., j, 0].reshape(40, j * ts)
+            assert _rel_err(q_p, q_m) < 1e-12
+            assert _rel_err(z_p, z_m) < 1e-12
+            for src in range(j if j < 4 else 0):
+                want = schur_ic(q_m, z_m, src, ts, sigma)
+                got = _pair_ic(split, o, r0_inv, src, t, sigma)
+                assert _rel_err(got[0], want[0]) < 1e-12
+                assert _rel_err(got[1], want[1]) < 1e-12
+
     def test_one_source_is_the_gram_system(self):
         rng = RngStream(55)
-        q, z = _cn(rng, 5, 2, 2), _cn(rng, 5, 2)
-        w, qj = schur_ic(q, z, 0, 2)
-        assert np.array_equal(w, z) and np.array_equal(qj, q)
+        p, q = gram_pairs(_cn(rng, 5, 1, 6, 2), _cn(rng, 5, 6), 0.5)
+        w, g = schur_pairs(p, q, 0, 2)
+        assert np.array_equal(w, np.stack([p[0, 1], q[0, 1]])) and np.array_equal(g, p[0, 0].real)
 
     def test_singular_interferer_block_fails_no_other_trial(self):
-        # An interferer whose channel is exactly zero leaves Q_II singular
-        # in that trial alone; the others match their lone solves.
+        # An interferer whose channel is exactly zero makes its pivot zero
+        # in that trial alone; the floored pivot keeps the values finite
+        # (the kernel flags the trial), and the others match their lone runs.
         rng = RngStream(56)
         stacks = tdma_channel_stacks(_cn(rng, 6, 4, 3), 2)
         stacks[2, 1] = 0.0
         obs = _cn(rng, 6, stacks.shape[-2])
-        w, q = schur_ic(*gram_system(stacks, obs, 1.0), 0, 2)
-        assert np.all(np.isfinite(w)) and np.all(np.isfinite(q))
+        w, g = schur_pairs(*gram_pairs(stacks, obs, 1.0), 0, 2)
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(g))
         for i in (0, 1, 3, 4, 5):
-            wi, qi = schur_ic(*gram_system(stacks[i : i + 1], obs[i : i + 1], 1.0), 0, 2)
-            assert np.array_equal(w[i], wi[0]) and np.array_equal(q[i], qi[0])
+            wi, gi = schur_pairs(*gram_pairs(stacks[i : i + 1], obs[i : i + 1], 1.0), 0, 2)
+            assert np.array_equal(w[:, i], wi[:, 0]) and np.array_equal(g[i], gi[0])
+
+
+def _metric(w, q, spec, c, idx):
+    """Whitened metric Re(sv* q sv) - 2 Re(sv* w) of decisions idx
+    (n, n_symbols) and the sum of its terms' magnitudes."""
+    consts = [c.rotated(default_rotation(c.order)) if f else c for f in spec.rotated]
+    sv = spec.build(np.stack([consts[k].points[idx[:, k]] for k in range(spec.n_symbols)], axis=-1))
+    quad = np.einsum("ne,nef,nf->n", np.conj(sv), q, sv).real
+    lin = 2.0 * np.einsum("ne,ne->n", np.conj(sv), w).real
+    return quad - lin, np.abs(quad) + np.abs(lin)
+
+
+class TestPskSlicer:
+    @pytest.mark.parametrize("order", [2, 4, 8, 16])
+    @pytest.mark.parametrize("scheme", [s for s in SchemeId if s is not SchemeId.ConcurrentJoint])
+    def test_decides_as_component_search(self, monkeypatch, scheme, order):
+        # On every row of the kernels' own post-IC systems the slicer makes
+        # the candidate search's decisions; a disagreement can only be a
+        # metric near-tie.
+        for cfg3 in _TAIL_CONFIGS:
+            for w, g, c in _capture(monkeypatch, "psk_slicer", scheme, cfg3, order, trials=256):
+                spec = symbol_spec(len(w))
+                q = _split_grams(g, len(w))
+                got, want = psk_slicer(w, g, c), component_search(w.T, q, spec, c)
+                differ = np.flatnonzero(np.any(got != want, axis=-1))
+                if differ.size:
+                    m_got, _ = _metric(w.T[differ], q[differ], spec, c, got[differ])
+                    m_want, size = _metric(w.T[differ], q[differ], spec, c, want[differ])
+                    assert np.all(np.abs(m_got - m_want) < 1e-12 * size)
+
+    @pytest.mark.parametrize("e", [1, 2])
+    def test_ties_go_to_lowest_index(self, e):
+        # (At T = 4 the pair metrics of a zero w differ by rounding, so
+        # neither decision rule sees an exact tie there.)
+        c = make_psk(4)
+        w, g = np.zeros((e, 3), dtype=complex), np.ones((1, 3))
+        assert not psk_slicer(w, g, c).any()
+        assert not component_search(w.T, _split_grams(g, e), symbol_spec(e), c).any()
+
+    def test_t4_pair_slice_is_exhaustive(self):
+        # A T = 4 system whose splits have different gains couples s1 with
+        # s4 and s2 with s3: the slicer still finds the best pair.
+        rng = RngStream(58)
+        c, spec = make_psk(8), symbol_spec(4)
+        w = 3.0 * _cn(rng, 4, 500)
+        g = np.exp(rng.complex_normal(2, 500).real)
+        assert np.array_equal(psk_slicer(w, g, c), component_search(w.T, _split_grams(g, 4), spec, c))
 
 
 class TestEquivalentSystemValidation:
