@@ -231,11 +231,14 @@ def _alamouti_block(a, b):
     return np.stack([row0, row1], axis=-2)
 
 
-def _anti_alamouti_block(alpha, beta):
-    """Stack [[alpha, beta], [conj(beta), -conj(alpha)]] -> (..., 2, 2)."""
-    row0 = np.stack([alpha, beta], axis=-1)
-    row1 = np.stack([np.conj(beta), -np.conj(alpha)], axis=-1)
-    return np.stack([row0, row1], axis=-2)
+def _pair_blocks(out, a, b, flip=False):
+    """Write the 2x2 blocks Q(a_n, b_n) = [[a_n, -conj(b_n)], [b_n, conj(a_n)]],
+    times diag(1, -1) when ``flip``, on rows 2n, 2n + 1 of out (..., 2N, 2)."""
+    out[..., 0::2, 0] = a
+    out[..., 1::2, 0] = b
+    out[..., 0::2, 1] = np.conj(b) if flip else -np.conj(b)
+    out[..., 1::2, 1] = -np.conj(a) if flip else np.conj(a)
+    return out
 
 
 def block_diag(*blocks) -> np.ndarray:
@@ -258,19 +261,17 @@ def _channel_stacks(e: np.ndarray) -> np.ndarray:
     (e_1n - e_4n, e_2n + e_3n) on disjoint columns (e_4n = 0 when m = 3).
     """
     m, N = e.shape[-2:]
-
-    def rows(blocks):  # (..., J, N, 2, 2) -> (..., J, 2N, 2)
-        return blocks.reshape(*blocks.shape[:-3], 2 * N, 2)
-
     if m == 1:
         return e[..., 0, :, None]
     if m == 2:
-        return rows(_alamouti_block(e[..., 0, :], np.conj(e[..., 1, :])))
-    if m in (3, 4):
+        out = np.empty(e.shape[:-2] + (2 * N, 2), dtype=complex)
+        return _pair_blocks(out, e[..., 0, :], np.conj(e[..., 1, :]))
+    if m in (3, 4):  # the anti-Alamouti blocks [[alpha, beta], [conj(beta), -conj(alpha)]]
         e4 = e[..., 3, :] if m == 4 else 0.0
-        plus = _anti_alamouti_block(e[..., 0, :] + e4, e[..., 1, :] - e[..., 2, :])
-        minus = _anti_alamouti_block(e[..., 0, :] - e4, e[..., 1, :] + e[..., 2, :])
-        return block_diag(rows(plus), rows(minus))
+        out = np.zeros(e.shape[:-2] + (4 * N, 4), dtype=complex)
+        _pair_blocks(out[..., : 2 * N, :2], e[..., 0, :] + e4, np.conj(e[..., 1, :] - e[..., 2, :]), True)
+        _pair_blocks(out[..., 2 * N :, 2:], e[..., 0, :] - e4, np.conj(e[..., 1, :] + e[..., 2, :]), True)
+        return out
     raise UsageError(f"unsupported relay antenna group size {m}")
 
 
