@@ -4,8 +4,9 @@ Builds one random two-source network with a 2-antenna relay and a
 3-antenna destination, runs the concurrent-uplink pipeline step by step
 on the simulator's own stages (one draw is a batch of one), and prints
 the intermediate objects: the distributed codeword, the equivalent
-Alamouti-structured channel stacks, the zero-forcing IC residuals, and
-the final whitened-metric decisions.
+channel as Alamouti pairs and as the dense blocks they stand for, each
+source's post-IC gain from the Schur complement of the other, and the
+final PSK-slicer decisions.
 
 Run:  python3 demos/alamouti_ic_walkthrough.py
 """
@@ -18,12 +19,12 @@ from marnsim.airlink import NetworkConfig, RngStream, draw_channels, make_psk, m
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale
 from marnsim.rx_ic import (
     dstc_channel_stacks,
-    gtilde,
-    ic_stack_batch,
-    ml_decode_batch,
-    noise_cov_forwarded,
+    forwarded_core,
+    gram_pairs,
+    pair_blocks,
+    psk_slicer,
     recombine,
-    symbol_spec,
+    schur_pairs,
 )
 
 cfg = NetworkConfig(J=2, M=2, N=3, P=10.0 ** (20 / 10))  # 20 dB transmit SNR
@@ -53,29 +54,25 @@ print(f"power scale c = {scale:.4f}")
 downlink_noise = rng.substream(1).complex_normal(cfg.N, design.T)
 raw = np.einsum("it,in->nt", codeword, ch.G) + downlink_noise
 obs = recombine(raw[None], design.T)
-stacks = dstc_channel_stacks(ch.F[None], ch.G[None])
-print("\nequivalent per-source channel stacks (2N x 2 each):")
+pairs = dstc_channel_stacks(ch.F[None], ch.G[None])  # (split, (a, b), antenna, source, trial)
+[blocks] = pair_blocks(pairs, design.T)
+print("\nequivalent channel: one pair (a, b) per source and destination antenna,")
+print("standing for the Alamouti block [[a, -conj(b)], [b, conj(a)]]; stacked, 2N x 2 per source:")
 for j in range(cfg.J):
-    print(f"  source {j}:\n", np.round(stacks[0, j], 3))
+    print(f"  source {j} pairs (a, b):\n", np.round(pairs[0, :, :, j, 0].T, 3))
+    print(f"  source {j} blocks:\n", np.round(blocks[0, j], 3))
 
-# Zero-forcing IC: one matrix per target that annihilates the other
-# source's stack while keeping the block (Alamouti) structure; the
-# decoder whitens with the post-IC covariance of the forwarded relay
-# noise plus the destination noise.
-gt = gtilde(ch.G[None])
+# One Gram system of both sources, whitened by the inverse covariance of
+# the forwarded relay noise plus the destination noise.  Zero-forcing IC
+# of a target is the Schur complement of the other source's block: its
+# Gram is then a real multiple gamma I, so a PSK slicer decides.
+p, q = gram_pairs(pairs[0], obs, np.linalg.inv(forwarded_core(ch.G[None], scale)))
+amp = math.sqrt(cfg.P) * scale  # symbol amplitude at the destination
 decided_bits = []
 for j in range(cfg.J):
-    bmat, _ = ic_stack_batch(stacks, target=j)
-    other = stacks[0, 1 - j]
-    print(f"\ntarget {j}: residual ||B h_other|| = {np.linalg.norm(bmat[0] @ other):.2e}")
-    idx = ml_decode_batch(
-        np.einsum("nrk,nk->nr", bmat, obs),
-        bmat @ stacks[:, j],
-        noise_cov_forwarded(gt, scale, 1.0, bmat),
-        math.sqrt(cfg.P) * scale,
-        symbol_spec(design.T),
-        c,
-    )
+    w, gamma = schur_pairs(p, q, j, design.T)
+    print(f"\ntarget {j}: post-IC gain gamma = {amp * amp * gamma[0]:.3f}")
+    idx = psk_slicer(amp * w, amp * amp * gamma[None], c)
     decided_bits.append(c.labels[idx[0]].reshape(-1))
 
 print("\nsent bits:   ", bits.reshape(cfg.J, design.T).tolist())

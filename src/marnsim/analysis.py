@@ -21,15 +21,15 @@ import numpy as np
 
 from .airlink import ChannelRealization, NetworkConfig, RngStream
 from .numerics import NumericError, UsageError, dagger, null_space_projector, solve_psd_stack
-from .relay_codec import dstc_power_scale, tdma_power_scale
+from .relay_codec import dstc_design, dstc_power_scale, tdma_power_scale
 from .rx_ic import (
     dstc_channel_stacks,
     gram_pairs,
     gtilde,
     ic_stack_batch,
     noise_cov_forwarded,
+    pair_blocks,
     schur_pairs,
-    split_slices,
     tdma_channel_stacks,
 )
 
@@ -72,8 +72,8 @@ def whitened_snr(h: np.ndarray, r: np.ndarray) -> np.ndarray:
 def snr_tdma_direct(ch: ChannelRealization, cfg: NetworkConfig, target: int = 0) -> float:
     """Receive SNR of the target's first symbol on the simulated system.
 
-    Runs one draw through the TDMA-uplink kernel's own stages: the stacked
-    downlink channels, each split's Gram system and the target's
+    Runs one draw through the TDMA-uplink kernel's own stages: the
+    downlink channel pairs, each split's Gram system and the target's
     zero-forcing IC as its Schur complement, with the forwarded combining
     noise c1^2 / x riding on the target's channel.  Sums the target's
     post-IC Gram gamma over the splits.
@@ -81,15 +81,13 @@ def snr_tdma_direct(ch: ChannelRealization, cfg: NetworkConfig, target: int = 0)
     x = np.sum(np.abs(ch.F[None, :, target]) ** 2, axis=-1)
     if x[0] == 0.0:
         raise NumericError("all-zero uplink column")
-    stacks = tdma_channel_stacks(ch.G[None], cfg.J)
-    t = stacks.shape[-1]
-    kappa = 2.0 if t == 4 else 1.0
+    T = dstc_design(cfg.M // cfg.J).T
+    kappa = 2.0 if T == 4 else 1.0
     c = tdma_power_scale(cfg.P, cfg.M)
     gamma = 0.0
-    for rows, cols in split_slices(stacks):
-        split = stacks[..., rows, cols]
-        p, q = gram_pairs(split, np.zeros((1, split.shape[-2])), 1.0 / kappa)
-        gamma += float(schur_pairs(p, q, target, t, kappa * c * c / x)[1][0])
+    for split in tdma_channel_stacks(ch.G[None], cfg.J):
+        p, q = gram_pairs(split, np.zeros((1, split.shape[1] * min(T, 2))), 1.0 / kappa)
+        gamma += float(schur_pairs(p, q, target, T, kappa * c * c / x)[1][0])
     return gamma
 
 
@@ -134,12 +132,10 @@ def snr_tdma_batch(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int
     channel draws; degenerate draws come back as 0."""
     x = np.sum(np.abs(F[..., target]) ** 2, axis=-1)
     c = tdma_power_scale(cfg.P, cfg.M)
-    stacks = tdma_channel_stacks(G, cfg.J)  # (n, J, rows, t)
-    t_total = stacks.shape[-1]
-    kappa = 2.0 if t_total == 4 else 1.0
+    T = dstc_design(cfg.M // cfg.J).T
+    kappa = 2.0 if T == 4 else 1.0
     gamma = np.zeros(x.shape)
-    for rows, cols in split_slices(stacks):
-        split = stacks[..., rows, cols]
+    for split in pair_blocks(tdma_channel_stacks(G, cfg.J), T):  # the pairs are freed before the IC runs
         bmat, bad = ic_stack_batch(split, target)
         bg = (bmat @ split[:, target])[..., 0]
         y = whitened_snr(bg, bmat @ dagger(bmat))
@@ -152,9 +148,9 @@ def snr_dstc_batch(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int
     """Vectorized post-IC concurrent-uplink SNR (2-antenna relay)."""
     if cfg.M != 2:
         raise UsageError(f"direct SNR helper covers M=2, got M={cfg.M}")
-    stacks = dstc_channel_stacks(F, G)
-    bmat, bad = ic_stack_batch(stacks, target)
-    h = (bmat @ stacks[:, target])[..., 0]
+    [split] = pair_blocks(dstc_channel_stacks(F, G), 2)
+    bmat, bad = ic_stack_batch(split, target)
+    h = (bmat @ split[:, target])[..., 0]
     c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
     r = noise_cov_forwarded(gtilde(G), c, 1.0, bmat)
     return np.where(bad, 0.0, whitened_snr(h, r))

@@ -12,7 +12,10 @@ Interference from the other sources is removed by zero-forcing IC, in
 pair arithmetic.  Every t x t block of a split is a pair
 Q(a, b) = [[a, -conj(b)], [b, conj(a)]]: the Alamouti blocks of t = 2,
 each split of t = 4 as Q(a, b) diag(1, -1), and at t = 1 the scalar a
-with b = 0.  The decode tail forms each split's Gram system
+with b = 0.  The channel builders (``dstc_channel_stacks``,
+``tdma_channel_stacks``) return only these pairs, (S, 2, K, J, ...) for
+S splits of K block rows and J sources, batch axes last; callers know
+the block length T.  The decode tail forms each split's Gram system
 (Q, z) = H* R0^-1 [H | obs] once for all of its sources (``gram_pairs``;
 the splits share no noise), R0 being the noise covariance before IC:
 kappa W for forwarded relay noise, whose inverse has the pair blocks
@@ -27,14 +30,14 @@ Both stages are elementwise complex arithmetic on (..., n) arrays whose
 batch axis is last.  After IC each split's Gram is a real multiple of
 the identity, so a PSK slicer decides (``psk_slicer``): per symbol for
 Alamouti, and for the quasi-orthogonal pair one slice per candidate of
-its other symbol.  The explicit IC matrices (``ic_stack_batch``), the
-covariance stages ``noise_cov_*``, the generic ``whiten`` and
-``component_search`` build the closed-form SNR and the tests' reference
-systems.  The joint receiver, which cancels nothing, searches every
-symbol tuple of all sources at once with ``whiten``.
+its other symbol.  ``pair_blocks`` is the one dense view of the pairs:
+the explicit IC matrices (``ic_stack_batch``), the covariance stages
+``noise_cov_*``, the generic ``whiten`` and ``component_search`` work
+on it with the batch axes first, and build the closed-form SNR and the
+tests' reference systems.  The joint receiver, which cancels nothing,
+searches every symbol tuple of all sources at once with ``whiten``.
 
-Every stage but the pair stages works on leading batch axes; those take
-one batch axis first and return it last.  One system is a batch of one.
+One system is a batch of one.
 Every observation entry is an explicit linear combination of raw samples;
 the recombination matrices are recorded so tests can audit the
 construction end to end.
@@ -58,10 +61,10 @@ __all__ = [
     "default_rotation",
     "recombination_matrices",
     "recombine",
-    "split_slices",
     "block_diag",
     "dstc_channel_stacks",
     "tdma_channel_stacks",
+    "pair_blocks",
     "gtilde",
     "ic_stack_batch",
     "noise_cov_forwarded",
@@ -205,40 +208,8 @@ def recombine(raw: np.ndarray, T: int) -> np.ndarray:
     raise UsageError(f"unsupported block length T={T}")
 
 
-def split_slices(stacks: np.ndarray):
-    """(rows, columns) index of each Alamouti system in a stacked system.
-
-    Stacks with t <= 2 columns are one system.  The t = 4 stacks of the
-    quasi-orthogonal codeword hold the + split (first half of the rows,
-    columns 0:2) and the - split (second half, columns 2:4); the two
-    share no noise.  Index a split as ``stacks[..., rows, cols]`` and its
-    observation as ``obs[..., rows]``.
-    """
-    if stacks.shape[-1] in (1, 2):
-        return [(slice(None), slice(None))]
-    half = stacks.shape[-2] // 2
-    return [(slice(None, half), slice(0, 2)), (slice(half, None), slice(2, 4))]
-
-
 # ---------------------------------------------------------------------------
-# Equivalent channel blocks
-
-
-def _alamouti_block(a, b):
-    """Stack [[a, -conj(b)], [b, conj(a)]] over leading axes -> (..., 2, 2)."""
-    row0 = np.stack([a, -np.conj(b)], axis=-1)
-    row1 = np.stack([b, np.conj(a)], axis=-1)
-    return np.stack([row0, row1], axis=-2)
-
-
-def _pair_blocks(out, a, b, flip=False):
-    """Write the 2x2 blocks Q(a_n, b_n) = [[a_n, -conj(b_n)], [b_n, conj(a_n)]],
-    times diag(1, -1) when ``flip``, on rows 2n, 2n + 1 of out (..., 2N, 2)."""
-    out[..., 0::2, 0] = a
-    out[..., 1::2, 0] = b
-    out[..., 0::2, 1] = np.conj(b) if flip else -np.conj(b)
-    out[..., 1::2, 1] = -np.conj(a) if flip else np.conj(a)
-    return out
+# Equivalent channel pairs
 
 
 def block_diag(*blocks) -> np.ndarray:
@@ -252,56 +223,83 @@ def block_diag(*blocks) -> np.ndarray:
     return out
 
 
-def _channel_stacks(e: np.ndarray) -> np.ndarray:
-    """Stacked equivalent channels (..., J, rows, t) from the coefficients
-    e (..., J, m, N) of relay antenna i of source j's code at destination
-    antenna n: for m = 1 the column e_1n; for m = 2 the Alamouti blocks
-    [[e_1n, -e_2n], [conj(e_2n), conj(e_1n)]]; for m in {3, 4} the + split
-    blocks of (e_1n + e_4n, e_2n - e_3n) and the - split blocks of
-    (e_1n - e_4n, e_2n + e_3n) on disjoint columns (e_4n = 0 when m = 3).
+def _pairs(e: np.ndarray) -> np.ndarray:
+    """Channel pairs (S, 2, N, J, ...) from the coefficients e (m, N, J, ...)
+    of relay antenna i of source j's code at destination antenna n: for
+    m = 1 the single split (e_1n, 0); for m = 2 (e_1n, conj(e_2n)), the
+    Alamouti blocks [[e_1n, -e_2n], [conj(e_2n), conj(e_1n)]]; for m in
+    {3, 4} the + split (e_1n + e_4n, conj(e_2n - e_3n)) and the - split
+    (e_1n - e_4n, conj(e_2n + e_3n)) of the anti-Alamouti blocks
+    [[alpha, beta], [conj(beta), -conj(alpha)]] (e_4n = 0 when m = 3).
     """
-    m, N = e.shape[-2:]
+    m = len(e)
+    if m not in (1, 2, 3, 4):
+        raise UsageError(f"unsupported relay antenna group size {m}")
+    # One batch-last output written in place: fresh temporaries cost page faults.
+    out = np.empty((1 if m <= 2 else 2, 2) + e.shape[1:], dtype=complex)
     if m == 1:
-        return e[..., 0, :, None]
-    if m == 2:
-        out = np.empty(e.shape[:-2] + (2 * N, 2), dtype=complex)
-        return _pair_blocks(out, e[..., 0, :], np.conj(e[..., 1, :]))
-    if m in (3, 4):  # the anti-Alamouti blocks [[alpha, beta], [conj(beta), -conj(alpha)]]
-        e4 = e[..., 3, :] if m == 4 else 0.0
-        out = np.zeros(e.shape[:-2] + (4 * N, 4), dtype=complex)
-        _pair_blocks(out[..., : 2 * N, :2], e[..., 0, :] + e4, np.conj(e[..., 1, :] - e[..., 2, :]), True)
-        _pair_blocks(out[..., 2 * N :, 2:], e[..., 0, :] - e4, np.conj(e[..., 1, :] + e[..., 2, :]), True)
-        return out
-    raise UsageError(f"unsupported relay antenna group size {m}")
+        out[0, 0] = e[0]
+        out[0, 1] = 0.0
+    elif m == 2:
+        out[0, 0] = e[0]
+        np.conj(e[1], out=out[0, 1])
+    else:
+        e4 = e[3] if m == 4 else 0.0
+        np.add(e[0], e4, out=out[0, 0])
+        np.subtract(e[0], e4, out=out[1, 0])
+        np.conj(np.subtract(e[1], e[2], out=out[0, 1]), out=out[0, 1])
+        np.conj(np.add(e[1], e[2], out=out[1, 1]), out=out[1, 1])
+    return out
 
 
 def dstc_channel_stacks(F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Stacked equivalent channels for the concurrent-uplink scheme.
+    """Channel pairs of the concurrent-uplink scheme.
 
-    F is (..., M, J), G is (..., M, N).  Returns (..., J, rows, t) from
-    the coefficients f_ij g_in, with f conjugated on relay antennas 2
-    and 3, whose code conjugates what they receive: for M=2, rows=2N and
-    t=2 with blocks [[f1 g1n, -conj(f2) g2n], [f2 conj(g2n), conj(f1 g1n)]];
-    for M in {3, 4}, rows=4N and t=4 (see ``_channel_stacks``).
+    F is (..., M, J), G is (..., M, N).  Returns (S, 2, N, J, ...), batch
+    axes last, built by ``_pairs`` from the coefficients f_ij g_in, with f
+    conjugated on relay antennas 2 and 3, whose code conjugates what they
+    receive: S = 1 split for M = 2 (T = 2), S = 2 for M in {3, 4} (T = 4).
     """
-    F = np.asarray(F, dtype=complex)
-    G = np.asarray(G, dtype=complex)
-    f = np.moveaxis(F, -1, -2).copy()  # (..., J, M)
-    f[..., 1:3] = np.conj(f[..., 1:3])
-    return _channel_stacks(f[..., None] * G[..., None, :, :])
+    f = np.moveaxis(np.asarray(F, dtype=complex), (-2, -1), (0, 1)).copy()  # (M, J, ...)
+    f[1:3] = np.conj(f[1:3])
+    g = np.moveaxis(np.asarray(G, dtype=complex), (-2, -1), (0, 1))  # (M, N, ...)
+    return _pairs(f[:, None] * g[:, :, None])
 
 
 def tdma_channel_stacks(G: np.ndarray, J: int) -> np.ndarray:
-    """Stacked equivalent channels for the TDMA-uplink scheme.
+    """Channel pairs of the TDMA-uplink scheme.
 
-    Source j's group of floor(M/J) relay antennas produces blocks built
-    from its second-hop coefficients g_in only.  Returns (..., J, rows, t)
-    with t in {1, 2, 4} by group size.
+    Source j's group of floor(M/J) relay antennas produces pairs built
+    from its second-hop coefficients g_in only.  Returns (S, 2, N, J, ...)
+    as ``dstc_channel_stacks`` does, with T in {1, 2, 4} by group size.
     """
     G = np.asarray(G, dtype=complex)
     M, N = G.shape[-2:]
-    gs = M // J  # 0 when J > M, which _channel_stacks refuses
-    return _channel_stacks(G[..., : J * gs, :].reshape(*G.shape[:-2], J, gs, N))
+    gs = M // J  # 0 when J > M, which _pairs refuses
+    g = G[..., : J * gs, :].reshape(*G.shape[:-2], J, gs, N)
+    return _pairs(np.moveaxis(g, (-3, -2, -1), (2, 0, 1)))
+
+
+def pair_blocks(pairs: np.ndarray, T: int) -> list:
+    """Dense view of channel pairs (S, 2, K, J, ...) of a T-slot block:
+    per split, the (..., J, K t, t) stack of each source's K blocks
+    Q(a, b) = [[a, -conj(b)], [b, conj(a)]] (t = 2), times diag(1, -1)
+    in the splits of T = 4, or the column a (t = 1).  For the explicit IC
+    matrices and reference systems; the decode tail reads the pairs.
+    """
+    t = min(T, 2)
+    axes = tuple(range(2, pairs.ndim - 2)) + (1, 0)  # (K, J, ...) -> (..., J, K)
+    out = []
+    for a, b in pairs:
+        a, b = a.transpose(axes), b.transpose(axes)
+        m = np.empty(a.shape + (t, t), dtype=complex)
+        m[..., 0, 0] = a
+        if t == 2:
+            m[..., 1, 0] = b
+            m[..., 0, 1] = np.conj(b) if T == 4 else -np.conj(b)
+            m[..., 1, 1] = -np.conj(a) if T == 4 else np.conj(a)
+        out.append(m.reshape(*a.shape[:-1], -1, t))
+    return out
 
 
 def gtilde(G: np.ndarray) -> np.ndarray:
@@ -324,7 +322,8 @@ def gtilde(G: np.ndarray) -> np.ndarray:
 
 
 def ic_stack_batch(channels: np.ndarray, target: int):
-    """Batched iterative IC over (..., J, K*t, t) stacked channels.
+    """Batched iterative IC over (..., J, K*t, t) stacked channels, one
+    split of ``pair_blocks``.
 
     Cancels every source except ``target`` in descending source order.
     Returns (B, bad): B has shape (..., (K-J+1)*t, K*t) and ``bad`` flags
@@ -454,21 +453,21 @@ def gram_pairs(split, obs, r0_inv):
     its sources, as pairs (p, q) (J, J + 1, n): Q_jk = Q(p_jk, q_jk) and
     z_j = (p_jJ, q_jJ).
 
-    ``split`` (n, J, K t, t) with t in {1, 2} and ``obs`` (n, K t) give the
-    pairs (a_rj, b_rj) of each source's K blocks r and the observation
-    (u_r, v_r).  ``r0_inv`` is a scalar multiple of the identity or the
-    (n, K, K) x of the blocks Q(x_rs, 0) of R0^-1: then
-    (a', b') = (x a, conj(x) b), and Q_jk = sum_r Q(a_rj, b_rj)* Q(a'_rk, b'_rk)
-    has p = sum_r conj(a) a' + conj(b) b' and q = sum_r a b' - b a'.
+    ``split`` (2, K, J, n), one split of a builder's pairs, holds the
+    pairs (a_rj, b_rj) of each source's K blocks r, and the split's
+    recombined observation ``obs`` (n, K t) the pairs (u_r, v_r): entries
+    2r and 2r + 1 for t = 2, u_r alone with v_r = 0 for t = 1.
+    ``r0_inv`` is a scalar multiple of the identity or the (n, K, K) x of
+    the blocks Q(x_rs, 0) of R0^-1: then (a', b') = (x a, conj(x) b), and
+    Q_jk = sum_r Q(a_rj, b_rj)* Q(a'_rk, b'_rk) has
+    p = sum_r conj(a) a' + conj(b) b' and q = sum_r a b' - b a'.
     """
-    n, J, rows, t = split.shape
-    a = np.empty((rows // t, J + 1, n), dtype=complex)  # (block row, source, trial)
-    b = np.zeros_like(a)
-    a[:, :J] = np.transpose(split[..., ::t, 0], (2, 1, 0))
-    a[:, J] = obs[:, ::t].T
-    if t == 2:
-        b[:, :J] = np.transpose(split[..., 1::2, 0], (2, 1, 0))
-        b[:, J] = obs[:, 1::2].T
+    K, J = split.shape[1:3]
+    t = obs.shape[-1] // K
+    u = obs[:, ::t].T
+    v = obs[:, 1::2].T if t == 2 else np.zeros_like(u)
+    a = np.concatenate([split[0], u[:, None]], axis=1)  # (block row, source, trial)
+    b = np.concatenate([split[1], v[:, None]], axis=1)
     if np.ndim(r0_inv):  # a'_r = sum_s x_rs a_s, b'_r = sum_s conj(x_rs) b_s
         x = np.transpose(r0_inv, (2, 1, 0))[..., None, :].copy()  # x[s, r] = x_rs
         ax, bx = x[0] * a[0], np.conj(x[0]) * b[0]
@@ -490,16 +489,16 @@ def gram_pairs(split, obs, r0_inv):
     return p, q
 
 
-def schur_pairs(p, q, target, t, sigma=None):
+def schur_pairs(p, q, target, T, sigma=None):
     """Whitened (w, gamma) of source ``target`` (scale 1) after
     zero-forcing IC, the Schur complement of the interferers' block of a
     ``gram_pairs`` system: the interferers are eliminated one at a time,
     each pivot a Hermitian pair Q(g, 0) with g real.  The target's Gram
-    is then gamma I with gamma (n,), and w (min(t, 2), n) its matched
-    filter; t = 4 splits are Q(a, b) diag(1, -1), so their second entry
-    changes sign.  sigma (n,) adds the target's own noise sigma h h* to
-    R0, which scales both by 1 / (1 + sigma gamma).  NumericError when
-    not finite.
+    is then gamma I with gamma (n,), and w (min(T, 2), n) its matched
+    filter, T being the block length; the splits of T = 4 are
+    Q(a, b) diag(1, -1), so their second entry changes sign.  sigma (n,)
+    adds the target's own noise sigma h h* to R0, which scales both by
+    1 / (1 + sigma gamma).  NumericError when not finite.
     """
     J = p.shape[0]
     order = [k for k in range(J) if k != target] + [target]
@@ -512,7 +511,7 @@ def schur_pairs(p, q, target, t, sigma=None):
         p[k + 1 :, k + 1 :] -= ra * ca - np.conj(rb) * cb
         q[k + 1 :, k + 1 :] -= rb * ca + np.conj(ra) * cb
     gamma = p[-1, -2].real
-    w = np.stack([p[-1, -1], -q[-1, -1] if t == 4 else q[-1, -1]][: min(t, 2)])
+    w = np.stack([p[-1, -1], -q[-1, -1] if T == 4 else q[-1, -1]][: min(T, 2)])
     if sigma is not None:
         f = 1.0 / (1.0 + sigma * gamma)
         w, gamma = f * w, f * gamma

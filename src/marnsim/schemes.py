@@ -24,7 +24,10 @@ antennas; the estimates' noise rides on the target's channel
 decode tail (see ``rx_ic``), in pair arithmetic over the batch axis:
 every block of a split is a pair Q(a, b) = [[a, -conj(b)], [b, conj(a)]]
 (times diag(1, -1) in the splits of the 4-slot codeword, a scalar for
-single-antenna groups).  Each split is whitened once for all sources of
+single-antenna groups), and the channel builders return each split's
+pairs directly, batch axis last; the kernel passes the block length T
+along with them.  concurrent_joint alone takes their dense view
+(``pair_blocks``).  Each split is whitened once for all sources of
 the group into a Gram system of pairs, the noise covariance before IC
 being one N x N inverse per trial for AF (blocks Q(x, 0)) and a multiple
 of I for EF; zero-forcing IC of each source is the Schur complement of
@@ -67,10 +70,10 @@ from .rx_ic import (
     joint_ml_decode_batch,
     ml_decode_batch,  # noqa: F401  bench/layers.py traces the decoder under this name
     noise_cov_forwarded,
+    pair_blocks,
     psk_slicer,
     recombine,
     schur_pairs,
-    split_slices,
     symbol_spec,
     tdma_channel_stacks,
 )
@@ -254,10 +257,10 @@ def _count_errors(idx: np.ndarray, sent_bits: np.ndarray, const: Constellation):
     return np.sum(dec != sent_bits, axis=-1)
 
 
-def _decode(stacks, obs, r0_inv, scale, const, bits, sigma=None):
-    """Shared decode tail of every source in the recombined system
-    ``stacks`` (n, J, rows, t), ``obs`` (n, rows) that sent ``bits``
-    (n, J, T*b): (bit errors (n, J), bad (n,)).
+def _decode(pairs, T, obs, r0_inv, scale, const, bits, sigma=None):
+    """Shared decode tail of every source in the recombined system of
+    channel ``pairs`` (S, 2, K, J, n) of a T-slot block and ``obs``
+    (n, S K t) that sent ``bits`` (n, J, T*b): (bit errors (n, J), bad (n,)).
 
     Each split becomes one Gram system of all J sources under the noise
     covariance R0 before IC, whose inverse ``r0_inv`` the splits share: a
@@ -266,34 +269,32 @@ def _decode(stacks, obs, r0_inv, scale, const, bits, sigma=None):
     complement of it, with its own relay noise sigma[:, j] h h* added when
     ``sigma`` (n, J) is given; its splits' Grams are then real multiples
     of I and a PSK slicer decides.  With more than one source, ``bad``
-    flags the draws where some source's block in a split fades.
+    flags the draws where some source's block Q(a, b) in a split fades:
+    |a|^2 + |b|^2 below DEGENERATE_TOL^2.
     """
-    n, J, _, t = stacks.shape
+    J, n = pairs.shape[-2:]
     errors = np.zeros((n, J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
-    systems = []
-    for rows, cols in split_slices(stacks):
-        ch_s = stacks[..., rows, cols]
-        if J > 1:
-            ts = ch_s.shape[-1]
-            norms = np.sum(np.abs(ch_s.reshape(n, J, -1, ts, ts)) ** 2, axis=(-2, -1))
-            bad |= np.sqrt(norms).min(axis=(1, 2)) < DEGENERATE_TOL
-        systems.append(gram_pairs(ch_s, obs[..., rows], r0_inv))
+    if J > 1:
+        power = np.abs(pairs[:, 0]) ** 2 + np.abs(pairs[:, 1]) ** 2  # (S, K, J, n)
+        bad = power.min(axis=(0, 1, 2)) < DEGENERATE_TOL**2
+    systems = [gram_pairs(split, o, r0_inv) for split, o in zip(pairs, np.split(obs, len(pairs), axis=-1))]
     for j in range(J):
         s_j = None if sigma is None else sigma[:, j]
-        ws, gs = zip(*(schur_pairs(p, q, j, t, s_j) for p, q in systems))
+        ws, gs = zip(*(schur_pairs(p, q, j, T, s_j) for p, q in systems))
         idx = psk_slicer(scale * np.concatenate(ws), scale * scale * np.stack(gs), const)
         errors[:, j] = _count_errors(idx, bits[:, j], const)
     return errors, bad
 
 
-def _joint_decode(stacks, obs, r0, scale, const, bits):
+def _joint_decode(pairs, T, obs, r0, scale, const, bits):
     """concurrent_joint's receiver, same arguments and result as
     ``_decode`` but the covariance r0 of one split itself: no IC, whitened
-    ML over every symbol tuple of all sources at once."""
-    n, J, _, T = stacks.shape
+    ML over every symbol tuple of all sources at once on the dense view."""
+    J, n = pairs.shape[-2:]
     spec = symbol_spec(T)
-    h_all = np.concatenate([stacks[:, j] for j in range(J)], axis=-1)
+    splits = pair_blocks(pairs, T)
+    h_all = np.concatenate([block_diag(*(h[:, j] for h in splits)) for j in range(J)], axis=-1)
     r_pre = block_diag(r0, r0) if T == 4 else r0
     entries = sum((spec.shifted(j * spec.n_symbols).entries for j in range(J)), ())
     jspec = SymbolSpec(J * spec.n_symbols, entries, spec.rotated * J)
@@ -324,8 +325,8 @@ def _amplify_forward(row, cfg, const, stream, n):
         r = math.sqrt(P) * np.einsum("nmj,njt->nmt", F[:, :, grp], s[:, grp])
         r = r + stream.complex_normal(n, M, T)
         obs = recombine(_downlink(c * apply_design(design, r), G, stream), T)
-        stacks = dstc_channel_stacks(F[:, :, grp], G)
-        errors[:, grp], bad_g = decode(stacks, obs, r0, math.sqrt(P) * c, const, bits[:, grp])
+        pairs = dstc_channel_stacks(F[:, :, grp], G)
+        errors[:, grp], bad_g = decode(pairs, T, obs, r0, math.sqrt(P) * c, const, bits[:, grp])
         bad |= bad_g
     return errors, bad
 
@@ -349,12 +350,12 @@ def _estimate_forward(row, cfg, const, stream, n):
         est, c, sigma = relay_hard_decision(est, const, P), 1.0 / math.sqrt(M), None
     else:  # R = kappa (I + (c^2 / gain) h h*) with h the target's channel
         sigma = kappa * c * c / gains
-    stacks = tdma_channel_stacks(G, row.group_size(J))
+    pairs = tdma_channel_stacks(G, row.group_size(J))
     errors = np.zeros((n, J), dtype=np.int64)
     for grp in row.groups(J):
         obs = recombine(_downlink(relay_forward_groups(est[:, grp], design, c, M), G, stream), T)
         s_g = None if sigma is None else sigma[:, grp]
-        errors[:, grp], bad_g = _decode(stacks, obs, 1.0 / kappa, math.sqrt(P) * c, const, bits[:, grp], s_g)
+        errors[:, grp], bad_g = _decode(pairs, T, obs, 1.0 / kappa, math.sqrt(P) * c, const, bits[:, grp], s_g)
         bad |= bad_g
     return errors, bad
 

@@ -3,9 +3,10 @@
 Each check exercises one algebraic pillar the simulator rests on: the
 closure of the Alamouti matrix family, the diagonality that makes
 symbol-wise decoding optimal, the sample-recombination bookkeeping, the
-analytic noise covariances against Monte Carlo, decoupled-versus-joint ML
-agreement, and the relay power normalization.  All checks are
-deterministic for a given seed.
+analytic noise covariances against Monte Carlo, the kernels' pair
+decoder against exhaustive ML on the explicit post-IC systems, and the
+relay power normalization.  All checks are deterministic for a given
+seed.
 """
 
 from __future__ import annotations
@@ -18,15 +19,18 @@ from .airlink import NetworkConfig, RngStream, make_psk, modulate
 from .numerics import dagger, is_alamouti, solve_psd_stack
 from .relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
 from .rx_ic import (
-    _alamouti_block,
     dstc_channel_stacks,
+    forwarded_core,
+    gram_pairs,
     gtilde,
     ic_stack_batch,
-    ml_decode_batch,
     noise_cov_forwarded,
     noise_cov_on_target,
+    pair_blocks,
+    psk_slicer,
     recombination_matrices,
     recombine,
+    schur_pairs,
     symbol_spec,
     tdma_channel_stacks,
 )
@@ -36,8 +40,9 @@ __all__ = ["run_selftest", "ALL_CHECKS"]
 
 
 def _family(rng, n):
-    """n random members [[a, -conj(b)], [b, conj(a)]]."""
-    return _alamouti_block(rng.complex_normal(n), rng.complex_normal(n))
+    """n random members [[a, -conj(b)], [b, conj(a)]]: the dense view of
+    n one-block pairs (a, b)."""
+    return pair_blocks(rng.complex_normal(1, 2, 1, 1, n), 2)[0][:, 0]
 
 
 def check_alamouti_closure(seed=0):
@@ -71,7 +76,7 @@ def check_hermitian_diagonality(seed=0):
     cfg = NetworkConfig(2, 4, 3, 100.0)
     f = rng.complex_normal(1000, cfg.M, cfg.J)
     g = rng.complex_normal(1000, cfg.M, cfg.N)
-    stacks = tdma_channel_stacks(g, cfg.J)
+    [stacks] = pair_blocks(tdma_channel_stacks(g, cfg.J), 2)
     bmat, _ = ic_stack_batch(stacks, 0)
     bh = bmat @ stacks[:, 0]
     c1 = tdma_power_scale(cfg.P, cfg.M)
@@ -116,7 +121,7 @@ def check_noise_covariance(seed=0, trials=100_000):
     design = dstc_design(2)
     f = rng.complex_normal(cfg.M, cfg.J)
     g = rng.complex_normal(cfg.M, cfg.N)
-    bmat, _ = ic_stack_batch(dstc_channel_stacks(f, g)[None], 0)
+    bmat, _ = ic_stack_batch(pair_blocks(dstc_channel_stacks(f[None], g[None]), 2)[0], 0)
     c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
     v = rng.complex_normal(trials, cfg.M, design.T)
     w = rng.complex_normal(trials, cfg.N, design.T)
@@ -134,15 +139,15 @@ def check_noise_covariance(seed=0, trials=100_000):
     design = dstc_design(cfg.M // cfg.J)
     f = rng.complex_normal(cfg.M, cfg.J)
     g = rng.complex_normal(cfg.M, cfg.N)
-    stacks = tdma_channel_stacks(g, cfg.J)
-    bmat, _ = ic_stack_batch(stacks[None], 0)
+    [stacks] = pair_blocks(tdma_channel_stacks(g[None], cfg.J), 2)
+    bmat, _ = ic_stack_batch(stacks, 0)
     c1 = tdma_power_scale(cfg.P, cfg.M)
     x = np.sum(np.abs(f) ** 2, axis=0)
     vhat = rng.complex_normal(trials, cfg.J, design.T) / np.sqrt(x)[:, None]
     xr = relay_forward_groups(vhat, design, c1, cfg.M)
     raw = np.einsum("kmt,mn->knt", xr, g) + rng.complex_normal(trials, cfg.N, design.T)
     noise = np.einsum("rk,nk->nr", bmat[0], recombine(raw, design.T))
-    want = noise_cov_on_target(bmat[0] @ stacks[0], 1.0, np.array(c1 * c1 / x[0]), bmat[0])
+    want = noise_cov_on_target(bmat[0] @ stacks[0, 0], 1.0, np.array(c1 * c1 / x[0]), bmat[0])
     got = _sample_cov(noise)
     dev = float(np.abs(got - want).max() / np.abs(want).max())
     msgs.append(f"TDMA-uplink covariance deviation {dev:.3f}")
@@ -152,43 +157,45 @@ def check_noise_covariance(seed=0, trials=100_000):
 
 
 def check_ml_agreement(seed=0, instances=1000):
-    """Component-decoupled ML equals the exhaustive joint arg-min of the
-    whitened metric on noisy post-IC systems (J=2, M=2, N=2)."""
+    """The kernels' decoder (``gram_pairs``, ``schur_pairs``, then
+    ``psk_slicer``) run from the pre-IC observation equals the exhaustive
+    arg-min of the whitened metric on the explicit post-IC system
+    (``ic_stack_batch`` and ``noise_cov_forwarded`` on the dense view),
+    for both sources of noisy concurrent-uplink draws (J=2, M=2, N=2)."""
     rng = RngStream(seed, 105)
+    cfg = NetworkConfig(2, 2, 2, 10.0)
+    c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
+    scale = math.sqrt(cfg.P) * c
+    spec = symbol_spec(2)
     for order in (2, 4):
         const = make_psk(order)
-        cfg = NetworkConfig(2, 2, 2, 10.0)
         f = rng.complex_normal(instances, cfg.M, cfg.J)
         g = rng.complex_normal(instances, cfg.M, cfg.N)
-        stacks = dstc_channel_stacks(f, g)
-        bmat, bad = ic_stack_batch(stacks, 0)
-        c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
-        scale = math.sqrt(cfg.P) * c
-        bits = rng.bits(instances, 2 * const.bits_per_symbol)
-        s = modulate(bits, const)  # (instances, 2)
-        spec = symbol_spec(2)
-        sv = spec.build(s)
-        r = noise_cov_forwarded(gtilde(g), c, 1.0, bmat)
-        h = bmat @ stacks[:, 0]
-        nfull = rng.complex_normal(instances, 2 * cfg.N)
-        # colored noise with exactly the covariance R via its Cholesky root
-        noise = np.einsum("nij,nj->ni", np.linalg.cholesky(r), nfull[:, : r.shape[-1]])
-        obs = scale * np.einsum("nij,nj->ni", h, sv) + noise
-        got = ml_decode_batch(obs, h, r, scale, spec, const)
-        # brute force over the full symbol block
-        cand = np.array(
-            [[i, j] for i in range(order) for j in range(order)], dtype=np.int64
-        )
-        pts = const.points[cand]  # (C, 2)
-        svc = np.stack([pts[:, 0], np.conj(pts[:, 1])], axis=-1)
-        resid = obs[:, None, :] - scale * np.einsum("nij,cj->nci", h, svc)
-        rin = np.linalg.solve(r[:, None], resid[..., None])[..., 0]
-        metric = np.einsum("nci,nci->nc", np.conj(resid), rin).real
-        brute = cand[np.argmin(metric, axis=1)]
-        if not np.array_equal(got[~bad], brute[~bad]):
-            k = int(np.nonzero(np.any(got != brute, axis=1) & ~bad)[0][0])
-            return False, f"ML disagreement at instance {k}, order {order}"
-    return True, "decoupled ML equals exhaustive joint arg-min (BPSK and QPSK)"
+        pairs = dstc_channel_stacks(f, g)
+        [stacks] = pair_blocks(pairs, 2)
+        sv = spec.build(modulate(rng.bits(instances, cfg.J, 2 * const.bits_per_symbol), const))
+        r0 = noise_cov_forwarded(gtilde(g), c, 1.0)
+        # colored noise with exactly the covariance R0 via its Cholesky root
+        noise = np.einsum("nij,nj->ni", np.linalg.cholesky(r0), rng.complex_normal(instances, 2 * cfg.N))
+        obs = scale * np.einsum("njrk,njk->nr", stacks, sv) + noise
+        p, q = gram_pairs(pairs[0], obs, np.linalg.inv(forwarded_core(g, c)))
+        # brute force over the target's symbol pair on its explicit post-IC system
+        cand = np.array([[i, j] for i in range(order) for j in range(order)], dtype=np.int64)
+        svc = spec.build(const.points[cand])
+        for target in range(cfg.J):
+            w, gamma = schur_pairs(p, q, target, 2)
+            got = psk_slicer(scale * w, scale * scale * gamma[None], const)
+            bmat, bad = ic_stack_batch(stacks, target)
+            h = bmat @ stacks[:, target]
+            r = noise_cov_forwarded(gtilde(g), c, 1.0, bmat)
+            resid = np.einsum("nrk,nk->nr", bmat, obs)[:, None, :] - scale * np.einsum("nij,cj->nci", h, svc)
+            rin = np.linalg.solve(r[:, None], resid[..., None])[..., 0]
+            metric = np.einsum("nci,nci->nc", np.conj(resid), rin).real
+            brute = cand[np.argmin(metric, axis=1)]
+            if not np.array_equal(got[~bad], brute[~bad]):
+                k = int(np.nonzero(np.any(got != brute, axis=1) & ~bad)[0][0])
+                return False, f"ML disagreement at instance {k}, source {target}, order {order}"
+    return True, "pair decoder equals exhaustive arg-min on the explicit post-IC systems (BPSK and QPSK, both sources)"
 
 
 def check_power_normalization(seed=0, trials=100_000):

@@ -26,7 +26,7 @@ from marnsim.analysis import (
     snr_upper_bound_dstc,
 )
 from marnsim.harness import ExperimentSpec, run_experiment
-from marnsim.rx_ic import ic_stack_batch, tdma_channel_stacks
+from marnsim.rx_ic import ic_stack_batch, pair_blocks, tdma_channel_stacks
 from marnsim.schemes import SchemeId, scheme_meta
 from marnsim.selftest import run_selftest
 
@@ -77,7 +77,7 @@ def test_criterion_02_zero_forcing_completeness(capsys):
         for n in range(j, 6):
             rng = RngStream(12, j * 8 + n)
             g = rng.complex_normal(10_000, j, n)  # M = J, one antenna per source
-            stacks = tdma_channel_stacks(g, j)
+            [stacks] = pair_blocks(tdma_channel_stacks(g, j), 1)
             bmat, bad = ic_stack_batch(stacks, 0)
             for jj in range(1, j):
                 num = np.linalg.norm(bmat @ stacks[:, jj], axis=(-2, -1))

@@ -20,7 +20,7 @@ from marnsim.analysis import (
 )
 from marnsim.numerics import UsageError
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
-from marnsim.rx_ic import dstc_channel_stacks, ic_stack_batch, recombine
+from marnsim.rx_ic import dstc_channel_stacks, ic_stack_batch, pair_blocks, recombine
 from propagation import propagate_noise_cov
 
 
@@ -37,8 +37,8 @@ def _dstc_snr_oracle(f, g, cfg, target=0):
     downlink, the recombination and the IC, then h* R^{-1} h."""
     design = dstc_design(cfg.M)
     c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
-    stacks = dstc_channel_stacks(f, g)
-    bmat = ic_stack_batch(stacks[None], target)[0][0]
+    [stacks] = pair_blocks(dstc_channel_stacks(f[None], g[None]), design.T)
+    bmat = ic_stack_batch(stacks, target)[0][0]
     mt, nt = cfg.M * design.T, cfg.N * design.T
 
     def linmap(e):
@@ -48,7 +48,7 @@ def _dstc_snr_oracle(f, g, cfg, target=0):
         return bmat @ recombine(raw, design.T)
 
     r, _ = propagate_noise_cov(linmap, mt + nt, bmat.shape[0])
-    h = (bmat @ stacks[target])[:, 0]
+    h = (bmat @ stacks[0, target])[:, 0]
     return float(np.real(np.vdot(h, np.linalg.solve(r, h))))
 
 
@@ -199,7 +199,7 @@ class TestOutageDiversity:
 
         def sampler(stream, n):
             g = stream.complex_normal(n, 4, 2)
-            stacks = tdma_channel_stacks(g, 2)
+            [stacks] = pair_blocks(tdma_channel_stacks(g, 2), 2)
             b, bad = ic_stack_batch(stacks, 0)
             bg = (b @ stacks[:, 0])[..., 0]
             w = solve_psd_stack(b @ dagger(b), bg)

@@ -28,11 +28,11 @@ from marnsim.rx_ic import (
     ml_decode_batch,
     noise_cov_forwarded,
     noise_cov_on_target,
+    pair_blocks,
     psk_slicer,
     recombination_matrices,
     recombine,
     schur_pairs,
-    split_slices,
     symbol_spec,
     tdma_channel_stacks,
     whiten,
@@ -66,17 +66,31 @@ def _noiseless_tdma_raw(G, cfg, symbols):
     return np.einsum("nmt,nmo->not", t, G)
 
 
-def _check_noiseless(obs, stacks, symbols, scale):
+def _splits(pairs, T):
+    """The dense view of each split of channel ``pairs`` of a T-slot
+    block, with the rows of the recombined observation it explains."""
+    splits = pair_blocks(pairs, T)
+    k = splits[0].shape[-2]
+    return [(h, slice(s * k, (s + 1) * k)) for s, h in enumerate(splits)]
+
+
+def _source_channel(splits, q):
+    """Source q's channel over every split: its split blocks on the
+    diagonal, against the whole recombined observation."""
+    return block_diag(*(h[..., q, :, :] for h, _ in splits))
+
+
+def _check_noiseless(obs, pairs, T, symbols, scale):
     """obs = sum_q scale * H_q s_q, and per split IC leaves the target alone."""
-    spec = symbol_spec(stacks.shape[-1])
+    spec = symbol_spec(T)
+    splits = _splits(pairs, T)
     terms = [
-        scale * np.einsum("nrk,nk->nr", stacks[:, q], spec.build(symbols[:, q]))
-        for q in range(stacks.shape[1])
+        scale * np.einsum("nrk,nk->nr", _source_channel(splits, q), spec.build(symbols[:, q]))
+        for q in range(symbols.shape[1])
     ]
     assert np.allclose(obs, sum(terms), atol=1e-10)
-    for rows, cols in split_slices(stacks):
-        split = stacks[..., rows, cols]
-        for tgt in range(stacks.shape[1]):
+    for split, rows in splits:
+        for tgt in range(symbols.shape[1]):
             bmat, bad = ic_stack_batch(split, tgt)
             assert not bad.any()
             got = np.einsum("nrk,nk->nr", bmat, obs[..., rows])
@@ -148,7 +162,7 @@ class TestChannelStacks:
         symbols = _cn(rng, 1, j, design.T)
         obs = recombine(_noiseless_dstc_raw(F, G, cfg, symbols), design.T)
         c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
-        _check_noiseless(obs, dstc_channel_stacks(F, G), symbols, math.sqrt(cfg.P) * c)
+        _check_noiseless(obs, dstc_channel_stacks(F, G), design.T, symbols, math.sqrt(cfg.P) * c)
         _assert_psd(noise_cov_forwarded(gtilde(G), c, 2.0 if design.T == 4 else 1.0)[0])
 
     @pytest.mark.parametrize("j,m,n", [(2, 2, 2), (2, 4, 3), (1, 4, 2), (2, 8, 3), (3, 6, 4)])
@@ -160,13 +174,13 @@ class TestChannelStacks:
         symbols = _cn(rng, 1, j, design.T)
         obs = recombine(_noiseless_tdma_raw(G, cfg, symbols), design.T)
         scale = math.sqrt(cfg.P) * tdma_power_scale(cfg.P, cfg.M)
-        _check_noiseless(obs, tdma_channel_stacks(G, j), symbols, scale)
+        _check_noiseless(obs, tdma_channel_stacks(G, j), design.T, symbols, scale)
 
     def test_alamouti_block_property(self):
         # H_n* H_n = (|f1 g1n|^2 + |f2 g2n|^2) I for the 2-antenna relay.
         rng = RngStream(3)
         f, g = _cn(rng, 2, 1), _cn(rng, 2, 3)
-        stacks = dstc_channel_stacks(f, g)
+        [stacks] = pair_blocks(dstc_channel_stacks(f, g), 2)
         for n in range(3):
             h = stacks[0, 2 * n : 2 * n + 2]
             q = dagger(h) @ h
@@ -176,16 +190,16 @@ class TestChannelStacks:
     @pytest.mark.parametrize("gs", [2, 3, 4])
     @pytest.mark.parametrize("J", [1, 2])
     def test_tdma_stacks_are_dstc_stacks_of_unit_uplinks(self, J, gs):
-        # Both stack builders share one layout: source j's TDMA stacks are
-        # the concurrent-uplink stacks of one source whose uplink gains
-        # are all 1, relayed by j's antenna group (with J = 2, the last of
-        # the 2 gs + 1 antennas stays idle).
+        # Both builders share one layout: source j's TDMA pairs are the
+        # concurrent-uplink pairs of one source whose uplink gains are
+        # all 1, relayed by j's antenna group (with J = 2, the last of the
+        # 2 gs + 1 antennas stays idle).
         n = 50
         G = _cn(RngStream(12, 10 * J + gs), n, J * gs + J - 1, 3)
         tdma = tdma_channel_stacks(G, J)
         for j in range(J):
             dstc = dstc_channel_stacks(np.ones((n, gs, 1)), G[:, j * gs : (j + 1) * gs])
-            assert np.array_equal(tdma[:, j], dstc[:, 0])
+            assert np.array_equal(tdma[..., j, :], dstc[..., 0, :])
 
     def test_gtilde_pattern(self):
         G = _cn(RngStream(13), 4, 3, 2)
@@ -220,7 +234,7 @@ class TestIcMatrices:
 
     def test_pairwise_n2_cancels_interferer(self):
         rng = RngStream(5)
-        stacks = dstc_channel_stacks(_cn(rng, 1, 2, 2), _cn(rng, 1, 2, 2))
+        [stacks] = pair_blocks(dstc_channel_stacks(_cn(rng, 1, 2, 2), _cn(rng, 1, 2, 2)), 2)
         bmat, bad = ic_stack_batch(stacks, 0)
         assert bmat.shape == (1, 2, 4) and not bad.any()
         assert np.linalg.norm(bmat[0] @ stacks[0, 1]) <= 1e-9 * np.linalg.norm(stacks[0, 1])
@@ -237,7 +251,7 @@ class TestIcMatrices:
 
     def test_iterative_cancels_all_interferers(self):
         rng = RngStream(7)
-        stacks = dstc_channel_stacks(_cn(rng, 1, 2, 3), _cn(rng, 1, 2, 4))
+        [stacks] = pair_blocks(dstc_channel_stacks(_cn(rng, 1, 2, 3), _cn(rng, 1, 2, 4)), 2)
         bmat, _ = ic_stack_batch(stacks, 0)
         assert bmat.shape == (1, 4, 8)  # (N - J + 1) t rows
         for q in (1, 2):
@@ -245,7 +259,7 @@ class TestIcMatrices:
 
     def test_iterative_j_equals_n(self):
         rng = RngStream(8)
-        stacks = dstc_channel_stacks(_cn(rng, 1, 2, 3), _cn(rng, 1, 2, 3))
+        [stacks] = pair_blocks(dstc_channel_stacks(_cn(rng, 1, 2, 3), _cn(rng, 1, 2, 3)), 2)
         assert ic_stack_batch(stacks, 1)[0].shape == (1, 2, 6)
 
     def test_iterative_degenerate_flagged(self):
@@ -270,9 +284,11 @@ class TestIcMatrices:
         # of the interferers' stacked columns.
         rng = RngStream(9, j * 16 + m)
         f, g = _cn(rng, 40, m, j), _cn(rng, 40, m, n)
-        stacks = dstc_channel_stacks(f, g) if kind == "dstc" else tdma_channel_stacks(g, j)
-        for rows, cols in split_slices(stacks):
-            st = stacks[..., rows, cols]
+        if kind == "dstc":
+            pairs, T = dstc_channel_stacks(f, g), dstc_design(m).T
+        else:
+            pairs, T = tdma_channel_stacks(g, j), dstc_design(m // j).T
+        for st, _ in _splits(pairs, T):
             for tgt in range(j):
                 bb, bad = ic_stack_batch(st, tgt)
                 assert not bad.any()
@@ -311,7 +327,7 @@ class TestNoiseCovariances:
         F, G = _cn(rng, 2, 2), _cn(rng, 2, 3)
         design = dstc_design(2)
         c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
-        bmat = ic_stack_batch(dstc_channel_stacks(F, G)[None], 0)[0][0]
+        bmat = ic_stack_batch(pair_blocks(dstc_channel_stacks(F[None], G[None]), 2)[0], 0)[0][0]
         mt, nt = 2 * design.T, cfg.N * design.T
 
         def linmap(e):
@@ -333,9 +349,8 @@ class TestNoiseCovariances:
         F, G = _cn(rng, 4, 2), _cn(rng, 4, 3)
         design = dstc_design(4)
         c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
-        stacks = dstc_channel_stacks(F, G)[None]
-        splits = split_slices(stacks)
-        bmats = [ic_stack_batch(stacks[..., rows, cols], 0)[0][0] for rows, cols in splits]
+        splits = _splits(dstc_channel_stacks(F[None], G[None]), design.T)
+        bmats = [ic_stack_batch(split, 0)[0][0] for split, _ in splits]
         rows_out = bmats[0].shape[0]
         mt, nt = 4 * design.T, cfg.N * design.T
 
@@ -344,7 +359,7 @@ class TestNoiseCovariances:
             w = e[mt:].reshape(cfg.N, design.T)
             raw = np.einsum("it,in->nt", c * apply_design(design, v), G) + w
             rec = recombine(raw, design.T)
-            return np.concatenate([b @ rec[rows] for b, (rows, _) in zip(bmats, splits)])
+            return np.concatenate([b @ rec[rows] for b, (_, rows) in zip(bmats, splits)])
 
         r, _ = propagate_noise_cov(linmap, mt + nt, 2 * rows_out)
         gt = gtilde(G)
@@ -362,8 +377,8 @@ class TestNoiseCovariances:
         F, G = _cn(rng, 4, 2), _cn(rng, 4, 3)
         design = dstc_design(cfg.M // cfg.J)
         c1 = tdma_power_scale(cfg.P, cfg.M)
-        stacks = tdma_channel_stacks(G, cfg.J)
-        bmat = ic_stack_batch(stacks[None], 0)[0][0]
+        [stacks] = pair_blocks(tdma_channel_stacks(G[None], cfg.J), design.T)
+        bmat = ic_stack_batch(stacks, 0)[0][0]
         x = np.sum(np.abs(F) ** 2, axis=0)
         per_src = cfg.M * design.T
         nt = cfg.N * design.T
@@ -379,7 +394,7 @@ class TestNoiseCovariances:
             return bmat @ recombine(raw, design.T)
 
         r, _ = propagate_noise_cov(linmap, cfg.J * per_src + nt, bmat.shape[0])
-        expect = noise_cov_on_target(bmat @ stacks[0], 1.0, np.array(c1 * c1 / x[0]), bmat)
+        expect = noise_cov_on_target(bmat @ stacks[0, 0], 1.0, np.array(c1 * c1 / x[0]), bmat)
         assert np.allclose(r, expect, atol=1e-10)
 
     def test_zero_uplink_raises(self):
@@ -397,7 +412,7 @@ class TestWhitenedDiagonality:
         rng = RngStream(14)
         cfg = NetworkConfig(2, 2, 3, 8.0)
         F, G = _cn(rng, 50, 2, 2), _cn(rng, 50, 2, 3)
-        stacks = dstc_channel_stacks(F, G)
+        [stacks] = pair_blocks(dstc_channel_stacks(F, G), 2)
         bmat, _ = ic_stack_batch(stacks, 0)
         h = bmat @ stacks[:, 0]
         c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
@@ -427,19 +442,18 @@ class TestMlDecode:
         if noise:
             raw = raw + noise * _cn(rng, 1, n, design.T)
         obs = recombine(raw, design.T)
-        stacks = dstc_channel_stacks(F, G)
         cdst = dstc_power_scale(cfg.P, cfg.M, cfg.J)
         r_split = noise_cov_forwarded(gtilde(G), cdst, 2.0 if design.T == 4 else 1.0)
-        splits = split_slices(stacks)
-        bmats = [ic_stack_batch(stacks[..., rows, cols], 0)[0][0] for rows, cols in splits]
-        b = np.zeros((sum(bm.shape[0] for bm in bmats), stacks.shape[-2]), dtype=complex)
-        r_pre = np.zeros((stacks.shape[-2],) * 2, dtype=complex)
+        splits = _splits(dstc_channel_stacks(F, G), design.T)
+        bmats = [ic_stack_batch(split, 0)[0][0] for split, _ in splits]
+        b = np.zeros((sum(bm.shape[0] for bm in bmats), obs.shape[-1]), dtype=complex)
+        r_pre = np.zeros((obs.shape[-1],) * 2, dtype=complex)
         k = 0
-        for bm, (rows, _) in zip(bmats, splits):
+        for bm, (_, rows) in zip(bmats, splits):
             b[k : k + bm.shape[0], rows] = bm
             r_pre[rows, rows] = r_split[0]
             k += bm.shape[0]
-        post = (b @ obs[0], b @ stacks[0, 0], b @ r_pre @ dagger(b))
+        post = (b @ obs[0], b @ _source_channel(splits, 0)[0], b @ r_pre @ dagger(b))
         return post, math.sqrt(cfg.P) * cdst, symbol_spec(design.T), c, bits[0, 0]
 
     @pytest.mark.parametrize("order,m", [(2, 2), (4, 2), (8, 2), (2, 4), (4, 4)])
@@ -669,16 +683,16 @@ def _capture_tail(monkeypatch, scheme, cfg3, order, trials=64, refuse=()):
         mp.setattr(schemes, "psk_slicer", record(slices, schemes.psk_slicer))
         simulate_batch(scheme, NetworkConfig(*cfg3, 10.0), make_psk(order), RngStream(43, order), trials)
     systems = []
-    for (stacks, obs, r0_inv, scale, _, _, *sigma), _ in tails:
+    for (pairs, T, obs, r0_inv, scale, _, _, *sigma), _ in tails:
         sigma = sigma[0] if sigma else None
-        for j in range(stacks.shape[1]):
+        for j in range(pairs.shape[-2]):
             splits = []
-            for rows, cols in split_slices(stacks):
+            for split, rows in _splits(pairs, T):
                 o = obs[..., rows]
                 # R0 is the inverse of interleave(r0_inv), or a multiple of the identity
                 r0 = np.linalg.inv(interleave(r0_inv)) if np.ndim(r0_inv) else np.eye(o.shape[-1]) / r0_inv
                 s_j = None if sigma is None else sigma[:, j]
-                splits.append(_explicit_system(stacks[..., rows, cols], o, r0, j, s_j))
+                splits.append(_explicit_system(split, o, r0, j, s_j))
             o, h, r = zip(*splits)
             assembled = (np.concatenate(o, axis=-1), block_diag(*h), block_diag(*r), scale)
             args, out = slices[len(systems)]
@@ -739,14 +753,17 @@ class TestKernelSplitSystems:
     @pytest.mark.parametrize("cfg3", [(2, 2, 3), (2, 4, 3), (3, 4, 3), (3, 3, 4)])
     def test_kernels_build_no_ic_matrix(self, monkeypatch, cfg3):
         # IC is a Schur complement of each split's Gram system in pair
-        # arithmetic: no kernel builds an IC matrix or a post-IC covariance,
-        # whitens one, solves a matrix system or searches candidates.
+        # arithmetic: no kernel builds dense channel blocks, an IC matrix or
+        # a post-IC covariance, whitens one, solves a matrix system or
+        # searches candidates.
         from marnsim import rx_ic, schemes
 
         def refuse(*args):
             raise AssertionError("explicit IC stage on the kernel path")
 
         for owner, name in [
+            (schemes, "pair_blocks"),
+            (rx_ic, "pair_blocks"),
             (schemes, "ic_stack_batch"),
             (rx_ic, "ic_stack_batch"),
             (rx_ic, "noise_cov_on_target"),
@@ -760,7 +777,7 @@ class TestKernelSplitSystems:
         for scheme in SchemeId:
             if scheme is not SchemeId.ConcurrentJoint:
                 simulate_batch(scheme, cfg, make_psk(4), RngStream(46), 32)
-        # The refusal is live: the joint receiver whitens with ``whiten``.
+        # The refusal is live: the joint receiver whitens the dense view.
         with pytest.raises(AssertionError, match="explicit IC"):
             simulate_batch(SchemeId.ConcurrentJoint, NetworkConfig(2, 2, 3, 10.0), make_psk(2), RngStream(46), 8)
 
@@ -793,10 +810,10 @@ def _rel_err(got, want):
     return np.max(np.max(np.abs(got - want), axis=axes) / np.max(np.abs(want), axis=axes))
 
 
-def _pair_ic(split, obs, r0_inv, target, t, sigma=None):
+def _pair_ic(split, obs, r0_inv, target, T, sigma=None):
     """The pair stages' whitened system of ``target`` in one split, laid
     out as ``whiten``'s: w (n, E) and q = gamma I (n, E, E)."""
-    w, g = schur_pairs(*gram_pairs(split, obs, r0_inv), target, t, sigma)
+    w, g = schur_pairs(*gram_pairs(split, obs, r0_inv), target, T, sigma)
     return w.T, _split_grams(g[None], len(w))
 
 
@@ -816,17 +833,15 @@ class TestStructuredWhitening:
     @pytest.mark.parametrize("relay_noise", [True, False])
     def test_on_target_closed_form(self, j, m, n, relay_noise):
         rng = RngStream(50, j * 100 + m * 10 + n)
-        stacks = tdma_channel_stacks(_cn(rng, 40, m, n), j)
-        t = stacks.shape[-1]
-        kappa = 2.0 if t == 4 else 1.0
-        obs = _cn(rng, 40, stacks.shape[-2])
+        pairs, T = tdma_channel_stacks(_cn(rng, 40, m, n), j), dstc_design(m // j).T
+        kappa = 2.0 if T == 4 else 1.0
+        obs = _cn(rng, 40, pairs.shape[0] * pairs.shape[2] * min(T, 2))
         for src in range(j):
             s = np.exp(rng.complex_normal(40).real) if relay_noise else None
-            for rows, cols in split_slices(stacks):
-                h, o = stacks[:, src, rows, cols], obs[:, rows]
+            for (split, rows), pr in zip(_splits(pairs, T), pairs):
+                h, o = split[:, src], obs[:, rows]
                 want = whiten(o, h, noise_cov_on_target(h, kappa, s), 1.0)
-                split = stacks[:, src : src + 1, rows, cols]
-                got = _pair_ic(split, o, 1.0 / kappa, 0, t, None if s is None else kappa * s)
+                got = _pair_ic(pr[..., src : src + 1, :], o, 1.0 / kappa, 0, T, None if s is None else kappa * s)
                 assert _rel_err(got[0], want[0]) < 1e-12
                 assert _rel_err(got[1], want[1]) < 1e-12
 
@@ -836,18 +851,17 @@ class TestStructuredWhitening:
     def test_forwarded_without_ic(self, j, m, n):
         rng = RngStream(51, j * 100 + m * 10 + n)
         F, G = _cn(rng, 40, m, j), _cn(rng, 40, m, n)
-        stacks = dstc_channel_stacks(F, G)
-        t = stacks.shape[-1]
+        pairs, T = dstc_channel_stacks(F, G), dstc_design(m).T
         c = dstc_power_scale(10.0, m, 1)
-        kappa = 2.0 if t == 4 else 1.0
+        kappa = 2.0 if T == 4 else 1.0
         r0_inv = np.linalg.inv(forwarded_core(G, c)) / kappa
         r = noise_cov_forwarded(gtilde(G), c, kappa)
-        obs = _cn(rng, 40, stacks.shape[-2])
+        obs = _cn(rng, 40, pairs.shape[0] * pairs.shape[2] * 2)
         for src in range(j):
-            for rows, cols in split_slices(stacks):
-                h, o = stacks[:, src, rows, cols], obs[:, rows]
+            for (split, rows), pr in zip(_splits(pairs, T), pairs):
+                h, o = split[:, src], obs[:, rows]
                 want = whiten(o, h, r, 1.0)
-                got = _pair_ic(stacks[:, src : src + 1, rows, cols], o, r0_inv, 0, t)
+                got = _pair_ic(pr[..., src : src + 1, :], o, r0_inv, 0, T)
                 assert _rel_err(got[0], want[0]) < 1e-12
                 assert _rel_err(got[1], want[1]) < 1e-12
 
@@ -855,16 +869,16 @@ class TestStructuredWhitening:
     def test_forwarded_with_ic(self, j, m, n):
         rng = RngStream(52, j * 100 + m * 10 + n)
         F, G = _cn(rng, 40, m, j), _cn(rng, 40, m, n)
-        stacks = dstc_channel_stacks(F, G)
+        pairs, T = dstc_channel_stacks(F, G), dstc_design(m).T
         c = dstc_power_scale(10.0, m, j)
-        kappa = 2.0 if stacks.shape[-1] == 4 else 1.0
+        kappa = 2.0 if T == 4 else 1.0
         w_k = kappa * interleave(forwarded_core(G, c))
         assert _rel_err(w_k, noise_cov_forwarded(gtilde(G), c, kappa)) < 1e-12
-        obs = _cn(rng, 40, stacks.shape[-2])
+        obs = _cn(rng, 40, pairs.shape[0] * pairs.shape[2] * 2)
         for src in range(j):
-            for rows, cols in split_slices(stacks):
-                b, _ = ic_stack_batch(stacks[..., rows, cols], src)
-                h, o = b @ stacks[:, src, rows, cols], np.einsum("nrk,nk->nr", b, obs[:, rows])
+            for split, rows in _splits(pairs, T):
+                b, _ = ic_stack_batch(split, src)
+                h, o = b @ split[:, src], np.einsum("nrk,nk->nr", b, obs[:, rows])
                 r_old = noise_cov_forwarded(gtilde(G), c, kappa, b)
                 r_new = b @ w_k @ dagger(b)
                 assert _rel_err(r_new, r_old) < 1e-12
@@ -877,10 +891,10 @@ class TestStructuredWhitening:
         G = _cn(rng, 3, 4, 3)
         obs = _cn(rng, 3, 6)
         obs[1, 2] = np.nan
-        one, two = tdma_channel_stacks(G[:, :2], 1), tdma_channel_stacks(G, 2)
+        [one], [two] = tdma_channel_stacks(G[:, :2], 1), tdma_channel_stacks(G, 2)
         r0_inv = np.linalg.inv(forwarded_core(G, 1.0))
         for form in (
-            lambda: whiten(obs, one[:, 0], np.broadcast_to(np.eye(6), (3, 6, 6)), 1.0),
+            lambda: whiten(obs, pair_blocks(one[None], 2)[0][:, 0], np.broadcast_to(np.eye(6), (3, 6, 6)), 1.0),
             lambda: schur_pairs(*gram_pairs(one, obs, r0_inv), 0, 2),
             lambda: schur_pairs(*gram_pairs(one, obs, 1.0), 0, 2, np.ones(3)),
             lambda: schur_pairs(*gram_pairs(one, obs, 1.0), 0, 2),
@@ -890,8 +904,8 @@ class TestStructuredWhitening:
                 form()
 
 
-# (family, J, M, N): the amplify-and-forward stacks have t = 2 (M = 2) or
-# t = 4 (M = 3, 4; two splits), the estimate-and-forward stacks t = 1, 2
+# (family, J, M, N): the amplify-and-forward pairs have T = 2 (M = 2) or
+# T = 4 (M = 3, 4; two splits), the estimate-and-forward pairs T = 1, 2
 # or 4 by the group size M // J.
 _SCHUR_CASES = [
     ("af", 2, 2, 3), ("af", 2, 4, 3), ("af", 3, 4, 3), ("af", 3, 3, 4),
@@ -902,18 +916,19 @@ _SCHUR_CASES = [
 
 
 def _schur_case(family, j, m, n, seed):
-    """(stacks, obs, r0_inv, kappa, c, G) of 40 draws of one case."""
+    """(pairs, T, obs, r0_inv, kappa, c, G, rng) of 40 draws of one case."""
     rng = RngStream(seed, j * 100 + m * 10 + n)
     F, G = _cn(rng, 40, m, j), _cn(rng, 40, m, n)
     if family == "af":
-        stacks = dstc_channel_stacks(F, G)
+        pairs, T = dstc_channel_stacks(F, G), dstc_design(m).T
         c = dstc_power_scale(10.0, m, j)
     else:
-        stacks = tdma_channel_stacks(G, j)
+        pairs, T = tdma_channel_stacks(G, j), dstc_design(m // j).T
         c = tdma_power_scale(10.0, m)
-    kappa = 2.0 if stacks.shape[-1] == 4 else 1.0
+    kappa = 2.0 if T == 4 else 1.0
     r0_inv = np.linalg.inv(forwarded_core(G, c)) / kappa if family == "af" else 1.0 / kappa
-    return stacks, _cn(rng, 40, stacks.shape[-2]), r0_inv, kappa, c, G, rng
+    obs = _cn(rng, 40, pairs.shape[0] * pairs.shape[2] * min(T, 2))
+    return pairs, T, obs, r0_inv, kappa, c, G, rng
 
 
 class TestSchurIc:
@@ -926,13 +941,12 @@ class TestSchurIc:
     @pytest.mark.parametrize("family,j,m,n", _SCHUR_CASES)
     @pytest.mark.parametrize("relay_noise", [True, False])
     def test_matches_explicit_ic(self, family, j, m, n, relay_noise):
-        stacks, obs, r0_inv, kappa, c, G, rng = _schur_case(family, j, m, n, 54)
-        t = stacks.shape[-1]
+        pairs, T, obs, r0_inv, kappa, c, G, rng = _schur_case(family, j, m, n, 54)
         for src in range(j):
             s = np.exp(rng.complex_normal(40).real) if relay_noise else None
-            for rows, cols in split_slices(stacks):
-                split, o = stacks[..., rows, cols], obs[:, rows]
-                got = _pair_ic(split, o, r0_inv, src, t, None if s is None else kappa * s)
+            for (split, rows), pr in zip(_splits(pairs, T), pairs):
+                o = obs[:, rows]
+                got = _pair_ic(pr, o, r0_inv, src, T, None if s is None else kappa * s)
                 b, _ = ic_stack_batch(split, src)
                 h = b @ split[:, src]
                 if family == "af":
@@ -956,16 +970,15 @@ class TestSchurIc:
         # t = 4 splits.  The Schur complements agree for J <= 3; at J = 4
         # the matrix form's LU solve of Q_II is itself off by up to 6e-11
         # at (4, 4, 5), where the pair form matches the explicit path.
-        stacks, obs, r0_inv, _, _, _, rng = _schur_case(family, j, m, n, 57)
-        t = stacks.shape[-1]
-        sign = np.array([1.0, -1.0]) if t == 4 else np.ones(2)
+        pairs, T, obs, r0_inv, _, _, _, rng = _schur_case(family, j, m, n, 57)
+        sign = np.array([1.0, -1.0]) if T == 4 else np.ones(2)
         r0_mat = interleave(r0_inv) if np.ndim(r0_inv) else r0_inv
         sigma = np.exp(rng.complex_normal(40).real)
-        for rows, cols in split_slices(stacks):
-            split, o = stacks[..., rows, cols], obs[:, rows]
+        for (split, rows), pr in zip(_splits(pairs, T), pairs):
+            o = obs[:, rows]
             ts = split.shape[-1]
             q_m, z_m = gram_system(split, o, r0_mat)
-            p, q = gram_pairs(split, o, r0_inv)
+            p, q = gram_pairs(pr, o, r0_inv)
             pairs = np.stack([[p, -np.conj(q)], [q, np.conj(p)]])[:ts, :ts]  # (ts, ts, J, J + 1, n)
             blocks = np.moveaxis(pairs, (2, 3, 4), (1, 3, 0))  # (n, J, ts, J + 1, ts)
             blocks = blocks * sign[:ts, None, None] * sign[:ts]
@@ -975,13 +988,13 @@ class TestSchurIc:
             assert _rel_err(z_p, z_m) < 1e-12
             for src in range(j if j < 4 else 0):
                 want = schur_ic(q_m, z_m, src, ts, sigma)
-                got = _pair_ic(split, o, r0_inv, src, t, sigma)
+                got = _pair_ic(pr, o, r0_inv, src, T, sigma)
                 assert _rel_err(got[0], want[0]) < 1e-12
                 assert _rel_err(got[1], want[1]) < 1e-12
 
     def test_one_source_is_the_gram_system(self):
         rng = RngStream(55)
-        p, q = gram_pairs(_cn(rng, 5, 1, 6, 2), _cn(rng, 5, 6), 0.5)
+        p, q = gram_pairs(_cn(rng, 2, 3, 1, 5), _cn(rng, 5, 6), 0.5)
         w, g = schur_pairs(p, q, 0, 2)
         assert np.array_equal(w, np.stack([p[0, 1], q[0, 1]])) and np.array_equal(g, p[0, 0].real)
 
@@ -990,13 +1003,13 @@ class TestSchurIc:
         # in that trial alone; the floored pivot keeps the values finite
         # (the kernel flags the trial), and the others match their lone runs.
         rng = RngStream(56)
-        stacks = tdma_channel_stacks(_cn(rng, 6, 4, 3), 2)
-        stacks[2, 1] = 0.0
-        obs = _cn(rng, 6, stacks.shape[-2])
-        w, g = schur_pairs(*gram_pairs(stacks, obs, 1.0), 0, 2)
+        [pairs] = tdma_channel_stacks(_cn(rng, 6, 4, 3), 2)
+        pairs[..., 1, 2] = 0.0
+        obs = _cn(rng, 6, 6)
+        w, g = schur_pairs(*gram_pairs(pairs, obs, 1.0), 0, 2)
         assert np.all(np.isfinite(w)) and np.all(np.isfinite(g))
         for i in (0, 1, 3, 4, 5):
-            wi, gi = schur_pairs(*gram_pairs(stacks[i : i + 1], obs[i : i + 1], 1.0), 0, 2)
+            wi, gi = schur_pairs(*gram_pairs(pairs[..., i : i + 1], obs[i : i + 1], 1.0), 0, 2)
             assert np.array_equal(w[:, i], wi[:, 0]) and np.array_equal(g[i], gi[0])
 
 
