@@ -35,7 +35,7 @@ from .numerics import NumericError, Projector, UsageError, is_alamouti, null_spa
 from .relay_codec import DstcDesign, apply_design, dstc_design
 from .rx_ic import (
     ic_stack_batch,
-    joint_ml_decode_batch,
+    joint_search,
     ml_decode_batch,
     noise_cov_forwarded,
     noise_cov_on_target,

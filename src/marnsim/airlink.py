@@ -25,6 +25,7 @@ __all__ = [
     "draw_channels_batch",
     "make_psk",
     "modulate",
+    "nearest_psk",
 ]
 
 
@@ -88,11 +89,6 @@ class Constellation:
         packed = np.asarray(bits).reshape(*bits.shape[:-1], b) @ weights
         return self._bits_to_index[packed]
 
-    def nearest(self, values: np.ndarray) -> np.ndarray:
-        """Index of the closest point; ties go to the lowest index."""
-        d = np.abs(values[..., None] - self.points)
-        return np.argmin(d, axis=-1)
-
     @property
     def _bits_to_index(self) -> np.ndarray:
         return _gray_inverse(self.order)
@@ -128,6 +124,12 @@ def make_psk(order: int, rotation: float = 0.0) -> Constellation:
     gray = _gray(k)
     labels = (gray[:, None] >> np.arange(b - 1, -1, -1)) & 1
     return Constellation(order, points, labels.astype(np.int8), rotation)
+
+
+def nearest_psk(y, order: int) -> np.ndarray:
+    """Index k of the PSK point exp(2 pi i k / order) closest to y: the
+    nearest angle, 0 at the origin."""
+    return np.rint(np.angle(y) * (order / (2.0 * math.pi))).astype(np.int64) % order
 
 
 def modulate(bits: np.ndarray, c: Constellation) -> np.ndarray:

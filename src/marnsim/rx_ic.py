@@ -35,7 +35,8 @@ the explicit IC matrices (``ic_stack_batch``), the covariance stages
 ``noise_cov_*``, the generic ``whiten`` and ``component_search`` work
 on it with the batch axes first, and build the closed-form SNR and the
 tests' reference systems.  The joint receiver, which cancels nothing,
-searches every symbol tuple of all sources at once with ``whiten``.
+reads the same Gram systems laid out as one dense whitened system and
+searches every symbol tuple of all sources at once (``joint_search``).
 
 One system is a batch of one.
 Every observation entry is an explicit linear combination of raw samples;
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airlink import Constellation
+from .airlink import Constellation, nearest_psk
 from .numerics import NumericError, UsageError, dagger, solve_psd_stack
 
 __all__ = [
@@ -76,7 +77,7 @@ __all__ = [
     "psk_slicer",
     "component_search",
     "ml_decode_batch",
-    "joint_ml_decode_batch",
+    "joint_search",
 ]
 
 # Block norms below this are treated as a degenerate fade: resample the trial.
@@ -518,19 +519,13 @@ def schur_pairs(p, q, target, T, sigma=None):
     return _checked(w, gamma)
 
 
-def _nearest_psk(y, order):
-    """Index k of the PSK point exp(2 pi i k / order) closest to y: the
-    nearest angle."""
-    return np.rint(np.angle(y) * (order / (2.0 * math.pi))).astype(np.int64) % order
-
-
 def _pair_slice(wa, wb, ga, gb, c: Constellation):
     """ML (x, y) indices of x + y seen as wa under Gram ga and x - y as wb
     under gb, x from ``c`` and y from its rotated copy: for each y, slice
     x on (wa + wb) - (ga - gb) y, then keep the y of least pair metric."""
     rot = default_rotation(c.order)
     ys = c.rotated(rot).points[:, None]
-    xi = _nearest_psk((wa + wb) - (ga - gb) * ys, c.order)
+    xi = nearest_psk((wa + wb) - (ga - gb) * ys, c.order)
     xs = c.points[xi]
     plus, minus = xs + ys, xs - ys
     metric = (
@@ -554,7 +549,7 @@ def psk_slicer(w, gamma, c: Constellation):
     if len(w) < 4:
         y = w.copy()
         y[1:] = np.conj(y[1:])
-        return _nearest_psk(y, c.order).T
+        return nearest_psk(y, c.order).T
     s1, s4 = _pair_slice(w[0], w[2], gamma[0], gamma[1], c)
     # conj(s3) - conj(s2) = -conj(s2 - s3) and -conj(s3) - conj(s2) = -conj(s2 + s3)
     s2, s3 = _pair_slice(-np.conj(w[3]), -np.conj(w[1]), gamma[1], gamma[0], c)
@@ -651,14 +646,13 @@ def ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation):
     return component_search(*whiten(obs, h, r, scale), spec, c)
 
 
-def joint_ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation):
-    """Whitened ML over every symbol tuple of ``spec`` at once, for
-    systems whose symbols are coupled (several sources, no IC).
+def joint_search(w, q, spec: SymbolSpec, c: Constellation):
+    """ML decisions (..., n_symbols) over every symbol tuple of ``spec`` at
+    once, for systems whose symbols are coupled (several sources, no IC).
 
-    Same arguments and result as ``ml_decode_batch``; the search holds
+    Same arguments and result as ``component_search``; the search holds
     (..., order^n_symbols) metrics.
     """
-    w, q = whiten(obs, h, r, scale)
     combos, sv = _candidate_table(spec, range(spec.n_symbols), range(len(spec.entries)), c)
     quad = np.einsum("ce,...ef,cf->...c", np.conj(sv), q, sv).real
     lin = 2.0 * np.einsum("ce,...e->...c", np.conj(sv), w).real

@@ -20,21 +20,22 @@ Estimate-and-forward (EF): the relay estimates each source's symbols
 (MRC over a TDMA uplink, or zero-forcing separation of a concurrent one)
 and codes each group's estimates on disjoint groups of M // (group size)
 antennas; the estimates' noise rides on the target's channel
-(``noise_cov_on_target``).  All rows but concurrent_joint end in one
-decode tail (see ``rx_ic``), in pair arithmetic over the batch axis:
-every block of a split is a pair Q(a, b) = [[a, -conj(b)], [b, conj(a)]]
-(times diag(1, -1) in the splits of the 4-slot codeword, a scalar for
-single-antenna groups), and the channel builders return each split's
-pairs directly, batch axis last; the kernel passes the block length T
-along with them.  concurrent_joint alone takes their dense view
-(``pair_blocks``).  Each split is whitened once for all sources of
-the group into a Gram system of pairs, the noise covariance before IC
-being one N x N inverse per trial for AF (blocks Q(x, 0)) and a multiple
-of I for EF; zero-forcing IC of each source is the Schur complement of
-that system, interferer by interferer on real pivots, with the EF
-target's own relay noise; each split's Gram is then a real multiple of
-I, so a PSK slicer decides (per symbol, or one slice per candidate of
-the other symbol of a quasi-orthogonal pair); then the error count.
+(``noise_cov_on_target``).  Every row decodes in pair arithmetic over
+the batch axis (see ``rx_ic``): every block of a split is a pair Q(a, b) =
+[[a, -conj(b)], [b, conj(a)]] (times diag(1, -1) in the splits of the
+4-slot codeword, a scalar for single-antenna groups), and the channel
+builders return each split's pairs directly, batch axis last; the kernel
+passes the block length T along with them.  Each split is whitened once
+for all sources of the group into a Gram system of pairs, the noise
+covariance before IC being one N x N inverse per trial for AF (blocks
+Q(x, 0)) and a multiple of I for EF.  Zero-forcing IC of each source is
+the Schur complement of that system, interferer by interferer on real
+pivots, with the EF target's own relay noise; each split's Gram is then
+a real multiple of I, so a PSK slicer decides (per symbol, or one slice
+per candidate of the other symbol of a quasi-orthogonal pair); then the
+error count.  concurrent_joint cancels nothing: it lays the same Gram
+systems out densely and searches every symbol tuple of all sources at
+once.
 
 simulate_chunk adds the resampling of degenerate channel draws.
 """
@@ -49,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .airlink import Constellation, NetworkConfig, RngStream, draw_channels_batch, make_psk, modulate
+from .airlink import Constellation, NetworkConfig, RngStream, draw_channels_batch, make_psk, modulate, nearest_psk
 from .numerics import UsageError
 from .relay_codec import (
     apply_design,
@@ -60,17 +61,14 @@ from .relay_codec import (
 from .rx_ic import (
     DEGENERATE_TOL,
     SymbolSpec,
-    block_diag,
     default_rotation,
     dstc_channel_stacks,
     forwarded_core,
     gram_pairs,
-    gtilde,
+    gtilde,  # noqa: F401  bench/layers.py traces the channel stacks under this name
     ic_stack_batch,  # noqa: F401  bench/layers.py traces the IC under this name
-    joint_ml_decode_batch,
+    joint_search,
     ml_decode_batch,  # noqa: F401  bench/layers.py traces the decoder under this name
-    noise_cov_forwarded,
-    pair_blocks,
     psk_slicer,
     recombine,
     schur_pairs,
@@ -198,14 +196,10 @@ def _draw_trials(cfg: NetworkConfig, const: Constellation, T: int, stream: RngSt
 def relay_hard_decision(soft: np.ndarray, const: Constellation, P: float) -> np.ndarray:
     """Hard ML decision at the relay on (..., T) soft estimates
     sqrt(P) s + noise: each slot becomes sqrt(P) times the nearest point of
-    its (possibly rotated) constellation, ties to the lowest index."""
-    T = soft.shape[-1]
-    hard = np.empty(soft.shape, dtype=complex)
-    rots = [default_rotation(const.order) if f else 0.0 for f in symbol_spec(T).rotated]
-    for t in range(T):
-        ct = const.rotated(rots[t]) if rots[t] else const
-        hard[..., t] = math.sqrt(P) * ct.points[ct.nearest(soft[..., t] / math.sqrt(P))]
-    return hard
+    its (possibly rotated) constellation, by the destination slicer's
+    nearest-angle rule (0 at the origin)."""
+    turn = np.exp(1j * default_rotation(const.order) * np.array(symbol_spec(soft.shape[-1]).rotated))
+    return math.sqrt(P) * (const.points[nearest_psk(soft * np.conj(turn), const.order)] * turn)
 
 
 def relay_forward_groups(est: np.ndarray, design, c: float, M: int) -> np.ndarray:
@@ -287,18 +281,28 @@ def _decode(pairs, T, obs, r0_inv, scale, const, bits, sigma=None):
     return errors, bad
 
 
-def _joint_decode(pairs, T, obs, r0, scale, const, bits):
+def _joint_decode(pairs, T, obs, r0_inv, scale, const, bits):
     """concurrent_joint's receiver, same arguments and result as
-    ``_decode`` but the covariance r0 of one split itself: no IC, whitened
-    ML over every symbol tuple of all sources at once on the dense view."""
+    ``_decode``: no IC, but ML over every symbol tuple of all sources at
+    once on the whitened (w, Q) of the splits' Gram systems, laid out
+    densely: source by source, each source's entries in ``symbol_spec(T)``
+    order, block diagonal over the splits, which share no noise.  A split
+    of T = 4 has blocks Q(a, b) D with D = diag(1, -1), and
+    D Q(p, q) D = Q(p, -q)."""
     J, n = pairs.shape[-2:]
+    S, e = len(pairs), J * T
+    w = np.zeros((n, J, S, 2), dtype=complex)
+    g = np.zeros((n, J, S, 2, J, S, 2), dtype=complex)
+    for s, (split, o) in enumerate(zip(pairs, np.split(obs, S, axis=-1))):
+        p, q = (x.transpose(2, 0, 1) for x in gram_pairs(split, o, r0_inv))  # (n, J, J + 1)
+        q = -q if T == 4 else q
+        w[:, :, s, 0], w[:, :, s, 1] = p[..., J], q[..., J]
+        g[:, :, s, 0, :, s, 0], g[:, :, s, 1, :, s, 1] = p[..., :J], np.conj(p[..., :J])
+        g[:, :, s, 1, :, s, 0], g[:, :, s, 0, :, s, 1] = q[..., :J], -np.conj(q[..., :J])
     spec = symbol_spec(T)
-    splits = pair_blocks(pairs, T)
-    h_all = np.concatenate([block_diag(*(h[:, j] for h in splits)) for j in range(J)], axis=-1)
-    r_pre = block_diag(r0, r0) if T == 4 else r0
     entries = sum((spec.shifted(j * spec.n_symbols).entries for j in range(J)), ())
     jspec = SymbolSpec(J * spec.n_symbols, entries, spec.rotated * J)
-    idx = joint_ml_decode_batch(obs, h_all, r_pre, scale, jspec, const)
+    idx = joint_search(scale * w.reshape(n, e), scale * scale * g.reshape(n, e, e), jspec, const)
     return _count_errors(idx.reshape(n, J, -1), bits, const), np.zeros(n, dtype=bool)
 
 
@@ -315,10 +319,9 @@ def _amplify_forward(row, cfg, const, stream, n):
     c = dstc_power_scale(P, M, row.group_size(cfg.J))
     kappa = 2.0 if T == 4 else 1.0
     F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
-    if row.joint:  # no IC: the covariance of every split
-        decode, r0 = _joint_decode, noise_cov_forwarded(gtilde(G), c, kappa)
-    else:  # R0^-1 has blocks Q(A^-1 / kappa, 0): one N x N inverse per trial for every source and split
-        decode, r0 = _decode, np.linalg.inv(forwarded_core(G, c)) / kappa
+    # R0^-1 has blocks Q(A^-1 / kappa, 0): one N x N inverse per trial for every source and split
+    r0_inv = np.linalg.inv(forwarded_core(G, c)) / kappa
+    decode = _joint_decode if row.joint else _decode
     errors = np.zeros((n, cfg.J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
     for grp in row.groups(cfg.J):
@@ -326,7 +329,7 @@ def _amplify_forward(row, cfg, const, stream, n):
         r = r + stream.complex_normal(n, M, T)
         obs = recombine(_downlink(c * apply_design(design, r), G, stream), T)
         pairs = dstc_channel_stacks(F[:, :, grp], G)
-        errors[:, grp], bad_g = decode(pairs, T, obs, r0, math.sqrt(P) * c, const, bits[:, grp])
+        errors[:, grp], bad_g = decode(pairs, T, obs, r0_inv, math.sqrt(P) * c, const, bits[:, grp])
         bad |= bad_g
     return errors, bad
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from marnsim.airlink import ChannelRealization, NetworkConfig, RngStream, make_psk, modulate
+from marnsim.airlink import ChannelRealization, NetworkConfig, RngStream, draw_channels_batch, make_psk, modulate
 from marnsim.analysis import snr_tdma_direct
 from marnsim.numerics import NumericError, UsageError, dagger, null_space_projector, solve_psd_stack
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
@@ -24,7 +24,7 @@ from marnsim.rx_ic import (
     gram_pairs,
     gtilde,
     ic_stack_batch,
-    joint_ml_decode_batch,
+    joint_search,
     ml_decode_batch,
     noise_cov_forwarded,
     noise_cov_on_target,
@@ -493,7 +493,7 @@ class TestMlDecode:
             true = np.array([0, 1, 1, 0])
             sv = spec.build(np.array([consts[k].points[true[k]] for k in range(4)]))
             obs = h[trial] @ sv + 0.3 * _cn(rng, 6)
-            got = joint_ml_decode_batch(obs[None], h[trial][None], r[:1], 1.0, spec, c)[0]
+            got = joint_search(*whiten(obs[None], h[trial][None], r[:1], 1.0), spec, c)[0]
             best, best_m = None, np.inf
             for combo in itertools.product(range(2), repeat=4):
                 cand = spec.build(
@@ -566,8 +566,8 @@ class TestMlDecode:
 
 
 def _capture(monkeypatch, name, scheme, cfg3, order, trials=64):
-    """Every (obs, h, r, scale, spec, const) that the kernel of ``scheme``
-    hands to ``schemes.<name>`` on one fixed-seed batch at P = 10."""
+    """Every argument tuple that the kernel of ``scheme`` hands to
+    ``schemes.<name>`` on one fixed-seed batch at P = 10."""
     from marnsim import schemes
 
     calls, orig = [], getattr(schemes, name)
@@ -587,11 +587,21 @@ class TestJointMlDecode:
     @pytest.mark.parametrize("cfg3,order", [((2, 2, 3), 4), ((2, 4, 3), 2)])
     def test_kernel_systems_match_exhaustive(self, monkeypatch, cfg3, order):
         # The concurrent_joint systems couple the sources' symbols, so only
-        # a search over every symbol tuple of all sources is ML.
-        (obs, h, r, scale, spec, c), = _capture(
-            monkeypatch, "joint_ml_decode_batch", SchemeId.ConcurrentJoint, cfg3, order
+        # a search over every symbol tuple of all sources is ML.  The search
+        # input is the whitening of the explicit dense system rebuilt from
+        # the joint receiver's arguments: each source's channel over every
+        # split of the pairs' dense view, and per split the R0 whose inverse
+        # has the pair blocks Q(x, 0) of r0_inv.
+        (pairs, T, obs, r0_inv, scale, c, _), = _capture(
+            monkeypatch, "_joint_decode", SchemeId.ConcurrentJoint, cfg3, order
         )
-        got = joint_ml_decode_batch(obs, h, r, scale, spec, c)
+        (w, q, spec, _), = _capture(monkeypatch, "joint_search", SchemeId.ConcurrentJoint, cfg3, order)
+        splits = _splits(pairs, T)
+        h = np.concatenate([_source_channel(splits, j) for j in range(pairs.shape[-2])], axis=-1)
+        r = block_diag(*[np.linalg.inv(interleave(r0_inv))] * len(splits))
+        want_w, want_q = whiten(obs, h, r, scale)
+        assert _rel_err(w, want_w) < 1e-10 and _rel_err(q, want_q) < 1e-10
+        got = joint_search(w, q, spec, c)
         for i in range(len(obs)):
             want = TestMlDecode._exhaustive(obs[i], h[i], r[i], scale, spec, c)
             assert np.array_equal(got[i], want)
@@ -752,11 +762,13 @@ class TestKernelSplitSystems:
 
     @pytest.mark.parametrize("cfg3", [(2, 2, 3), (2, 4, 3), (3, 4, 3), (3, 3, 4)])
     def test_kernels_build_no_ic_matrix(self, monkeypatch, cfg3):
-        # IC is a Schur complement of each split's Gram system in pair
-        # arithmetic: no kernel builds dense channel blocks, an IC matrix or
-        # a post-IC covariance, whitens one, solves a matrix system or
-        # searches candidates.
-        from marnsim import rx_ic, schemes
+        # Every kernel decodes from each split's Gram system in pair
+        # arithmetic, IC being its Schur complement: none builds dense
+        # channel blocks, a dense noise covariance, an IC matrix or a
+        # post-IC covariance, whitens one, solves a matrix system or
+        # searches candidates component-wise.  A name that ``schemes`` does
+        # not import is refused there too, in case a kernel imports it.
+        from marnsim import analysis, rx_ic, schemes
 
         def refuse(*args):
             raise AssertionError("explicit IC stage on the kernel path")
@@ -764,22 +776,28 @@ class TestKernelSplitSystems:
         for owner, name in [
             (schemes, "pair_blocks"),
             (rx_ic, "pair_blocks"),
+            (schemes, "gtilde"),
+            (rx_ic, "gtilde"),
+            (schemes, "noise_cov_forwarded"),
+            (rx_ic, "noise_cov_forwarded"),
             (schemes, "ic_stack_batch"),
             (rx_ic, "ic_stack_batch"),
             (rx_ic, "noise_cov_on_target"),
+            (schemes, "whiten"),
             (rx_ic, "whiten"),
             (rx_ic, "component_search"),
             (rx_ic, "solve_psd_stack"),
             (np.linalg, "solve"),
         ]:
-            monkeypatch.setattr(owner, name, refuse)
+            monkeypatch.setattr(owner, name, refuse, raising=owner is not schemes)
         cfg = NetworkConfig(*cfg3, 10.0)
         for scheme in SchemeId:
-            if scheme is not SchemeId.ConcurrentJoint:
-                simulate_batch(scheme, cfg, make_psk(4), RngStream(46), 32)
-        # The refusal is live: the joint receiver whitens the dense view.
+            order = 2 if scheme is SchemeId.ConcurrentJoint else 4  # the joint search at J = 3 fits at BPSK only
+            simulate_batch(scheme, cfg, make_psk(order), RngStream(46), 32)
+        # The refusal is live: the closed-form SNR whitens an explicit post-IC system.
+        cfg = NetworkConfig(2, 2, 3, 10.0)
         with pytest.raises(AssertionError, match="explicit IC"):
-            simulate_batch(SchemeId.ConcurrentJoint, NetworkConfig(2, 2, 3, 10.0), make_psk(2), RngStream(46), 8)
+            analysis.snr_dstc_batch(*draw_channels_batch(cfg, RngStream(46), 8), cfg)
 
     @pytest.mark.parametrize(
         "scheme,cfg3",
