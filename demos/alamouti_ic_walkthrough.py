@@ -66,7 +66,7 @@ for j in range(cfg.J):
 # the forwarded relay noise plus the destination noise.  Zero-forcing IC
 # of a target is the Schur complement of the other source's block: its
 # Gram is then a real multiple gamma I, so a PSK slicer decides.
-p, q = gram_pairs(pairs[0], obs, np.linalg.inv(forwarded_core(ch.G[None], scale)))
+p, q = gram_pairs(pairs[0], obs, np.moveaxis(np.linalg.inv(forwarded_core(ch.G[None], scale)), 0, -1))
 amp = math.sqrt(cfg.P) * scale  # symbol amplitude at the destination
 decided_bits = []
 for j in range(cfg.J):

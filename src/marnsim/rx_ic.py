@@ -458,35 +458,43 @@ def gram_pairs(split, obs, r0_inv):
     pairs (a_rj, b_rj) of each source's K blocks r, and the split's
     recombined observation ``obs`` (n, K t) the pairs (u_r, v_r): entries
     2r and 2r + 1 for t = 2, u_r alone with v_r = 0 for t = 1.
-    ``r0_inv`` is a scalar multiple of the identity or the (n, K, K) x of
+    ``r0_inv`` is a scalar multiple of the identity or the (K, K, n) x of
     the blocks Q(x_rs, 0) of R0^-1: then (a', b') = (x a, conj(x) b), and
     Q_jk = sum_r Q(a_rj, b_rj)* Q(a'_rk, b'_rk) has
     p = sum_r conj(a) a' + conj(b) b' and q = sum_r a b' - b a'.
+    Every product is written into scratch and then accumulated: fresh
+    temporaries cost page faults.
     """
-    K, J = split.shape[1:3]
+    K, J, n = split.shape[1:]
     t = obs.shape[-1] // K
-    u = obs[:, ::t].T
-    v = obs[:, 1::2].T if t == 2 else np.zeros_like(u)
-    a = np.concatenate([split[0], u[:, None]], axis=1)  # (block row, source, trial)
-    b = np.concatenate([split[1], v[:, None]], axis=1)
+    a = np.empty((K, J + 1, n), dtype=complex)  # (block row, source or obs, trial)
+    b = np.empty_like(a)
+    a[:, :J], b[:, :J] = split
+    a[:, J] = obs[:, ::t].T
+    b[:, J] = obs[:, 1::2].T if t == 2 else 0.0
+    ax, bx, tmp = np.empty_like(a), np.empty_like(a), np.empty_like(a)
     if np.ndim(r0_inv):  # a'_r = sum_s x_rs a_s, b'_r = sum_s conj(x_rs) b_s
-        x = np.transpose(r0_inv, (2, 1, 0))[..., None, :].copy()  # x[s, r] = x_rs
-        ax, bx = x[0] * a[0], np.conj(x[0]) * b[0]
-        for s in range(1, len(a)):
-            ax += x[s] * a[s]
-            bx += np.conj(x[s]) * b[s]
+        x = r0_inv[:, :, None]
+        xc = np.conj(x)
+        np.multiply(x[:, 0], a[0], out=ax)
+        np.multiply(xc[:, 0], b[0], out=bx)
+        for s in range(1, K):
+            ax += np.multiply(x[:, s], a[s], out=tmp)
+            bx += np.multiply(xc[:, s], b[s], out=tmp)
     else:
-        ax, bx = r0_inv * a, r0_inv * b
-    # Accumulate over block rows r: each term is a contiguous (J, J + 1, n) array.
+        np.multiply(r0_inv, a, out=ax)
+        np.multiply(r0_inv, b, out=bx)
+    # Accumulate over block rows r: each term is a (J, J + 1, n) array.
     ac, bc = np.conj(a[:, :J, None]), np.conj(b[:, :J, None])
-    p, q = ac[0] * ax[0], a[0, :J, None] * bx[0]
-    p += bc[0] * bx[0]
-    q -= b[0, :J, None] * ax[0]
-    for r in range(1, len(a)):
-        p += ac[r] * ax[r]
-        p += bc[r] * bx[r]
-        q += a[r, :J, None] * bx[r]
-        q -= b[r, :J, None] * ax[r]
+    p, q = np.multiply(ac[0], ax[0]), np.multiply(a[0, :J, None], bx[0])
+    tmp = np.empty_like(p)
+    p += np.multiply(bc[0], bx[0], out=tmp)
+    q -= np.multiply(b[0, :J, None], ax[0], out=tmp)
+    for r in range(1, K):
+        p += np.multiply(ac[r], ax[r], out=tmp)
+        p += np.multiply(bc[r], bx[r], out=tmp)
+        q += np.multiply(a[r, :J, None], bx[r], out=tmp)
+        q -= np.multiply(b[r, :J, None], ax[r], out=tmp)
     return p, q
 
 

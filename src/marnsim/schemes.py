@@ -258,7 +258,7 @@ def _decode(pairs, T, obs, r0_inv, scale, const, bits, sigma=None):
 
     Each split becomes one Gram system of all J sources under the noise
     covariance R0 before IC, whose inverse ``r0_inv`` the splits share: a
-    scalar multiple of I, or the (n, N, N) x of the blocks Q(x, 0) of
+    scalar multiple of I, or the (N, N, n) x of the blocks Q(x, 0) of
     R0^-1 (``forwarded_core``).  Each source is cancelled from the others as a Schur
     complement of it, with its own relay noise sigma[:, j] h h* added when
     ``sigma`` (n, J) is given; its splits' Grams are then real multiples
@@ -320,7 +320,7 @@ def _amplify_forward(row, cfg, const, stream, n):
     kappa = 2.0 if T == 4 else 1.0
     F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
     # R0^-1 has blocks Q(A^-1 / kappa, 0): one N x N inverse per trial for every source and split
-    r0_inv = np.linalg.inv(forwarded_core(G, c)) / kappa
+    r0_inv = np.moveaxis(np.linalg.inv(forwarded_core(G, c)), 0, -1) / kappa
     decode = _joint_decode if row.joint else _decode
     errors = np.zeros((n, cfg.J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)

@@ -598,7 +598,7 @@ class TestJointMlDecode:
         (w, q, spec, _), = _capture(monkeypatch, "joint_search", SchemeId.ConcurrentJoint, cfg3, order)
         splits = _splits(pairs, T)
         h = np.concatenate([_source_channel(splits, j) for j in range(pairs.shape[-2])], axis=-1)
-        r = block_diag(*[np.linalg.inv(interleave(r0_inv))] * len(splits))
+        r = block_diag(*[np.linalg.inv(interleave(np.moveaxis(r0_inv, -1, 0)))] * len(splits))
         want_w, want_q = whiten(obs, h, r, scale)
         assert _rel_err(w, want_w) < 1e-10 and _rel_err(q, want_q) < 1e-10
         got = joint_search(w, q, spec, c)
@@ -700,7 +700,7 @@ def _capture_tail(monkeypatch, scheme, cfg3, order, trials=64, refuse=()):
             for split, rows in _splits(pairs, T):
                 o = obs[..., rows]
                 # R0 is the inverse of interleave(r0_inv), or a multiple of the identity
-                r0 = np.linalg.inv(interleave(r0_inv)) if np.ndim(r0_inv) else np.eye(o.shape[-1]) / r0_inv
+                r0 = np.linalg.inv(interleave(np.moveaxis(r0_inv, -1, 0))) if np.ndim(r0_inv) else np.eye(o.shape[-1]) / r0_inv
                 s_j = None if sigma is None else sigma[:, j]
                 splits.append(_explicit_system(split, o, r0, j, s_j))
             o, h, r = zip(*splits)
@@ -872,7 +872,7 @@ class TestStructuredWhitening:
         pairs, T = dstc_channel_stacks(F, G), dstc_design(m).T
         c = dstc_power_scale(10.0, m, 1)
         kappa = 2.0 if T == 4 else 1.0
-        r0_inv = np.linalg.inv(forwarded_core(G, c)) / kappa
+        r0_inv = np.moveaxis(np.linalg.inv(forwarded_core(G, c)), 0, -1) / kappa
         r = noise_cov_forwarded(gtilde(G), c, kappa)
         obs = _cn(rng, 40, pairs.shape[0] * pairs.shape[2] * 2)
         for src in range(j):
@@ -910,7 +910,7 @@ class TestStructuredWhitening:
         obs = _cn(rng, 3, 6)
         obs[1, 2] = np.nan
         [one], [two] = tdma_channel_stacks(G[:, :2], 1), tdma_channel_stacks(G, 2)
-        r0_inv = np.linalg.inv(forwarded_core(G, 1.0))
+        r0_inv = np.moveaxis(np.linalg.inv(forwarded_core(G, 1.0)), 0, -1)
         for form in (
             lambda: whiten(obs, pair_blocks(one[None], 2)[0][:, 0], np.broadcast_to(np.eye(6), (3, 6, 6)), 1.0),
             lambda: schur_pairs(*gram_pairs(one, obs, r0_inv), 0, 2),
@@ -944,7 +944,7 @@ def _schur_case(family, j, m, n, seed):
         pairs, T = tdma_channel_stacks(G, j), dstc_design(m // j).T
         c = tdma_power_scale(10.0, m)
     kappa = 2.0 if T == 4 else 1.0
-    r0_inv = np.linalg.inv(forwarded_core(G, c)) / kappa if family == "af" else 1.0 / kappa
+    r0_inv = np.moveaxis(np.linalg.inv(forwarded_core(G, c)), 0, -1) / kappa if family == "af" else 1.0 / kappa
     obs = _cn(rng, 40, pairs.shape[0] * pairs.shape[2] * min(T, 2))
     return pairs, T, obs, r0_inv, kappa, c, G, rng
 
@@ -990,7 +990,7 @@ class TestSchurIc:
         # at (4, 4, 5), where the pair form matches the explicit path.
         pairs, T, obs, r0_inv, _, _, _, rng = _schur_case(family, j, m, n, 57)
         sign = np.array([1.0, -1.0]) if T == 4 else np.ones(2)
-        r0_mat = interleave(r0_inv) if np.ndim(r0_inv) else r0_inv
+        r0_mat = interleave(np.moveaxis(r0_inv, -1, 0)) if np.ndim(r0_inv) else r0_inv
         sigma = np.exp(rng.complex_normal(40).real)
         for (split, rows), pr in zip(_splits(pairs, T), pairs):
             o = obs[:, rows]
