@@ -19,7 +19,7 @@ from marnsim.airlink import NetworkConfig, RngStream, draw_channels, make_psk, m
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale
 from marnsim.rx_ic import (
     dstc_channel_stacks,
-    forwarded_core,
+    forwarded_inverse,
     gram_pairs,
     pair_blocks,
     psk_slicer,
@@ -66,7 +66,7 @@ for j in range(cfg.J):
 # the forwarded relay noise plus the destination noise.  Zero-forcing IC
 # of a target is the Schur complement of the other source's block: its
 # Gram is then a real multiple gamma I, so a PSK slicer decides.
-p, q = gram_pairs(pairs[0], obs, np.moveaxis(np.linalg.inv(forwarded_core(ch.G[None], scale)), 0, -1))
+p, q = gram_pairs(pairs[0], obs, forwarded_inverse(ch.G[..., None], scale, 1.0))
 amp = math.sqrt(cfg.P) * scale  # symbol amplitude at the destination
 decided_bits = []
 for j in range(cfg.J):

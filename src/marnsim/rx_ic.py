@@ -19,8 +19,8 @@ the block length T.  The decode tail forms each split's Gram system
 (Q, z) = H* R0^-1 [H | obs] once for all of its sources (``gram_pairs``;
 the splits share no noise), R0 being the noise covariance before IC:
 kappa W for forwarded relay noise, whose inverse has the pair blocks
-Q(x, 0) of x = A^-1 / kappa from one N x N inverse per trial
-(``forwarded_core``), or kappa I.  IC of a target is the Schur complement
+Q(x, 0) of x = A^-1 / kappa, eliminated elementwise over the batch
+(``forwarded_inverse``), or kappa I.  IC of a target is the Schur complement
 of the interferers' block (``schur_pairs``), by the identity
 B* (B R0 B*)^-1 B = R0^-1 - R0^-1 H_I (H_I* R0^-1 H_I)^-1 H_I* R0^-1 for
 any IC matrix B that nulls the interferers H_I, eliminated one
@@ -70,7 +70,7 @@ __all__ = [
     "ic_stack_batch",
     "noise_cov_forwarded",
     "noise_cov_on_target",
-    "forwarded_core",
+    "forwarded_inverse",
     "whiten",
     "gram_pairs",
     "schur_pairs",
@@ -402,15 +402,40 @@ def noise_cov_on_target(bh, kappa: float, s=None, bmat=None) -> np.ndarray:
     return kappa * r
 
 
-def forwarded_core(G: np.ndarray, c: float) -> np.ndarray:
-    """A = c^2 G^T conj(G) + I (..., N, N) of (..., M, N) downlink
-    coefficients.  W = c^2 Gt Gt* + I with Gt = gtilde(G) carries A on
-    its even and conj(A) on its odd rows and columns: Gt's even rows carry
-    G^T and its odd rows conj(G^T) on disjoint columns.  So
+def forwarded_inverse(g: np.ndarray, c: float, kappa: float) -> np.ndarray:
+    """x = A^-1 / kappa (N, N, ...) of A = c^2 G^T conj(G) + I, from
+    downlink coefficients g (M, N, ...) with the batch axes last.
+    W = c^2 Gt Gt* + I with Gt = gtilde(G) carries A on its even and
+    conj(A) on its odd rows and columns: Gt's even rows carry G^T and its
+    odd rows conj(G^T) on disjoint columns.  So
     noise_cov_forwarded(gtilde(G), c, kappa, B) = kappa B W B*, and the
-    2 x 2 blocks of R0^-1 before IC are Q(x, 0) with x = A^-1 / kappa."""
-    G = np.asarray(G, dtype=complex)
-    return c * c * (np.swapaxes(G, -1, -2) @ np.conj(G)) + np.eye(G.shape[-1])
+    2 x 2 blocks of R0^-1 before IC are Q(x, 0).
+
+    A is inverted in place by Gauss-Jordan elimination, elementwise over
+    the batch axes.  A is I plus a PSD matrix, so every pivot is real and
+    at least 1: no pivoting is needed.
+    """
+    M, N = g.shape[:2]
+    a = np.zeros((N, N) + g.shape[2:], dtype=complex)
+    tmp = np.empty_like(a)
+    gc = np.conj(g)
+    for m in range(M):
+        a += np.multiply(g[m, :, None], gc[m, None, :], out=tmp)
+    a *= c * c
+    for k in range(N):
+        a[k, k] += 1.0
+    row, col = np.empty_like(a[0]), np.empty_like(a[0])
+    for k in range(N):
+        d = 1.0 / a[k, k].real
+        np.multiply(a[k], d, out=row)
+        col[...] = a[:, k]
+        a -= np.multiply(col[:, None], row[None, :], out=tmp)
+        a[k] = row
+        np.multiply(col, -d, out=a[:, k])
+        a[k, k] = d
+    if kappa != 1.0:
+        a /= kappa
+    return a
 
 
 # ---------------------------------------------------------------------------

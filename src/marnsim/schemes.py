@@ -27,8 +27,9 @@ the batch axis (see ``rx_ic``): every block of a split is a pair Q(a, b) =
 builders return each split's pairs directly, batch axis last; the kernel
 passes the block length T along with them.  Each split is whitened once
 for all sources of the group into a Gram system of pairs, the noise
-covariance before IC being one N x N inverse per trial for AF (blocks
-Q(x, 0)) and a multiple of I for EF.  Zero-forcing IC of each source is
+covariance before IC being the blocks Q(x, 0) of one N x N inverse per
+trial for AF, eliminated elementwise over the batch, and a multiple of I
+for EF.  Zero-forcing IC of each source is
 the Schur complement of that system, interferer by interferer on real
 pivots, with the EF target's own relay noise; each split's Gram is then
 a real multiple of I, so a PSK slicer decides (per symbol, or one slice
@@ -63,7 +64,7 @@ from .rx_ic import (
     SymbolSpec,
     default_rotation,
     dstc_channel_stacks,
-    forwarded_core,
+    forwarded_inverse,
     gram_pairs,
     gtilde,  # noqa: F401  bench/layers.py traces the channel stacks under this name
     ic_stack_batch,  # noqa: F401  bench/layers.py traces the IC under this name
@@ -259,7 +260,7 @@ def _decode(pairs, T, obs, r0_inv, scale, const, bits, sigma=None):
     Each split becomes one Gram system of all J sources under the noise
     covariance R0 before IC, whose inverse ``r0_inv`` the splits share: a
     scalar multiple of I, or the (N, N, n) x of the blocks Q(x, 0) of
-    R0^-1 (``forwarded_core``).  Each source is cancelled from the others as a Schur
+    R0^-1 (``forwarded_inverse``).  Each source is cancelled from the others as a Schur
     complement of it, with its own relay noise sigma[:, j] h h* added when
     ``sigma`` (n, J) is given; its splits' Grams are then real multiples
     of I and a PSK slicer decides.  With more than one source, ``bad``
@@ -319,8 +320,9 @@ def _amplify_forward(row, cfg, const, stream, n):
     c = dstc_power_scale(P, M, row.group_size(cfg.J))
     kappa = 2.0 if T == 4 else 1.0
     F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
-    # R0^-1 has blocks Q(A^-1 / kappa, 0): one N x N inverse per trial for every source and split
-    r0_inv = np.moveaxis(np.linalg.inv(forwarded_core(G, c)), 0, -1) / kappa
+    g = np.ascontiguousarray(np.moveaxis(G, 0, -1))  # (M, N, n)
+    # R0^-1 has blocks Q(x, 0), shared by every source and split
+    r0_inv = forwarded_inverse(g, c, kappa)
     decode = _joint_decode if row.joint else _decode
     errors = np.zeros((n, cfg.J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)

@@ -20,7 +20,7 @@ from .numerics import dagger, is_alamouti, solve_psd_stack
 from .relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
 from .rx_ic import (
     dstc_channel_stacks,
-    forwarded_core,
+    forwarded_inverse,
     gram_pairs,
     gtilde,
     ic_stack_batch,
@@ -178,7 +178,7 @@ def check_ml_agreement(seed=0, instances=1000):
         # colored noise with exactly the covariance R0 via its Cholesky root
         noise = np.einsum("nij,nj->ni", np.linalg.cholesky(r0), rng.complex_normal(instances, 2 * cfg.N))
         obs = scale * np.einsum("njrk,njk->nr", stacks, sv) + noise
-        p, q = gram_pairs(pairs[0], obs, np.moveaxis(np.linalg.inv(forwarded_core(g, c)), 0, -1))
+        p, q = gram_pairs(pairs[0], obs, forwarded_inverse(np.moveaxis(g, 0, -1), c, 1.0))
         # brute force over the target's symbol pair on its explicit post-IC system
         cand = np.array([[i, j] for i in range(order) for j in range(order)], dtype=np.int64)
         svc = spec.build(const.points[cand])

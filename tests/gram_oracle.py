@@ -4,7 +4,9 @@ matrices, the reference for the pair stages of ``marnsim.rx_ic``.
 One split's Gram system is (Q, z) = H* R0^-1 [H | obs] for all of its
 sources, and zero-forcing IC of a target is the Schur complement of the
 interferers' block, solved with ``solve_psd_stack``.  ``interleave``
-embeds the pair blocks Q(x, 0) of R0^-1 as a complex matrix.
+embeds the pair blocks Q(x, 0) of R0^-1 as a complex matrix, and
+``forwarded_core`` is the dense A whose LAPACK inverse is the reference
+for ``forwarded_inverse``.
 """
 
 import numpy as np
@@ -20,6 +22,12 @@ def interleave(a):
     out[..., 0::2, 0::2] = a
     out[..., 1::2, 1::2] = np.conj(a)
     return out
+
+
+def forwarded_core(G, c):
+    """A = c^2 G^T conj(G) + I (..., N, N) of (..., M, N) downlink
+    coefficients, batch axes first: R0 before IC is kappa interleave(A)."""
+    return c * c * (np.swapaxes(G, -1, -2) @ np.conj(G)) + np.eye(G.shape[-1])
 
 
 def gram_system(stacks, obs, r0_inv):

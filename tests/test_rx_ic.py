@@ -20,7 +20,7 @@ from marnsim.rx_ic import (
     component_search,
     default_rotation,
     dstc_channel_stacks,
-    forwarded_core,
+    forwarded_inverse,
     gram_pairs,
     gtilde,
     ic_stack_batch,
@@ -38,7 +38,7 @@ from marnsim.rx_ic import (
     whiten,
 )
 from marnsim.schemes import SchemeId, relay_forward_groups, simulate_batch
-from gram_oracle import gram_system, interleave, schur_ic
+from gram_oracle import forwarded_core, gram_system, interleave, schur_ic
 from propagation import propagate_noise_cov
 
 
@@ -765,8 +765,8 @@ class TestKernelSplitSystems:
         # Every kernel decodes from each split's Gram system in pair
         # arithmetic, IC being its Schur complement: none builds dense
         # channel blocks, a dense noise covariance, an IC matrix or a
-        # post-IC covariance, whitens one, solves a matrix system or
-        # searches candidates component-wise.  A name that ``schemes`` does
+        # post-IC covariance, whitens one, solves or inverts a matrix
+        # system or searches candidates component-wise.  A name that ``schemes`` does
         # not import is refused there too, in case a kernel imports it.
         from marnsim import analysis, rx_ic, schemes
 
@@ -788,6 +788,7 @@ class TestKernelSplitSystems:
             (rx_ic, "component_search"),
             (rx_ic, "solve_psd_stack"),
             (np.linalg, "solve"),
+            (np.linalg, "inv"),
         ]:
             monkeypatch.setattr(owner, name, refuse, raising=owner is not schemes)
         cfg = NetworkConfig(*cfg3, 10.0)
@@ -835,6 +836,38 @@ def _pair_ic(split, obs, r0_inv, target, T, sigma=None):
     return w.T, _split_grams(g[None], len(w))
 
 
+class TestForwardedInverse:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_lapack_inverse(self, n, m):
+        # The elementwise elimination against the LAPACK inverse of the
+        # dense A.  At large c, A = c^2 G^T conj(G) + I is ill-conditioned
+        # (cond up to 2e7 here, where LAPACK's own residual reaches 2e-9),
+        # so both errors are measured in units of that conditioning: the
+        # relative difference against cond(A) and the residual against
+        # ||A|| ||kappa x||, the error bounds of any backward-stable inverse.
+        rng = RngStream(59, 10 * n + m)
+        for kappa in (1.0, 2.0):
+            for c in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3):
+                G = _cn(rng, 50, m, n)
+                a = forwarded_core(G, c)
+                want = np.linalg.inv(a) / kappa
+                x = np.moveaxis(forwarded_inverse(np.moveaxis(G, 0, -1), c, kappa), -1, 0)
+                rel = np.linalg.norm(x - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+                assert np.all(rel <= 1e-13 * np.linalg.cond(a))
+                resid = np.linalg.norm(kappa * a @ x - np.eye(n), axis=(1, 2))
+                bound = np.linalg.norm(a, 2, axis=(1, 2)) * np.linalg.norm(kappa * x, 2, axis=(1, 2))
+                assert np.all(resid <= 1e-13 * bound)
+
+    def test_batch_of_one_and_no_batch(self):
+        # One system is a batch of one, and a bare (M, N) g is one system.
+        G = _cn(RngStream(60), 5, 4, 3)
+        g = np.moveaxis(G, 0, -1)
+        x = forwarded_inverse(g, 0.7, 2.0)
+        assert np.array_equal(forwarded_inverse(g[..., 2:3], 0.7, 2.0)[..., 0], x[..., 2])
+        assert np.array_equal(forwarded_inverse(np.ascontiguousarray(g[..., 2]), 0.7, 2.0), x[..., 2])
+
+
 class TestStructuredWhitening:
     """The decode tail's pair stages on one source (nothing to cancel)
     against the generic solve on the same (obs, h) and the covariance the
@@ -872,7 +905,7 @@ class TestStructuredWhitening:
         pairs, T = dstc_channel_stacks(F, G), dstc_design(m).T
         c = dstc_power_scale(10.0, m, 1)
         kappa = 2.0 if T == 4 else 1.0
-        r0_inv = np.moveaxis(np.linalg.inv(forwarded_core(G, c)), 0, -1) / kappa
+        r0_inv = forwarded_inverse(np.moveaxis(G, 0, -1), c, kappa)
         r = noise_cov_forwarded(gtilde(G), c, kappa)
         obs = _cn(rng, 40, pairs.shape[0] * pairs.shape[2] * 2)
         for src in range(j):
@@ -910,7 +943,7 @@ class TestStructuredWhitening:
         obs = _cn(rng, 3, 6)
         obs[1, 2] = np.nan
         [one], [two] = tdma_channel_stacks(G[:, :2], 1), tdma_channel_stacks(G, 2)
-        r0_inv = np.moveaxis(np.linalg.inv(forwarded_core(G, 1.0)), 0, -1)
+        r0_inv = forwarded_inverse(np.moveaxis(G, 0, -1), 1.0, 1.0)
         for form in (
             lambda: whiten(obs, pair_blocks(one[None], 2)[0][:, 0], np.broadcast_to(np.eye(6), (3, 6, 6)), 1.0),
             lambda: schur_pairs(*gram_pairs(one, obs, r0_inv), 0, 2),
@@ -944,7 +977,7 @@ def _schur_case(family, j, m, n, seed):
         pairs, T = tdma_channel_stacks(G, j), dstc_design(m // j).T
         c = tdma_power_scale(10.0, m)
     kappa = 2.0 if T == 4 else 1.0
-    r0_inv = np.moveaxis(np.linalg.inv(forwarded_core(G, c)), 0, -1) / kappa if family == "af" else 1.0 / kappa
+    r0_inv = forwarded_inverse(np.moveaxis(G, 0, -1), c, kappa) if family == "af" else 1.0 / kappa
     obs = _cn(rng, 40, pairs.shape[0] * pairs.shape[2] * min(T, 2))
     return pairs, T, obs, r0_inv, kappa, c, G, rng
 
