@@ -50,10 +50,11 @@ print("\ndistributed codeword t (M x T):\n", np.round(codeword, 3))
 print(f"power scale c = {scale:.4f}")
 
 # Destination observes G^T-mixed slots plus noise, then conjugates the
-# even slots to expose Alamouti structure.
+# even slots to expose Alamouti structure: one observation pair (u, v)
+# per destination antenna, like the channel's.
 downlink_noise = rng.substream(1).complex_normal(cfg.N, design.T)
-raw = np.einsum("it,in->nt", codeword, ch.G) + downlink_noise
-obs = recombine(raw[None], design.T)
+raw = ch.G.T @ codeword + downlink_noise
+obs = recombine(raw[..., None], design.T)  # (split, (u, v), antenna, trial)
 pairs = dstc_channel_stacks(ch.F[None], ch.G[None])  # (split, (a, b), antenna, source, trial)
 [blocks] = pair_blocks(pairs, design.T)
 print("\nequivalent channel: one pair (a, b) per source and destination antenna,")
@@ -66,7 +67,7 @@ for j in range(cfg.J):
 # the forwarded relay noise plus the destination noise.  Zero-forcing IC
 # of a target is the Schur complement of the other source's block: its
 # Gram is then a real multiple gamma I, so a PSK slicer decides.
-p, q = gram_pairs(pairs[0], obs, forwarded_inverse(ch.G[..., None], scale, 1.0))
+p, q = gram_pairs(pairs[0], obs[0], forwarded_inverse(ch.G[..., None], scale, 1.0))
 amp = math.sqrt(cfg.P) * scale  # symbol amplitude at the destination
 decided_bits = []
 for j in range(cfg.J):

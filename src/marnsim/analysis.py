@@ -86,7 +86,7 @@ def snr_tdma_direct(ch: ChannelRealization, cfg: NetworkConfig, target: int = 0)
     c = tdma_power_scale(cfg.P, cfg.M)
     gamma = 0.0
     for split in tdma_channel_stacks(ch.G[None], cfg.J):
-        p, q = gram_pairs(split, np.zeros((1, split.shape[1] * min(T, 2))), 1.0 / kappa)
+        p, q = gram_pairs(split, np.zeros((2, split.shape[1], 1)), 1.0 / kappa)
         gamma += float(schur_pairs(p, q, target, T, kappa * c * c / x)[1][0])
     return gamma
 

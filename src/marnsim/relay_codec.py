@@ -120,14 +120,15 @@ def _signed_gather(design: DstcDesign):
 def apply_design(design: DstcDesign, received: np.ndarray) -> np.ndarray:
     """Unscaled per-antenna transform A_i r_i + B_i conj(r_i).
 
-    ``received`` has shape (..., m_used, T); so does the result.  Each
-    entry is a signed slot of r_i or of its conjugate, gathered rather
-    than multiplied by 0/+-1 coefficients.
+    ``received`` has shape (m_used, T, ...), batch axes last; so does the
+    result.  Each entry is a signed slot of r_i or of its conjugate,
+    gathered rather than multiplied by 0/+-1 coefficients.
     """
     received = np.asarray(received, dtype=complex)
-    if received.shape[-2:] != (design.m_used, design.T):
-        raise UsageError(f"received shape {received.shape} != (..., {design.m_used}, {design.T})")
+    m, T = design.m_used, design.T
+    if received.shape[:2] != (m, T):
+        raise UsageError(f"received shape {received.shape} != ({m}, {T}, ...)")
     slot, factors = _signed_gather(design)
-    out = np.ascontiguousarray(received[..., np.arange(design.m_used)[:, None], slot])
-    out.view(float).__imul__(factors)
+    out = np.ascontiguousarray(received[np.arange(m)[:, None], slot])
+    out.view(float).reshape(m, T, -1, 2).__imul__(factors.reshape(m, T, 1, 2))
     return out

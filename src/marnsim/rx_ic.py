@@ -186,27 +186,18 @@ def recombination_matrices(N: int, T: int):
 
 
 def recombine(raw: np.ndarray, T: int) -> np.ndarray:
-    """Apply the sample recombination to (..., N, T) raw samples."""
+    """Observation pairs (S, 2, N, ...) of (N, T, ...) raw samples, batch
+    axes last: split s's pair (u_n, v_n) at antenna n is entries 2n and
+    2n + 1 of ``recombination_matrices``' split s (u_n alone, v_n = 0, for
+    T = 1).  The slots combine as the relay antennas of ``_pairs`` do:
+    (x_1n, conj(x_2n)) for T = 2, and the + split (x_1n + x_4n,
+    conj(x_2n - x_3n)) and the - split (x_1n - x_4n, conj(x_2n + x_3n))
+    for T = 4.
+    """
     raw = np.asarray(raw, dtype=complex)
-    if raw.shape[-1] != T:
-        raise UsageError(f"raw block length {raw.shape[-1]} != T={T}")
-    if T == 1:
-        return raw[..., 0]
-    if T == 2:
-        return np.stack([raw[..., 0], np.conj(raw[..., 1])], axis=-1).reshape(
-            *raw.shape[:-2], -1
-        )
-    if T == 4:
-        plus = np.stack(
-            [raw[..., 0] + raw[..., 3], np.conj(raw[..., 1]) - np.conj(raw[..., 2])],
-            axis=-1,
-        ).reshape(*raw.shape[:-2], -1)
-        minus = np.stack(
-            [raw[..., 0] - raw[..., 3], np.conj(raw[..., 1]) + np.conj(raw[..., 2])],
-            axis=-1,
-        ).reshape(*raw.shape[:-2], -1)
-        return np.concatenate([plus, minus], axis=-1)
-    raise UsageError(f"unsupported block length T={T}")
+    if T not in (1, 2, 4) or raw.shape[1:2] != (T,):
+        raise UsageError(f"raw samples {raw.shape} are not (N, T={T}, ...) with T in 1, 2, 4")
+    return _pairs(np.moveaxis(raw, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +471,8 @@ def gram_pairs(split, obs, r0_inv):
     z_j = (p_jJ, q_jJ).
 
     ``split`` (2, K, J, n), one split of a builder's pairs, holds the
-    pairs (a_rj, b_rj) of each source's K blocks r, and the split's
-    recombined observation ``obs`` (n, K t) the pairs (u_r, v_r): entries
-    2r and 2r + 1 for t = 2, u_r alone with v_r = 0 for t = 1.
+    pairs (a_rj, b_rj) of each source's K blocks r, and ``obs`` (2, K, n),
+    the same split of ``recombine``'s pairs, the observation's (u_r, v_r).
     ``r0_inv`` is a scalar multiple of the identity or the (K, K, n) x of
     the blocks Q(x_rs, 0) of R0^-1: then (a', b') = (x a, conj(x) b), and
     Q_jk = sum_r Q(a_rj, b_rj)* Q(a'_rk, b'_rk) has
@@ -491,12 +481,10 @@ def gram_pairs(split, obs, r0_inv):
     temporaries cost page faults.
     """
     K, J, n = split.shape[1:]
-    t = obs.shape[-1] // K
     a = np.empty((K, J + 1, n), dtype=complex)  # (block row, source or obs, trial)
     b = np.empty_like(a)
     a[:, :J], b[:, :J] = split
-    a[:, J] = obs[:, ::t].T
-    b[:, J] = obs[:, 1::2].T if t == 2 else 0.0
+    a[:, J], b[:, J] = obs
     ax, bx, tmp = np.empty_like(a), np.empty_like(a), np.empty_like(a)
     if np.ndim(r0_inv):  # a'_r = sum_s x_rs a_s, b'_r = sum_s conj(x_rs) b_s
         x = r0_inv[:, :, None]

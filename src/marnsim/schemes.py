@@ -204,20 +204,21 @@ def relay_hard_decision(soft: np.ndarray, const: Constellation, P: float) -> np.
 
 
 def relay_forward_groups(est: np.ndarray, design, c: float, M: int) -> np.ndarray:
-    """Estimate-and-forward relay output: every source's (n, J, T) symbol
-    estimates coded at once on disjoint antenna groups.
+    """Estimate-and-forward relay output: every source's (J, T, ...)
+    symbol estimates, batch axes last, coded on disjoint antenna groups.
 
     Source j's codeword, amplified by c, occupies antennas j*g .. (j+1)*g - 1
     with g = design.m_used; antennas past J*g stay silent.  Returns the
-    (n, M, T) relay transmit block.
+    (M, T, ...) relay transmit block.
     """
-    n, J, T = est.shape
-    gs = design.m_used
+    J, gs = len(est), design.m_used
     if J * gs > M:
         raise UsageError(f"{J} groups of {gs} antennas exceed M={M}")
-    grp = np.broadcast_to(est[:, :, None, :], (n, J, gs, T))
-    x_relay = (c * apply_design(design, grp)).reshape(n, J * gs, T)
-    return np.pad(x_relay, ((0, 0), (0, M - J * gs), (0, 0)))
+    out = np.zeros((M,) + est.shape[1:], dtype=complex)
+    for j in range(J):
+        grp = np.broadcast_to(est[j], (gs,) + est.shape[1:])
+        np.multiply(c, apply_design(design, grp), out=out[j * gs : (j + 1) * gs])
+    return out
 
 
 def relay_zf_gains(F: np.ndarray) -> np.ndarray:
@@ -240,10 +241,30 @@ def _mrc_gains(F: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(F) ** 2, axis=1)
 
 
-def _downlink(x_relay: np.ndarray, G: np.ndarray, stream: RngStream):
-    """Second hop: (n, M, T) relay output through (n, M, N) channels."""
-    n, _, T = x_relay.shape
-    return np.einsum("nmt,nmo->not", x_relay, G) + stream.complex_normal(n, G.shape[-1], T)
+def _uplink(f: np.ndarray, s: np.ndarray, P: float, stream: RngStream):
+    """First hop of concurrent sources: (J, T, n) symbols through (M, J, n)
+    channels, received as (M, T, n) samples with unit noise; the noise is
+    drawn (n, M, T) and viewed batch-last."""
+    M, J, n = f.shape
+    r = np.multiply(f[:, 0, None], s[0])
+    tmp = np.empty_like(r)
+    for j in range(1, J):
+        r += np.multiply(f[:, j, None], s[j], out=tmp)
+    r *= math.sqrt(P)
+    r += np.moveaxis(stream.complex_normal(n, M, s.shape[1]), 0, -1)
+    return r
+
+
+def _downlink(x_relay: np.ndarray, g: np.ndarray, stream: RngStream):
+    """Second hop: (M, T, n) relay output through (M, N, n) channels,
+    received as (N, T, n) samples with unit noise drawn (n, N, T)."""
+    M, T, n = x_relay.shape
+    raw = np.multiply(x_relay[0], g[0, :, None])
+    tmp = np.empty_like(raw)
+    for m in range(1, M):
+        raw += np.multiply(x_relay[m], g[m, :, None], out=tmp)
+    raw += np.moveaxis(stream.complex_normal(n, g.shape[1], T), 0, -1)
+    return raw
 
 
 def _count_errors(idx: np.ndarray, sent_bits: np.ndarray, const: Constellation):
@@ -254,14 +275,15 @@ def _count_errors(idx: np.ndarray, sent_bits: np.ndarray, const: Constellation):
 
 def _decode(pairs, T, obs, r0_inv, scale, const, bits, sigma=None):
     """Shared decode tail of every source in the recombined system of
-    channel ``pairs`` (S, 2, K, J, n) of a T-slot block and ``obs``
-    (n, S K t) that sent ``bits`` (n, J, T*b): (bit errors (n, J), bad (n,)).
+    channel ``pairs`` (S, 2, K, J, n) of a T-slot block and observation
+    pairs ``obs`` (S, 2, K, n) (``recombine``) that sent ``bits``
+    (n, J, T*b): (bit errors (n, J), bad (n,)).
 
     Each split becomes one Gram system of all J sources under the noise
     covariance R0 before IC, whose inverse ``r0_inv`` the splits share: a
     scalar multiple of I, or the (N, N, n) x of the blocks Q(x, 0) of
-    R0^-1 (``forwarded_inverse``).  Each source is cancelled from the others as a Schur
-    complement of it, with its own relay noise sigma[:, j] h h* added when
+    R0^-1 (``forwarded_inverse``).  Each source is cancelled from the
+    others as a Schur complement of it, with its own relay noise sigma[:, j] h h* added when
     ``sigma`` (n, J) is given; its splits' Grams are then real multiples
     of I and a PSK slicer decides.  With more than one source, ``bad``
     flags the draws where some source's block Q(a, b) in a split fades:
@@ -273,7 +295,7 @@ def _decode(pairs, T, obs, r0_inv, scale, const, bits, sigma=None):
     if J > 1:
         power = np.abs(pairs[:, 0]) ** 2 + np.abs(pairs[:, 1]) ** 2  # (S, K, J, n)
         bad = power.min(axis=(0, 1, 2)) < DEGENERATE_TOL**2
-    systems = [gram_pairs(split, o, r0_inv) for split, o in zip(pairs, np.split(obs, len(pairs), axis=-1))]
+    systems = [gram_pairs(split, o, r0_inv) for split, o in zip(pairs, obs)]
     for j in range(J):
         s_j = None if sigma is None else sigma[:, j]
         ws, gs = zip(*(schur_pairs(p, q, j, T, s_j) for p, q in systems))
@@ -294,7 +316,7 @@ def _joint_decode(pairs, T, obs, r0_inv, scale, const, bits):
     S, e = len(pairs), J * T
     w = np.zeros((n, J, S, 2), dtype=complex)
     g = np.zeros((n, J, S, 2, J, S, 2), dtype=complex)
-    for s, (split, o) in enumerate(zip(pairs, np.split(obs, S, axis=-1))):
+    for s, (split, o) in enumerate(zip(pairs, obs)):
         p, q = (x.transpose(2, 0, 1) for x in gram_pairs(split, o, r0_inv))  # (n, J, J + 1)
         q = -q if T == 4 else q
         w[:, :, s, 0], w[:, :, s, 1] = p[..., J], q[..., J]
@@ -320,16 +342,17 @@ def _amplify_forward(row, cfg, const, stream, n):
     c = dstc_power_scale(P, M, row.group_size(cfg.J))
     kappa = 2.0 if T == 4 else 1.0
     F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
-    g = np.ascontiguousarray(np.moveaxis(G, 0, -1))  # (M, N, n)
+    f, g = (np.ascontiguousarray(np.moveaxis(x, 0, -1)) for x in (F, G))  # (M, J, n), (M, N, n)
+    s = np.moveaxis(s, 0, -1)  # (J, T, n)
     # R0^-1 has blocks Q(x, 0), shared by every source and split
     r0_inv = forwarded_inverse(g, c, kappa)
     decode = _joint_decode if row.joint else _decode
     errors = np.zeros((n, cfg.J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
     for grp in row.groups(cfg.J):
-        r = math.sqrt(P) * np.einsum("nmj,njt->nmt", F[:, :, grp], s[:, grp])
-        r = r + stream.complex_normal(n, M, T)
-        obs = recombine(_downlink(c * apply_design(design, r), G, stream), T)
+        x_relay = apply_design(design, _uplink(f[:, grp], s[grp], P, stream))
+        x_relay *= c
+        obs = recombine(_downlink(x_relay, g, stream), T)
         pairs = dstc_channel_stacks(F[:, :, grp], G)
         errors[:, grp], bad_g = decode(pairs, T, obs, r0_inv, math.sqrt(P) * c, const, bits[:, grp])
         bad |= bad_g
@@ -355,10 +378,11 @@ def _estimate_forward(row, cfg, const, stream, n):
         est, c, sigma = relay_hard_decision(est, const, P), 1.0 / math.sqrt(M), None
     else:  # R = kappa (I + (c^2 / gain) h h*) with h the target's channel
         sigma = kappa * c * c / gains
+    est, g = np.moveaxis(est, 0, -1), np.ascontiguousarray(np.moveaxis(G, 0, -1))  # (J, T, n), (M, N, n)
     pairs = tdma_channel_stacks(G, row.group_size(J))
     errors = np.zeros((n, J), dtype=np.int64)
     for grp in row.groups(J):
-        obs = recombine(_downlink(relay_forward_groups(est[:, grp], design, c, M), G, stream), T)
+        obs = recombine(_downlink(relay_forward_groups(est[grp], design, c, M), g, stream), T)
         s_g = None if sigma is None else sigma[:, grp]
         errors[:, grp], bad_g = _decode(pairs, T, obs, 1.0 / kappa, math.sqrt(P) * c, const, bits[:, grp], s_g)
         bad |= bad_g

@@ -98,12 +98,20 @@ def check_recombination_audit(seed=0):
     for T, N in ((1, 3), (2, 3), (4, 2), (4, 3), (4, 4)):
         raw = rng.complex_normal(50, N, T)
         c1, c2 = recombination_matrices(N, T)
-        obs = recombine(raw, T)
+        obs = recombine(np.moveaxis(raw, 0, -1), T)
         flat = raw.reshape(50, -1)
         ref = flat @ c1.T + np.conj(flat) @ c2.T
-        worst = max(worst, float(np.abs(obs - ref).max()))
+        # T = 1 leaves v = 0 in each pair (u, v)
+        worst = max(worst, float(np.abs(_dense(obs, T) - ref).max()), float(np.abs(obs[:, T:]).max(initial=0.0)))
     ok = worst <= 1e-12
     return ok, f"max audit deviation {worst:.2e} (tolerance 1e-12)"
+
+
+def _dense(obs, T):
+    """The recombined observation (n, S K t) of ``recombine``'s pairs
+    (S, 2, K, n), in ``recombination_matrices``' entry order."""
+    t = min(T, 2)
+    return np.moveaxis(obs[:, :t], (0, 1, 2), (1, 3, 2)).reshape(obs.shape[-1], -1)
 
 
 def _sample_cov(n):
@@ -125,9 +133,9 @@ def check_noise_covariance(seed=0, trials=100_000):
     c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
     v = rng.complex_normal(trials, cfg.M, design.T)
     w = rng.complex_normal(trials, cfg.N, design.T)
-    t = c * apply_design(design, v)
-    raw = np.einsum("kmt,mn->knt", t, g) + w
-    noise = np.einsum("rk,nk->nr", bmat[0], recombine(raw, design.T))
+    t = c * apply_design(design, np.moveaxis(v, 0, -1))
+    raw = np.einsum("mtk,mn->ntk", t, g) + np.moveaxis(w, 0, -1)
+    noise = np.einsum("rk,nk->nr", bmat[0], _dense(recombine(raw, design.T), design.T))
     want = noise_cov_forwarded(gtilde(g), c, 1.0, bmat[0])
     got = _sample_cov(noise)
     dev = float(np.abs(got - want).max() / np.abs(want).max())
@@ -144,9 +152,9 @@ def check_noise_covariance(seed=0, trials=100_000):
     c1 = tdma_power_scale(cfg.P, cfg.M)
     x = np.sum(np.abs(f) ** 2, axis=0)
     vhat = rng.complex_normal(trials, cfg.J, design.T) / np.sqrt(x)[:, None]
-    xr = relay_forward_groups(vhat, design, c1, cfg.M)
-    raw = np.einsum("kmt,mn->knt", xr, g) + rng.complex_normal(trials, cfg.N, design.T)
-    noise = np.einsum("rk,nk->nr", bmat[0], recombine(raw, design.T))
+    xr = relay_forward_groups(np.moveaxis(vhat, 0, -1), design, c1, cfg.M)
+    raw = np.einsum("mtk,mn->ntk", xr, g) + np.moveaxis(rng.complex_normal(trials, cfg.N, design.T), 0, -1)
+    noise = np.einsum("rk,nk->nr", bmat[0], _dense(recombine(raw, design.T), design.T))
     want = noise_cov_on_target(bmat[0] @ stacks[0, 0], 1.0, np.array(c1 * c1 / x[0]), bmat[0])
     got = _sample_cov(noise)
     dev = float(np.abs(got - want).max() / np.abs(want).max())
@@ -178,7 +186,8 @@ def check_ml_agreement(seed=0, instances=1000):
         # colored noise with exactly the covariance R0 via its Cholesky root
         noise = np.einsum("nij,nj->ni", np.linalg.cholesky(r0), rng.complex_normal(instances, 2 * cfg.N))
         obs = scale * np.einsum("njrk,njk->nr", stacks, sv) + noise
-        p, q = gram_pairs(pairs[0], obs, forwarded_inverse(np.moveaxis(g, 0, -1), c, 1.0))
+        o = np.stack([obs[:, 0::2].T, obs[:, 1::2].T])  # the observation pairs (u, v)
+        p, q = gram_pairs(pairs[0], o, forwarded_inverse(np.moveaxis(g, 0, -1), c, 1.0))
         # brute force over the target's symbol pair on its explicit post-IC system
         cand = np.array([[i, j] for i in range(order) for j in range(order)], dtype=np.int64)
         svc = spec.build(const.points[cand])
@@ -212,8 +221,8 @@ def check_power_normalization(seed=0, trials=100_000):
         r = math.sqrt(P) * np.einsum("nmj,njt->nmt", f, s) + rng.complex_normal(
             trials, M, design.T
         )
-        t = c * apply_design(design, r)
-        power = float(np.mean(np.sum(np.abs(t) ** 2, axis=1)))  # per slot, all antennas
+        t = c * apply_design(design, np.moveaxis(r, 0, -1))
+        power = float(np.mean(np.sum(np.abs(t) ** 2, axis=0)))  # per slot, all antennas
         if abs(power / P - 1.0) > 0.02:
             return False, f"concurrent encoder power {power:.3f} vs P={P} (M={M}, J={J})"
         msgs.append(f"concurrent M={M} J={J}: {power / P:.4f} P")
@@ -223,8 +232,8 @@ def check_power_normalization(seed=0, trials=100_000):
         c1 = tdma_power_scale(P, M)
         s = np.exp(2j * np.pi * rng.generator.random((trials, J, design.T)))
         rhat = math.sqrt(P) * s + rng.complex_normal(trials, J, design.T)
-        xr = relay_forward_groups(rhat, design, c1, M)
-        power = float(np.mean(np.sum(np.abs(xr) ** 2, axis=1)))
+        xr = relay_forward_groups(np.moveaxis(rhat, 0, -1), design, c1, M)
+        power = float(np.mean(np.sum(np.abs(xr) ** 2, axis=0)))
         if abs(power / P - 1.0) > 0.02:
             return False, f"TDMA encoder power {power:.3f} vs P={P} (M={M}, J={J})"
         msgs.append(f"TDMA M={M} J={J}: {power / P:.4f} P")

@@ -6,7 +6,9 @@ sources, and zero-forcing IC of a target is the Schur complement of the
 interferers' block, solved with ``solve_psd_stack``.  ``interleave``
 embeds the pair blocks Q(x, 0) of R0^-1 as a complex matrix, and
 ``forwarded_core`` is the dense A whose LAPACK inverse is the reference
-for ``forwarded_inverse``.
+for ``forwarded_inverse``.  ``dense_obs`` and ``obs_pairs`` convert
+between ``recombine``'s observation pairs and the dense recombined
+observation of ``recombination_matrices``.
 """
 
 import numpy as np
@@ -22,6 +24,24 @@ def interleave(a):
     out[..., 0::2, 0::2] = a
     out[..., 1::2, 1::2] = np.conj(a)
     return out
+
+
+def dense_obs(obs, T):
+    """The recombined observation (..., S K t) of observation pairs
+    (S, 2, K, ...) of a T-slot block, batch axes first: entry s K t + r t
+    + e of split s is obs[s, e, r] (t = 1 keeps u_r alone)."""
+    S, _, K = obs.shape[:3]
+    t = min(T, 2)
+    d = np.moveaxis(obs[:, :t], (0, 1, 2), (-3, -1, -2))  # (..., S, K, t)
+    return d.reshape(*d.shape[:-3], S * K * t)
+
+
+def obs_pairs(obs, t):
+    """Observation pairs (2, K, ...) of one split's recombined observation
+    (..., K t), batch axes first: (u_r, v_r) are entries r t and r t + 1,
+    v_r = 0 for t = 1."""
+    o = np.moveaxis(np.asarray(obs, dtype=complex), -1, 0)
+    return np.stack([o, np.zeros_like(o)]) if t == 1 else np.stack([o[0::2], o[1::2]])
 
 
 def forwarded_core(G, c):

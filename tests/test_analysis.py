@@ -21,6 +21,7 @@ from marnsim.analysis import (
 from marnsim.numerics import UsageError
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
 from marnsim.rx_ic import dstc_channel_stacks, ic_stack_batch, pair_blocks, recombine
+from gram_oracle import dense_obs
 from propagation import propagate_noise_cov
 
 
@@ -45,7 +46,7 @@ def _dstc_snr_oracle(f, g, cfg, target=0):
         v = e[:mt].reshape(cfg.M, design.T)
         w = e[mt:].reshape(cfg.N, design.T)
         raw = np.einsum("it,in->nt", c * apply_design(design, v), g) + w
-        return bmat @ recombine(raw, design.T)
+        return bmat @ dense_obs(recombine(raw, design.T), design.T)
 
     r, _ = propagate_noise_cov(linmap, mt + nt, bmat.shape[0])
     h = (bmat @ stacks[0, target])[:, 0]

@@ -87,16 +87,16 @@ class TestEncodeDstc:
     @pytest.mark.parametrize("M", range(1, 9))
     def test_gather_matches_coefficient_form(self, M):
         # The signed gather is bitwise the 0/+-1 coefficient products
-        # sum_s A_its r_is + B_its conj(r_is), with leading batch axes.
+        # sum_s A_its r_is + B_its conj(r_is), with trailing batch axes.
         d = dstc_design(M)
-        r = RngStream(6, M).complex_normal(3, 5, M, d.T)
-        want = np.einsum("its,...is->...it", d.A.astype(float), r) + np.einsum(
-            "its,...is->...it", d.B.astype(float), np.conj(r)
+        r = np.moveaxis(RngStream(6, M).complex_normal(3, 5, M, d.T), (-2, -1), (0, 1))
+        want = np.einsum("its,is...->it...", d.A.astype(float), r) + np.einsum(
+            "its,is...->it...", d.B.astype(float), np.conj(r)
         )
         got = apply_design(d, r)
         assert got.shape == r.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(apply_design(d, r[1, 2]), want[1, 2])
+        assert np.array_equal(apply_design(d, r[..., 1, 2]), want[..., 1, 2])
 
     def test_zero_input(self):
         d = dstc_design(2)
@@ -125,43 +125,43 @@ class TestEncodeDstc:
         d = dstc_design(2)
         P, J = 9.0, 2
         rng = RngStream(5)
-        r = math.sqrt(J * P + 1.0) * rng.complex_normal(20000, 2, 2)
+        r = math.sqrt(J * P + 1.0) * np.moveaxis(rng.complex_normal(20000, 2, 2), 0, -1)
         t = _concurrent_relay(r, d, P, J)
-        total = np.mean(np.sum(np.abs(t) ** 2, axis=-2)) / d.T * d.m_used
+        total = np.mean(np.sum(np.abs(t) ** 2, axis=0)) / d.T * d.m_used
         assert abs(total - P) < 0.02 * P
 
 
 class TestEncodeTdma:
     def test_zero_estimates(self):
         d = dstc_design(2)
-        assert not relay_forward_groups(np.zeros((1, 2, 2)), d, 3.0, 4).any()
+        assert not relay_forward_groups(np.zeros((2, 2, 1)), d, 3.0, 4).any()
 
     def test_m_equals_2j_placement(self):
         d = dstc_design(2)
         v = np.array([1.0 + 1.0j, 2.0 - 0.5j])
-        est = np.stack([v, np.zeros(2)])[None]
+        est = np.stack([v, np.zeros(2)])
         c1 = tdma_power_scale(2.0, 4)
-        out = relay_forward_groups(est, d, c1, 4)[0]
+        out = relay_forward_groups(est, d, c1, 4)
         assert np.allclose(out[0], c1 * v)
         assert np.allclose(out[1], c1 * np.array([[0, -1], [1, 0]]) @ np.conj(v))
         assert not out[2:].any()
 
     def test_excess_antennas_silent(self):
         d = dstc_design(2)
-        out = relay_forward_groups(np.ones((1, 2, 2)), d, 1.0, 5)  # group size 2, antenna 5 idle
-        assert out.shape == (1, 5, 2)
-        assert not out[0, 4].any()
+        out = relay_forward_groups(np.ones((2, 2, 1)), d, 1.0, 5)  # group size 2, antenna 5 idle
+        assert out.shape == (5, 2, 1)
+        assert not out[4].any()
 
     def test_wrong_group_size_raises(self):
         with pytest.raises(UsageError):
-            relay_forward_groups(np.ones((1, 3, 2)), dstc_design(2), 1.0, 4)
+            relay_forward_groups(np.ones((3, 2, 1)), dstc_design(2), 1.0, 4)
 
     def test_codeword_gram_orthogonal(self):
         # Group size 2: the per-source codeword is a scaled orthogonal STBC.
         d = dstc_design(2)
         v = np.array([0.3 + 1.0j, -1.2 + 0.4j])
         c1 = tdma_power_scale(4.0, 2)
-        out = relay_forward_groups(v[None, None], d, c1, 2)[0]
+        out = relay_forward_groups(v[None], d, c1, 2)
         gram = out @ out.conj().T
         expect = c1 * c1 * np.sum(np.abs(v) ** 2) * np.eye(2)
         assert np.allclose(gram, expect, atol=1e-12)
@@ -175,8 +175,8 @@ class TestEncodeTdma:
         n = 20000
         s = np.exp(2j * np.pi * rng.generator.random((n, 1, 2)))
         est = math.sqrt(P) * s + rng.complex_normal(n, J, 2)
-        out = relay_forward_groups(est, d, tdma_power_scale(P, M), M)
-        total = np.mean(np.sum(np.abs(out) ** 2, axis=(-2, -1))) / d.T
+        out = relay_forward_groups(np.moveaxis(est, 0, -1), d, tdma_power_scale(P, M), M)
+        total = np.mean(np.sum(np.abs(out) ** 2, axis=(0, 1))) / d.T
         assert abs(total - P) < 0.02 * P
 
 

@@ -38,7 +38,7 @@ from marnsim.rx_ic import (
     whiten,
 )
 from marnsim.schemes import SchemeId, relay_forward_groups, simulate_batch
-from gram_oracle import forwarded_core, gram_system, interleave, schur_ic
+from gram_oracle import dense_obs, forwarded_core, gram_system, interleave, obs_pairs, schur_ic
 from propagation import propagate_noise_cov
 
 
@@ -49,21 +49,21 @@ def _cn(rng, *shape):
 def _noiseless_dstc_raw(F, G, cfg, symbols):
     """Uplink -> concurrent relay transform -> downlink with noise off.
 
-    F (n, M, J), G (n, M, N), ``symbols`` (n, J, T); returns the (n, N, T)
-    destination samples.
+    F (n, M, J), G (n, M, N), ``symbols`` (n, J, T); returns the (N, T, n)
+    destination samples, batch axis last as the relay stages take it.
     """
     design = dstc_design(cfg.M)
-    received = math.sqrt(cfg.P) * np.einsum("nmj,njt->nmt", F, symbols)
+    received = math.sqrt(cfg.P) * np.einsum("nmj,njt->mtn", F, symbols)
     t = dstc_power_scale(cfg.P, cfg.M, cfg.J) * apply_design(design, received)
-    return np.einsum("nmt,nmo->not", t, G)
+    return np.einsum("mtn,nmo->otn", t, G)
 
 
 def _noiseless_tdma_raw(G, cfg, symbols):
     """Noise-free TDMA uplink estimates forwarded on antenna groups."""
     design = dstc_design(cfg.M // cfg.J)
     c1 = tdma_power_scale(cfg.P, cfg.M)
-    t = relay_forward_groups(math.sqrt(cfg.P) * symbols, design, c1, cfg.M)
-    return np.einsum("nmt,nmo->not", t, G)
+    t = relay_forward_groups(math.sqrt(cfg.P) * np.moveaxis(symbols, 0, -1), design, c1, cfg.M)
+    return np.einsum("mtn,nmo->otn", t, G)
 
 
 def _splits(pairs, T):
@@ -136,14 +136,18 @@ class TestRecombination:
         c1, c2 = recombination_matrices(n, t)
         obs = recombine(raw, t)
         expect = c1 @ raw.ravel() + c2 @ np.conj(raw.ravel())
-        assert np.allclose(obs, expect, atol=1e-14)
+        assert np.allclose(dense_obs(obs, t), expect, atol=1e-14)
+        assert t > 1 or not obs[:, 1].any()  # v = 0 for a single slot
+        # Batch axes last: each trial of a batch is its batch of one.
+        batch = _cn(rng, n, t, 5)
+        assert np.array_equal(recombine(batch, t)[..., 3], recombine(batch[..., 3], t))
 
     def test_t4_first_entry_is_slot_sum(self):
         raw = np.arange(8, dtype=complex).reshape(2, 4)
         obs = recombine(raw, 4)
-        assert obs[0] == raw[0, 0] + raw[0, 3]
-        # minus split starts after the 2N plus rows
-        assert obs[4] == raw[0, 0] - raw[0, 3]
+        assert obs[0, 0, 0] == raw[0, 0] + raw[0, 3]
+        # the minus split is the second pair
+        assert obs[1, 0, 0] == raw[0, 0] - raw[0, 3]
 
     def test_bad_length_raises(self):
         with pytest.raises(UsageError):
@@ -160,7 +164,7 @@ class TestChannelStacks:
         F, G = _cn(rng, 1, m, j), _cn(rng, 1, m, n)
         design = dstc_design(m)
         symbols = _cn(rng, 1, j, design.T)
-        obs = recombine(_noiseless_dstc_raw(F, G, cfg, symbols), design.T)
+        obs = dense_obs(recombine(_noiseless_dstc_raw(F, G, cfg, symbols), design.T), design.T)
         c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
         _check_noiseless(obs, dstc_channel_stacks(F, G), design.T, symbols, math.sqrt(cfg.P) * c)
         _assert_psd(noise_cov_forwarded(gtilde(G), c, 2.0 if design.T == 4 else 1.0)[0])
@@ -172,7 +176,7 @@ class TestChannelStacks:
         G = _cn(rng, 1, m, n)
         design = dstc_design(m // j)
         symbols = _cn(rng, 1, j, design.T)
-        obs = recombine(_noiseless_tdma_raw(G, cfg, symbols), design.T)
+        obs = dense_obs(recombine(_noiseless_tdma_raw(G, cfg, symbols), design.T), design.T)
         scale = math.sqrt(cfg.P) * tdma_power_scale(cfg.P, cfg.M)
         _check_noiseless(obs, tdma_channel_stacks(G, j), design.T, symbols, scale)
 
@@ -334,7 +338,7 @@ class TestNoiseCovariances:
             v = e[:mt].reshape(2, design.T)
             w = e[mt:].reshape(cfg.N, design.T)
             raw = np.einsum("it,in->nt", c * apply_design(design, v), G) + w
-            return bmat @ recombine(raw, design.T)
+            return bmat @ dense_obs(recombine(raw, design.T), design.T)
 
         r, pseudo = propagate_noise_cov(linmap, mt + nt, bmat.shape[0])
         expect = noise_cov_forwarded(gtilde(G), c, 1.0, bmat)
@@ -358,7 +362,7 @@ class TestNoiseCovariances:
             v = e[:mt].reshape(4, design.T)
             w = e[mt:].reshape(cfg.N, design.T)
             raw = np.einsum("it,in->nt", c * apply_design(design, v), G) + w
-            rec = recombine(raw, design.T)
+            rec = dense_obs(recombine(raw, design.T), design.T)
             return np.concatenate([b @ rec[rows] for b, (_, rows) in zip(bmats, splits)])
 
         r, _ = propagate_noise_cov(linmap, mt + nt, 2 * rows_out)
@@ -384,14 +388,14 @@ class TestNoiseCovariances:
         nt = cfg.N * design.T
 
         def linmap(e):
-            est = np.empty((1, cfg.J, design.T), dtype=complex)
+            est = np.empty((cfg.J, design.T), dtype=complex)
             for j in range(cfg.J):
                 v = e[j * per_src : (j + 1) * per_src].reshape(cfg.M, design.T)
-                est[0, j] = np.einsum("i,it->t", np.conj(F[:, j]), v) / x[j]
+                est[j] = np.einsum("i,it->t", np.conj(F[:, j]), v) / x[j]
             w = e[cfg.J * per_src :].reshape(cfg.N, design.T)
-            t = relay_forward_groups(est, design, c1, cfg.M)[0]
+            t = relay_forward_groups(est, design, c1, cfg.M)
             raw = np.einsum("it,in->nt", t, G) + w
-            return bmat @ recombine(raw, design.T)
+            return bmat @ dense_obs(recombine(raw, design.T), design.T)
 
         r, _ = propagate_noise_cov(linmap, cfg.J * per_src + nt, bmat.shape[0])
         expect = noise_cov_on_target(bmat @ stacks[0, 0], 1.0, np.array(c1 * c1 / x[0]), bmat)
@@ -440,8 +444,8 @@ class TestMlDecode:
             symbols[..., 2:] *= np.exp(1j * default_rotation(order))
         raw = _noiseless_dstc_raw(F, G, cfg, symbols)
         if noise:
-            raw = raw + noise * _cn(rng, 1, n, design.T)
-        obs = recombine(raw, design.T)
+            raw = raw + noise * np.moveaxis(_cn(rng, 1, n, design.T), 0, -1)
+        obs = dense_obs(recombine(raw, design.T), design.T)
         cdst = dstc_power_scale(cfg.P, cfg.M, cfg.J)
         r_split = noise_cov_forwarded(gtilde(G), cdst, 2.0 if design.T == 4 else 1.0)
         splits = _splits(dstc_channel_stacks(F, G), design.T)
@@ -597,6 +601,7 @@ class TestJointMlDecode:
         )
         (w, q, spec, _), = _capture(monkeypatch, "joint_search", SchemeId.ConcurrentJoint, cfg3, order)
         splits = _splits(pairs, T)
+        obs = dense_obs(obs, T)
         h = np.concatenate([_source_channel(splits, j) for j in range(pairs.shape[-2])], axis=-1)
         r = block_diag(*[np.linalg.inv(interleave(np.moveaxis(r0_inv, -1, 0)))] * len(splits))
         want_w, want_q = whiten(obs, h, r, scale)
@@ -695,6 +700,7 @@ def _capture_tail(monkeypatch, scheme, cfg3, order, trials=64, refuse=()):
     systems = []
     for (pairs, T, obs, r0_inv, scale, _, _, *sigma), _ in tails:
         sigma = sigma[0] if sigma else None
+        obs = dense_obs(obs, T)
         for j in range(pairs.shape[-2]):
             splits = []
             for split, rows in _splits(pairs, T):
@@ -830,9 +836,10 @@ def _rel_err(got, want):
 
 
 def _pair_ic(split, obs, r0_inv, target, T, sigma=None):
-    """The pair stages' whitened system of ``target`` in one split, laid
-    out as ``whiten``'s: w (n, E) and q = gamma I (n, E, E)."""
-    w, g = schur_pairs(*gram_pairs(split, obs, r0_inv), target, T, sigma)
+    """The pair stages' whitened system of ``target`` in one split of the
+    recombined observation ``obs`` (n, K t), laid out as ``whiten``'s:
+    w (n, E) and q = gamma I (n, E, E)."""
+    w, g = schur_pairs(*gram_pairs(split, obs_pairs(obs, min(T, 2)), r0_inv), target, T, sigma)
     return w.T, _split_grams(g[None], len(w))
 
 
@@ -946,10 +953,10 @@ class TestStructuredWhitening:
         r0_inv = forwarded_inverse(np.moveaxis(G, 0, -1), 1.0, 1.0)
         for form in (
             lambda: whiten(obs, pair_blocks(one[None], 2)[0][:, 0], np.broadcast_to(np.eye(6), (3, 6, 6)), 1.0),
-            lambda: schur_pairs(*gram_pairs(one, obs, r0_inv), 0, 2),
-            lambda: schur_pairs(*gram_pairs(one, obs, 1.0), 0, 2, np.ones(3)),
-            lambda: schur_pairs(*gram_pairs(one, obs, 1.0), 0, 2),
-            lambda: schur_pairs(*gram_pairs(two, obs, 1.0), 1, 2, np.ones(3)),
+            lambda: schur_pairs(*gram_pairs(one, obs_pairs(obs, 2), r0_inv), 0, 2),
+            lambda: schur_pairs(*gram_pairs(one, obs_pairs(obs, 2), 1.0), 0, 2, np.ones(3)),
+            lambda: schur_pairs(*gram_pairs(one, obs_pairs(obs, 2), 1.0), 0, 2),
+            lambda: schur_pairs(*gram_pairs(two, obs_pairs(obs, 2), 1.0), 1, 2, np.ones(3)),
         ):
             with pytest.raises(NumericError):
                 form()
@@ -1029,7 +1036,7 @@ class TestSchurIc:
             o = obs[:, rows]
             ts = split.shape[-1]
             q_m, z_m = gram_system(split, o, r0_mat)
-            p, q = gram_pairs(pr, o, r0_inv)
+            p, q = gram_pairs(pr, obs_pairs(o, ts), r0_inv)
             pairs = np.stack([[p, -np.conj(q)], [q, np.conj(p)]])[:ts, :ts]  # (ts, ts, J, J + 1, n)
             blocks = np.moveaxis(pairs, (2, 3, 4), (1, 3, 0))  # (n, J, ts, J + 1, ts)
             blocks = blocks * sign[:ts, None, None] * sign[:ts]
@@ -1045,7 +1052,7 @@ class TestSchurIc:
 
     def test_one_source_is_the_gram_system(self):
         rng = RngStream(55)
-        p, q = gram_pairs(_cn(rng, 2, 3, 1, 5), _cn(rng, 5, 6), 0.5)
+        p, q = gram_pairs(_cn(rng, 2, 3, 1, 5), obs_pairs(_cn(rng, 5, 6), 2), 0.5)
         w, g = schur_pairs(p, q, 0, 2)
         assert np.array_equal(w, np.stack([p[0, 1], q[0, 1]])) and np.array_equal(g, p[0, 0].real)
 
@@ -1057,10 +1064,10 @@ class TestSchurIc:
         [pairs] = tdma_channel_stacks(_cn(rng, 6, 4, 3), 2)
         pairs[..., 1, 2] = 0.0
         obs = _cn(rng, 6, 6)
-        w, g = schur_pairs(*gram_pairs(pairs, obs, 1.0), 0, 2)
+        w, g = schur_pairs(*gram_pairs(pairs, obs_pairs(obs, 2), 1.0), 0, 2)
         assert np.all(np.isfinite(w)) and np.all(np.isfinite(g))
         for i in (0, 1, 3, 4, 5):
-            wi, gi = schur_pairs(*gram_pairs(pairs[..., i : i + 1], obs[i : i + 1], 1.0), 0, 2)
+            wi, gi = schur_pairs(*gram_pairs(pairs[..., i : i + 1], obs_pairs(obs[i : i + 1], 2), 1.0), 0, 2)
             assert np.array_equal(w[:, i], wi[:, 0]) and np.array_equal(g[i], gi[0])
 
 
