@@ -424,8 +424,7 @@ def forwarded_inverse(g: np.ndarray, c: float, kappa: float) -> np.ndarray:
         a[k] = row
         np.multiply(col, -d, out=a[:, k])
         a[k, k] = d
-    if kappa != 1.0:
-        a /= kappa
+    a /= kappa
     return a
 
 

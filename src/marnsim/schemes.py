@@ -29,9 +29,8 @@ passes the block length T along with them.  Each split is whitened once
 for all sources of the group into a Gram system of pairs, the noise
 covariance before IC being the blocks Q(x, 0) of one N x N inverse per
 trial for AF, eliminated elementwise over the batch, and a multiple of I
-for EF.  Zero-forcing IC of each source is
-the Schur complement of that system, interferer by interferer on real
-pivots, with the EF target's own relay noise; each split's Gram is then
+for EF.  Zero-forcing IC of each source is the Schur complement of that
+system, interferer by interferer on real pivots, with the EF target's own relay noise; each split's Gram is then
 a real multiple of I, so a PSK slicer decides (per symbol, or one slice
 per candidate of the other symbol of a quasi-orthogonal pair); then the
 error count.  concurrent_joint cancels nothing: it lays the same Gram
@@ -283,9 +282,9 @@ def _decode(pairs, T, obs, r0_inv, scale, const, bits, sigma=None):
     covariance R0 before IC, whose inverse ``r0_inv`` the splits share: a
     scalar multiple of I, or the (N, N, n) x of the blocks Q(x, 0) of
     R0^-1 (``forwarded_inverse``).  Each source is cancelled from the
-    others as a Schur complement of it, with its own relay noise sigma[:, j] h h* added when
-    ``sigma`` (n, J) is given; its splits' Grams are then real multiples
-    of I and a PSK slicer decides.  With more than one source, ``bad``
+    others as a Schur complement of it, with its own relay noise
+    sigma[:, j] h h* added when ``sigma`` (n, J) is given; its splits'
+    Grams are then real multiples of I and a PSK slicer decides.  With more than one source, ``bad``
     flags the draws where some source's block Q(a, b) in a split fades:
     |a|^2 + |b|^2 below DEGENERATE_TOL^2.
     """
@@ -342,8 +341,8 @@ def _amplify_forward(row, cfg, const, stream, n):
     c = dstc_power_scale(P, M, row.group_size(cfg.J))
     kappa = 2.0 if T == 4 else 1.0
     F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
-    f, g = (np.ascontiguousarray(np.moveaxis(x, 0, -1)) for x in (F, G))  # (M, J, n), (M, N, n)
-    s = np.moveaxis(s, 0, -1)  # (J, T, n)
+    # (M, J, n), (M, N, n) and (J, T, n): contiguous, for the elementwise products
+    f, g, s = (np.ascontiguousarray(np.moveaxis(x, 0, -1)) for x in (F, G, s))
     # R0^-1 has blocks Q(x, 0), shared by every source and split
     r0_inv = forwarded_inverse(g, c, kappa)
     decode = _joint_decode if row.joint else _decode
@@ -378,7 +377,8 @@ def _estimate_forward(row, cfg, const, stream, n):
         est, c, sigma = relay_hard_decision(est, const, P), 1.0 / math.sqrt(M), None
     else:  # R = kappa (I + (c^2 / gain) h h*) with h the target's channel
         sigma = kappa * c * c / gains
-    est, g = np.moveaxis(est, 0, -1), np.ascontiguousarray(np.moveaxis(G, 0, -1))  # (J, T, n), (M, N, n)
+    est = np.moveaxis(est, 0, -1)  # (J, T, n)
+    g = np.ascontiguousarray(np.moveaxis(G, 0, -1))  # (M, N, n)
     pairs = tdma_channel_stacks(G, row.group_size(J))
     errors = np.zeros((n, J), dtype=np.int64)
     for grp in row.groups(J):

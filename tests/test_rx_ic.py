@@ -705,8 +705,11 @@ def _capture_tail(monkeypatch, scheme, cfg3, order, trials=64, refuse=()):
             splits = []
             for split, rows in _splits(pairs, T):
                 o = obs[..., rows]
-                # R0 is the inverse of interleave(r0_inv), or a multiple of the identity
-                r0 = np.linalg.inv(interleave(np.moveaxis(r0_inv, -1, 0))) if np.ndim(r0_inv) else np.eye(o.shape[-1]) / r0_inv
+                # R0 is the inverse of interleave(x) of the (K, K, n) x, or a multiple of the identity
+                if np.ndim(r0_inv):
+                    r0 = np.linalg.inv(interleave(np.moveaxis(r0_inv, -1, 0)))
+                else:
+                    r0 = np.eye(o.shape[-1]) / r0_inv
                 s_j = None if sigma is None else sigma[:, j]
                 splits.append(_explicit_system(split, o, r0, j, s_j))
             o, h, r = zip(*splits)
