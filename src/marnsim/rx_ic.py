@@ -15,19 +15,21 @@ each split of t = 4 as Q(a, b) diag(1, -1), and at t = 1 the scalar a
 with b = 0.  The channel builders (``dstc_channel_stacks``,
 ``tdma_channel_stacks``) return only these pairs, (S, 2, K, J, ...) for
 S splits of K block rows and J sources, batch axes last; callers know
-the block length T.  The decode tail forms each split's Gram system
-(Q, z) = H* R0^-1 [H | obs] once for all of its sources (``gram_pairs``;
-the splits share no noise), R0 being the noise covariance before IC:
-kappa W for forwarded relay noise, whose inverse has the pair blocks
-Q(x, 0) of x = A^-1 / kappa, eliminated elementwise over the batch
-(``forwarded_inverse``), or kappa I.  IC of a target is the Schur complement
-of the interferers' block (``schur_pairs``), by the identity
+the block length T.  ``recombine`` turns (N, T, ...) raw samples into
+the observation's pairs (S, 2, N, ...) the same way.  The decode tail
+forms each split's Gram system (Q, z) = H* R0^-1 [H | obs] once for all
+of its sources (``gram_pairs``; the splits share no noise), R0 being
+the noise covariance before IC: kappa W for forwarded relay noise,
+whose inverse has the pair blocks Q(x, 0) of x = A^-1 / kappa, one
+N x N Hermitian elimination per trial done elementwise over the batch
+(``forwarded_inverse``), or kappa I.  IC of a target is the Schur
+complement of the interferers' block (``schur_pairs``), by the identity
 B* (B R0 B*)^-1 B = R0^-1 - R0^-1 H_I (H_I* R0^-1 H_I)^-1 H_I* R0^-1 for
 any IC matrix B that nulls the interferers H_I, eliminated one
 interferer at a time: each pivot is a Hermitian pair, a real scalar.
 Relay noise riding on the target's channel then scales the result.
-Both stages are elementwise complex arithmetic on (..., n) arrays whose
-batch axis is last.  After IC each split's Gram is a real multiple of
+These stages are elementwise complex arithmetic on (..., n) arrays whose
+batch axis is last, written into preallocated outputs where they can be.  After IC each split's Gram is a real multiple of
 the identity, so a PSK slicer decides (``psk_slicer``): per symbol for
 Alamouti, and for the quasi-orthogonal pair one slice per candidate of
 its other symbol.  ``pair_blocks`` is the one dense view of the pairs:
@@ -223,6 +225,8 @@ def _pairs(e: np.ndarray) -> np.ndarray:
     {3, 4} the + split (e_1n + e_4n, conj(e_2n - e_3n)) and the - split
     (e_1n - e_4n, conj(e_2n + e_3n)) of the anti-Alamouti blocks
     [[alpha, beta], [conj(beta), -conj(alpha)]] (e_4n = 0 when m = 3).
+    ``recombine`` applies the same map to the T raw slots in place of the
+    m antennas.
     """
     m = len(e)
     if m not in (1, 2, 3, 4):

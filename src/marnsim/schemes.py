@@ -20,18 +20,22 @@ Estimate-and-forward (EF): the relay estimates each source's symbols
 (MRC over a TDMA uplink, or zero-forcing separation of a concurrent one)
 and codes each group's estimates on disjoint groups of M // (group size)
 antennas; the estimates' noise rides on the target's channel
-(``noise_cov_on_target``).  Every row decodes in pair arithmetic over
-the batch axis (see ``rx_ic``): every block of a split is a pair Q(a, b) =
-[[a, -conj(b)], [b, conj(a)]] (times diag(1, -1) in the splits of the
-4-slot codeword, a scalar for single-antenna groups), and the channel
-builders return each split's pairs directly, batch axis last; the kernel
-passes the block length T along with them.  Each split is whitened once
-for all sources of the group into a Gram system of pairs, the noise
-covariance before IC being the blocks Q(x, 0) of one N x N inverse per
-trial for AF, eliminated elementwise over the batch, and a multiple of I
-for EF.  Zero-forcing IC of each source is the Schur complement of that
-system, interferer by interferer on real pivots, with the EF target's own relay noise; each split's Gram is then
-a real multiple of I, so a PSK slicer decides (per symbol, or one slice
+(``noise_cov_on_target``).  Each kernel runs with the batch axis last
+from the draws on: the uplink and the downlink are sums of J or M
+elementwise products, the relay codes (antenna, slot, n) blocks, and
+``recombine`` returns each split's observation pairs.  Every row decodes
+in pair arithmetic over the batch axis (see ``rx_ic``): every block of a
+split is a pair Q(a, b) = [[a, -conj(b)], [b, conj(a)]] (times
+diag(1, -1) in the splits of the 4-slot codeword, a scalar for
+single-antenna groups), and the channel builders return each split's
+pairs directly, batch axis last; the kernel passes the block length T
+along with them.  Each split is whitened once for all sources of the
+group into a Gram system of pairs, the noise covariance before IC being
+the blocks Q(x, 0) of one N x N inverse per trial for AF, eliminated
+elementwise over the batch, and a multiple of I for EF.  Zero-forcing IC
+of each source is the Schur complement of that system, interferer by
+interferer on real pivots, with the EF target's own relay noise; each
+split's Gram is then a real multiple of I, so a PSK slicer decides (per symbol, or one slice
 per candidate of the other symbol of a quasi-orthogonal pair); then the
 error count.  concurrent_joint cancels nothing: it lays the same Gram
 systems out densely and searches every symbol tuple of all sources at
