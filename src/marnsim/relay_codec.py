@@ -107,14 +107,15 @@ def tdma_power_scale(P: float, M: int) -> float:
 
 
 def _signed_gather(design: DstcDesign):
-    """(source slot (m, T), factors (m, 2T)) of ``apply_design``: entry t
-    of antenna i is sign * r_i[slot] or sign * conj(r_i[slot]), and its
-    (real, imaginary) parts are the slot's times the interleaved factors."""
+    """(source slot, real factor, imaginary factor), each (m, T), of
+    ``apply_design``: entry t of antenna i is sign * r_i[slot] or
+    sign * conj(r_i[slot]), so its real and imaginary parts are the
+    slot's times the two factors."""
     coef = design.A + design.B  # exactly one of the two is nonzero per antenna
     slot = np.argmax(np.abs(coef), axis=-1)
     sign = np.take_along_axis(coef, slot[..., None], axis=-1)[..., 0].astype(float)
     conj = np.where(np.any(design.B, axis=(1, 2)), -1.0, 1.0)[:, None]
-    return slot, np.stack([sign, conj * sign], axis=-1).reshape(len(slot), -1)
+    return slot, sign, conj * sign
 
 
 def apply_design(design: DstcDesign, received: np.ndarray) -> np.ndarray:
@@ -128,7 +129,9 @@ def apply_design(design: DstcDesign, received: np.ndarray) -> np.ndarray:
     m, T = design.m_used, design.T
     if received.shape[:2] != (m, T):
         raise UsageError(f"received shape {received.shape} != ({m}, {T}, ...)")
-    slot, factors = _signed_gather(design)
-    out = np.ascontiguousarray(received[np.arange(m)[:, None], slot])
-    out.view(float).reshape(m, T, -1, 2).__imul__(factors.reshape(m, T, 1, 2))
+    slot, re, im = _signed_gather(design)
+    out = received[np.arange(m)[:, None], slot]  # a fresh array
+    shape = (m, T) + (1,) * (out.ndim - 2)
+    out.real *= re.reshape(shape)
+    out.imag *= im.reshape(shape)
     return out
