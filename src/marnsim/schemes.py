@@ -244,30 +244,18 @@ def _mrc_gains(F: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(F) ** 2, axis=1)
 
 
-def _uplink(f: np.ndarray, s: np.ndarray, P: float, stream: RngStream):
-    """First hop of concurrent sources: (J, T, n) symbols through (M, J, n)
-    channels, received as (M, T, n) samples with unit noise; the noise is
-    drawn (n, M, T) and viewed batch-last."""
-    M, J, n = f.shape
-    r = np.multiply(f[:, 0, None], s[0])
-    tmp = np.empty_like(r)
-    for j in range(1, J):
-        r += np.multiply(f[:, j, None], s[j], out=tmp)
-    r *= math.sqrt(P)
-    r += np.moveaxis(stream.complex_normal(n, M, s.shape[1]), 0, -1)
-    return r
-
-
-def _downlink(x_relay: np.ndarray, g: np.ndarray, stream: RngStream):
-    """Second hop: (M, T, n) relay output through (M, N, n) channels,
-    received as (N, T, n) samples with unit noise drawn (n, N, T)."""
-    M, T, n = x_relay.shape
-    raw = np.multiply(x_relay[0], g[0, :, None])
-    tmp = np.empty_like(raw)
-    for m in range(1, M):
-        raw += np.multiply(x_relay[m], g[m, :, None], out=tmp)
-    raw += np.moveaxis(stream.complex_normal(n, g.shape[1], T), 0, -1)
-    return raw
+def _through(h: np.ndarray, x: np.ndarray, stream: RngStream):
+    """One hop: (K, T, n) transmit blocks through (K, O, n) channels,
+    received as (O, T, n) samples h^T x plus unit noise, summed over the K
+    transmitters as elementwise products; the noise is drawn (n, O, T)
+    and viewed batch-last."""
+    out = np.multiply(h[0, :, None], x[0])
+    tmp = np.empty_like(out)
+    for k in range(1, len(h)):
+        out += np.multiply(h[k, :, None], x[k], out=tmp)
+    O, T, n = out.shape
+    out += np.moveaxis(stream.complex_normal(n, O, T), 0, -1)
+    return out
 
 
 def _count_errors(idx: np.ndarray, sent_bits: np.ndarray, const: Constellation):
@@ -345,17 +333,18 @@ def _amplify_forward(row, cfg, const, stream, n):
     c = dstc_power_scale(P, M, row.group_size(cfg.J))
     kappa = 2.0 if T == 4 else 1.0
     F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
-    # (M, J, n), (M, N, n) and (J, T, n): contiguous, for the elementwise products
-    f, g, s = (np.ascontiguousarray(np.moveaxis(x, 0, -1)) for x in (F, G, s))
+    # batch-last and contiguous for the elementwise products
+    ft = np.ascontiguousarray(F.transpose(2, 1, 0))  # (J, M, n)
+    g, s = (np.ascontiguousarray(np.moveaxis(x, 0, -1)) for x in (G, s))  # (M, N, n), (J, T, n)
     # R0^-1 has blocks Q(x, 0), shared by every source and split
     r0_inv = forwarded_inverse(g, c, kappa)
     decode = _joint_decode if row.joint else _decode
     errors = np.zeros((n, cfg.J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
     for grp in row.groups(cfg.J):
-        x_relay = apply_design(design, _uplink(f[:, grp], s[grp], P, stream))
+        x_relay = apply_design(design, _through(ft[grp], math.sqrt(P) * s[grp], stream))
         x_relay *= c
-        obs = recombine(_downlink(x_relay, g, stream), T)
+        obs = recombine(_through(g, x_relay, stream), T)
         pairs = dstc_channel_stacks(F[:, :, grp], G)
         errors[:, grp], bad_g = decode(pairs, T, obs, r0_inv, math.sqrt(P) * c, const, bits[:, grp])
         bad |= bad_g
@@ -386,7 +375,7 @@ def _estimate_forward(row, cfg, const, stream, n):
     pairs = tdma_channel_stacks(G, row.group_size(J))
     errors = np.zeros((n, J), dtype=np.int64)
     for grp in row.groups(J):
-        obs = recombine(_downlink(relay_forward_groups(est[grp], design, c, M), g, stream), T)
+        obs = recombine(_through(g, relay_forward_groups(est[grp], design, c, M), stream), T)
         s_g = None if sigma is None else sigma[:, grp]
         errors[:, grp], bad_g = _decode(pairs, T, obs, 1.0 / kappa, math.sqrt(P) * c, const, bits[:, grp], s_g)
         bad |= bad_g
