@@ -29,10 +29,10 @@ any IC matrix B that nulls the interferers H_I, eliminated one
 interferer at a time: each pivot is a Hermitian pair, a real scalar.
 Relay noise riding on the target's channel then scales the result.
 These stages are elementwise complex arithmetic on (..., n) arrays whose
-batch axis is last, written into preallocated outputs where they can be.  After IC each split's Gram is a real multiple of
-the identity, so a PSK slicer decides (``psk_slicer``): per symbol for
-Alamouti, and for the quasi-orthogonal pair one slice per candidate of
-its other symbol.  ``pair_blocks`` is the one dense view of the pairs:
+batch axis is last, written into preallocated outputs where they can be.
+After IC each split's Gram is a real multiple of the identity, so a PSK
+slicer decides (``psk_slicer``): per symbol for Alamouti, and for the
+quasi-orthogonal pair one slice per candidate of its other symbol.  ``pair_blocks`` is the one dense view of the pairs:
 the explicit IC matrices (``ic_stack_batch``), the covariance stages
 ``noise_cov_*``, the generic ``whiten`` and ``component_search`` work
 on it with the batch axes first, and build the closed-form SNR and the

@@ -35,11 +35,11 @@ the blocks Q(x, 0) of one N x N inverse per trial for AF, eliminated
 elementwise over the batch, and a multiple of I for EF.  Zero-forcing IC
 of each source is the Schur complement of that system, interferer by
 interferer on real pivots, with the EF target's own relay noise; each
-split's Gram is then a real multiple of I, so a PSK slicer decides (per symbol, or one slice
-per candidate of the other symbol of a quasi-orthogonal pair); then the
-error count.  concurrent_joint cancels nothing: it lays the same Gram
-systems out densely and searches every symbol tuple of all sources at
-once.
+split's Gram is then a real multiple of I, so a PSK slicer decides (per
+symbol, or one slice per candidate of the other symbol of a
+quasi-orthogonal pair); then the error count.  concurrent_joint cancels
+nothing: it lays the same Gram systems out densely and searches every
+symbol tuple of all sources at once.
 
 simulate_chunk adds the resampling of degenerate channel draws.
 """
@@ -276,9 +276,9 @@ def _decode(pairs, T, obs, r0_inv, scale, const, bits, sigma=None):
     R0^-1 (``forwarded_inverse``).  Each source is cancelled from the
     others as a Schur complement of it, with its own relay noise
     sigma[:, j] h h* added when ``sigma`` (n, J) is given; its splits'
-    Grams are then real multiples of I and a PSK slicer decides.  With more than one source, ``bad``
-    flags the draws where some source's block Q(a, b) in a split fades:
-    |a|^2 + |b|^2 below DEGENERATE_TOL^2.
+    Grams are then real multiples of I and a PSK slicer decides.  With
+    more than one source, ``bad`` flags the draws where some source's
+    block Q(a, b) in a split fades: |a|^2 + |b|^2 below DEGENERATE_TOL^2.
     """
     J, n = pairs.shape[-2:]
     errors = np.zeros((n, J), dtype=np.int64)

@@ -153,7 +153,8 @@ def check_noise_covariance(seed=0, trials=100_000):
     x = np.sum(np.abs(f) ** 2, axis=0)
     vhat = rng.complex_normal(trials, cfg.J, design.T) / np.sqrt(x)[:, None]
     xr = relay_forward_groups(np.moveaxis(vhat, 0, -1), design, c1, cfg.M)
-    raw = np.einsum("mtk,mn->ntk", xr, g) + np.moveaxis(rng.complex_normal(trials, cfg.N, design.T), 0, -1)
+    w = rng.complex_normal(trials, cfg.N, design.T)
+    raw = np.einsum("mtk,mn->ntk", xr, g) + np.moveaxis(w, 0, -1)
     noise = np.einsum("rk,nk->nr", bmat[0], _dense(recombine(raw, design.T), design.T))
     want = noise_cov_on_target(bmat[0] @ stacks[0, 0], 1.0, np.array(c1 * c1 / x[0]), bmat[0])
     got = _sample_cov(noise)
