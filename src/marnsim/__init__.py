@@ -38,7 +38,6 @@ from .rx_ic import (
     joint_search,
     ml_decode_batch,
     noise_cov_forwarded,
-    noise_cov_on_target,
     recombine,
 )
 from .schemes import (

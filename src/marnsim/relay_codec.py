@@ -51,41 +51,26 @@ class DstcDesign:
 
 
 def _design_pairs(T: int):
-    """(A, B) stacks for the full T-antenna design, T a power of two."""
-    if T == 1:
-        return np.ones((1, 1, 1), dtype=np.int8), np.zeros((1, 1, 1), dtype=np.int8)
+    """(A, B) stacks for the full T-antenna design, T in {1, 2, 4}."""
+    a = np.zeros((T, T, T), dtype=np.int8)
+    b = np.zeros((T, T, T), dtype=np.int8)
+    a[0] = np.eye(T)
     if T == 2:
-        a = np.zeros((2, 2, 2), dtype=np.int8)
-        b = np.zeros((2, 2, 2), dtype=np.int8)
-        a[0] = np.eye(2)
         b[1] = [[0, -1], [1, 0]]
-        return a, b
     if T == 4:
-        a = np.zeros((4, 4, 4), dtype=np.int8)
-        b = np.zeros((4, 4, 4), dtype=np.int8)
-        a[0] = np.eye(4)
         a[3] = [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]
         b[1] = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
         b[2] = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
-        return a, b
-    # ABBA doubling: codeword [[S(sa), S(sb)], [S(sb), S(sa)]].
-    ah, bh = _design_pairs(T // 2)
-    h = T // 2
-    a = np.zeros((T, T, T), dtype=np.int8)
-    b = np.zeros((T, T, T), dtype=np.int8)
-    for i in range(h):
-        a[i, :h, :h] = a[i, h:, h:] = ah[i]
-        b[i, :h, :h] = b[i, h:, h:] = bh[i]
-        a[h + i, :h, h:] = a[h + i, h:, :h] = ah[i]
-        b[h + i, :h, h:] = b[h + i, h:, :h] = bh[i]
     return a, b
 
 
 def dstc_design(M: int) -> DstcDesign:
-    """Design for an M-antenna relay: antennas 1..M of the smallest
-    power-of-two orthogonal/quasi-orthogonal family covering M."""
-    if M < 1:
-        raise UsageError("M must be >= 1")
+    """Design for an M-antenna relay, M in 1..4: antennas 1..M of the
+    smallest orthogonal (T = 1, 2) or quasi-orthogonal (T = 4) design
+    covering M.  Larger relay antenna groups are refused: the receiver
+    recombines blocks of T in {1, 2, 4} only."""
+    if not 1 <= M <= 4:
+        raise UsageError(f"relay designs cover 1..4 antennas, got M={M}")
     T = 1 << max(0, (M - 1)).bit_length()
     a, b = _design_pairs(T)
     return DstcDesign(T, M, a[:M].copy(), b[:M].copy())

@@ -32,13 +32,15 @@ These stages are elementwise complex arithmetic on (..., n) arrays whose
 batch axis is last, written into preallocated outputs where they can be.
 After IC each split's Gram is a real multiple of the identity, so a PSK
 slicer decides (``psk_slicer``): per symbol for Alamouti, and for the
-quasi-orthogonal pair one slice per candidate of its other symbol.  ``pair_blocks`` is the one dense view of the pairs:
-the explicit IC matrices (``ic_stack_batch``), the covariance stages
-``noise_cov_*``, the generic ``whiten`` and ``component_search`` work
-on it with the batch axes first, and build the closed-form SNR and the
-tests' reference systems.  The joint receiver, which cancels nothing,
-reads the same Gram systems laid out as one dense whitened system and
-searches every symbol tuple of all sources at once (``joint_search``).
+quasi-orthogonal pair one slice per candidate of its other symbol.
+``pair_blocks`` is the one dense view of the pairs: the explicit IC
+matrices (``ic_stack_batch``) and the forwarded-noise covariance
+(``noise_cov_forwarded``) work on it with the batch axes first, and
+build the closed-form SNR and the tests' reference systems.  The joint
+receiver, which cancels nothing, reads the same Gram systems laid out
+as one dense whitened system and searches every symbol tuple of all
+sources at once (``joint_search``); ``ml_decode_batch`` runs the same
+search on a dense (obs, h, R) system after ``whiten``.
 
 One system is a batch of one.
 Every observation entry is an explicit linear combination of raw samples;
@@ -64,20 +66,17 @@ __all__ = [
     "default_rotation",
     "recombination_matrices",
     "recombine",
-    "block_diag",
     "dstc_channel_stacks",
     "tdma_channel_stacks",
     "pair_blocks",
     "gtilde",
     "ic_stack_batch",
     "noise_cov_forwarded",
-    "noise_cov_on_target",
     "forwarded_inverse",
     "whiten",
     "gram_pairs",
     "schur_pairs",
     "psk_slicer",
-    "component_search",
     "ml_decode_batch",
     "joint_search",
 ]
@@ -204,17 +203,6 @@ def recombine(raw: np.ndarray, T: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Equivalent channel pairs
-
-
-def block_diag(*blocks) -> np.ndarray:
-    """Zero-padded block diagonal of (..., r_k, c_k) matrices that share
-    their leading axes."""
-    r = np.cumsum([0] + [b.shape[-2] for b in blocks])
-    c = np.cumsum([0] + [b.shape[-1] for b in blocks])
-    out = np.zeros(blocks[0].shape[:-2] + (r[-1], c[-1]), dtype=complex)
-    for k, b in enumerate(blocks):
-        out[..., r[k] : r[k + 1], c[k] : c[k + 1]] = b
-    return out
 
 
 def _pairs(e: np.ndarray) -> np.ndarray:
@@ -378,23 +366,6 @@ def noise_cov_forwarded(gt, c: float, kappa: float, bmat=None) -> np.ndarray:
         return kappa * (c * c * gt @ dagger(gt) + np.eye(gt.shape[-2]))
     bg = bmat @ gt
     return kappa * (c * c * bg @ dagger(bg) + bmat @ dagger(bmat))
-
-
-def noise_cov_on_target(bh, kappa: float, s=None, bmat=None) -> np.ndarray:
-    """Noise covariance when the relay noise rides on the target's channel:
-
-    R = kappa (B B* + s (B H)(B H)*)
-
-    with bh = B H the target's (projected) stacked channel and s (...,)
-    the per-trial variance of the relay noise in the forwarded symbols.
-    IC removes the interferers' relay noise with their signal.  s = None
-    leaves out the relay term (a hard decision forwards no noise).
-    """
-    k = bh.shape[-2]
-    r = np.broadcast_to(np.eye(k), bh.shape[:-2] + (k, k)) if bmat is None else bmat @ dagger(bmat)
-    if s is not None:
-        r = r + s[..., None, None] * (bh @ dagger(bh))
-    return kappa * r
 
 
 def forwarded_inverse(g: np.ndarray, c: float, kappa: float) -> np.ndarray:
@@ -584,100 +555,37 @@ def psk_slicer(w, gamma, c: Constellation):
 # ML decoding
 
 
-def _symbol_components(spec: SymbolSpec):
-    """Partition symbols into groups coupled through shared entries."""
-    parent = list(range(spec.n_symbols))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for terms in spec.entries:
-        idxs = [idx for idx, _, _ in terms]
-        for other in idxs[1:]:
-            parent[find(idxs[0])] = find(other)
-    groups = {}
-    for i in range(spec.n_symbols):
-        groups.setdefault(find(i), []).append(i)
-    comps = []
-    for syms in groups.values():
-        entries = [
-            k
-            for k, terms in enumerate(spec.entries)
-            if all(idx in syms for idx, _, _ in terms)
-        ]
-        comps.append((sorted(syms), entries))
-    comps.sort()
-    return comps
-
-
-def _candidate_table(spec: SymbolSpec, syms, entries, c: Constellation):
-    """All symbol-index combinations for one component and the entry
-    values they induce.  Enumeration is lexicographic in symbol indices so
-    argmin tie-breaking lands on the lowest indices."""
-    consts = [
-        c.rotated(default_rotation(c.order)) if spec.rotated[i] else c for i in syms
-    ]
-    combos = np.array(list(itertools.product(*(range(c.order) for _ in syms))), dtype=np.int64)
-    points = np.stack(
-        [consts[k].points[combos[:, k]] for k in range(len(syms))], axis=-1
-    )  # (n_cand, |syms|)
-    pos = {s: k for k, s in enumerate(syms)}
-    sv = np.zeros((combos.shape[0], len(entries)), dtype=complex)
-    for out_k, ent in enumerate(entries):
-        for idx, conj, sign in spec.entries[ent]:
-            v = points[:, pos[idx]]
-            sv[:, out_k] += sign * (np.conj(v) if conj else v)
+def _candidate_table(spec: SymbolSpec, c: Constellation):
+    """Every symbol-index tuple of ``spec`` and the entry values it
+    induces.  Enumeration is lexicographic in symbol indices so argmin
+    tie-breaking lands on the lowest indices."""
+    rot = c.rotated(default_rotation(c.order))
+    combos = np.array(list(itertools.product(range(c.order), repeat=spec.n_symbols)), dtype=np.int64)
+    points = np.stack([(rot if f else c).points[combos[:, k]] for k, f in enumerate(spec.rotated)], axis=-1)
+    sv = np.zeros((len(combos), len(spec.entries)), dtype=complex)
+    for k, terms in enumerate(spec.entries):
+        for idx, conj, sign in terms:
+            sv[:, k] += sign * (np.conj(points[:, idx]) if conj else points[:, idx])
     return combos, sv
 
 
-def component_search(w, q, spec: SymbolSpec, c: Constellation):
-    """ML decisions (..., n_symbols) from the whitened matched filter
-    w (..., E) and Gram q (..., E, E) of the E entries of ``spec``,
-    searched one symbol component at a time.
-
-    q must not couple entries of different components (groups of entries
-    that share no symbol); the block structure of one source's channel,
-    after zero-forcing IC when there are others, makes that coupling
-    vanish.
-    """
-    out = np.zeros(w.shape[:-1] + (spec.n_symbols,), dtype=np.int64)
-    for syms, entries in _symbol_components(spec):
-        combos, sv = _candidate_table(spec, syms, entries, c)
-        qc = q[..., entries, :][..., :, entries]
-        # Re(sv* qc sv) - 2 Re(sv* w) as one real product: the features
-        # [Re qc, Im qc, Re w, Im w] against [Re PP, -Im PP, -2 Re sv, -2 Im sv]
-        # with the pair products PP[c, (e, f)] = conj(sv[c, e]) sv[c, f].
-        pp = (np.conj(sv)[:, :, None] * sv[:, None, :]).reshape(len(sv), -1)
-        table = np.concatenate([pp.real, -pp.imag, -2.0 * sv.real, -2.0 * sv.imag], axis=-1)
-        qf = qc.reshape(*qc.shape[:-2], -1)
-        wc = w[..., entries]
-        feats = np.concatenate([qf.real, qf.imag, wc.real, wc.imag], axis=-1)
-        best = np.argmin(feats @ table.T, axis=-1)
-        out[..., syms] = combos[best]
-    return out
-
-
 def ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation):
-    """Whitened ML over a batch of equivalent systems whose symbol
-    components are decoupled: ``whiten`` followed by ``component_search``.
+    """Exhaustive whitened ML over a batch of equivalent systems:
+    ``whiten`` followed by ``joint_search``.
 
     obs (..., K), h (..., K, t), r (..., K, K).  Returns decoded symbol
     indices (..., n_symbols).
     """
-    return component_search(*whiten(obs, h, r, scale), spec, c)
+    return joint_search(*whiten(obs, h, r, scale), spec, c)
 
 
 def joint_search(w, q, spec: SymbolSpec, c: Constellation):
     """ML decisions (..., n_symbols) over every symbol tuple of ``spec`` at
-    once, for systems whose symbols are coupled (several sources, no IC).
-
-    Same arguments and result as ``component_search``; the search holds
+    once, from the whitened matched filter w (..., E) and Gram q
+    (..., E, E) of the E entries of ``spec``; the search holds
     (..., order^n_symbols) metrics.
     """
-    combos, sv = _candidate_table(spec, range(spec.n_symbols), range(len(spec.entries)), c)
+    combos, sv = _candidate_table(spec, c)
     quad = np.einsum("ce,...ef,cf->...c", np.conj(sv), q, sv).real
     lin = 2.0 * np.einsum("ce,...e->...c", np.conj(sv), w).real
     best = np.argmin(quad - lin, axis=-1)

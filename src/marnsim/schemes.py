@@ -19,8 +19,8 @@ what it receives, forwarding its own noise (``noise_cov_forwarded``).
 Estimate-and-forward (EF): the relay estimates each source's symbols
 (MRC over a TDMA uplink, or zero-forcing separation of a concurrent one)
 and codes each group's estimates on disjoint groups of M // (group size)
-antennas; the estimates' noise rides on the target's channel
-(``noise_cov_on_target``).  Each kernel runs with the batch axis last
+antennas; the estimates' noise rides on the target's channel (the
+``sigma`` of ``schur_pairs``).  Each kernel runs with the batch axis last
 from the draws on: the uplink and the downlink are sums of J or M
 elementwise products, the relay codes (antenna, slot, n) blocks, and
 ``recombine`` returns each split's observation pairs.  Every row decodes

@@ -2,11 +2,12 @@
 
 Each check exercises one algebraic pillar the simulator rests on: the
 closure of the Alamouti matrix family, the diagonality that makes
-symbol-wise decoding optimal, the sample-recombination bookkeeping, the
-analytic noise covariances against Monte Carlo, the kernels' pair
-decoder against exhaustive ML on the explicit post-IC systems, and the
-relay power normalization.  All checks are deterministic for a given
-seed.
+symbol-wise decoding optimal (the kernels' Schur-complement Gram against
+the explicit post-IC whitening), the sample-recombination bookkeeping,
+the kernels' whitening stages against Monte Carlo noise pushed through
+the relay, the kernels' pair decoder against exhaustive ML on the
+explicit post-IC systems, and the relay power normalization.  All checks
+are deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .rx_ic import (
     gtilde,
     ic_stack_batch,
     noise_cov_forwarded,
-    noise_cov_on_target,
     pair_blocks,
     psk_slicer,
     recombination_matrices,
@@ -61,8 +61,9 @@ def check_alamouti_closure(seed=0):
 
 def check_hermitian_diagonality(seed=0):
     """A Hermitian family member is a real multiple of the identity, and
-    the whitened Gram matrix H* R^-1 H of random post-IC systems is
-    diagonal with equal entries."""
+    the explicit whitened Gram (B h)* R^-1 (B h) of random TDMA-uplink
+    post-IC systems equals the gamma I of the kernels' ``gram_pairs`` and
+    ``schur_pairs`` on the same draws, for both sources."""
     rng = RngStream(seed, 102)
     m = _family(rng, 1000)
     gram = m @ dagger(m)
@@ -72,22 +73,27 @@ def check_hermitian_diagonality(seed=0):
     scale = np.abs(gram).max()
     if max(off, diag_dev, imag_dev) > 1e-10 * scale:
         return False, "Gram of family member is not a real multiple of I"
-    # pipeline version: TDMA post-IC whitened Gram over random channels
+    # pipeline version: R = B B* + s (B h)(B h)* with the relay noise s on the target
     cfg = NetworkConfig(2, 4, 3, 100.0)
     f = rng.complex_normal(1000, cfg.M, cfg.J)
     g = rng.complex_normal(1000, cfg.M, cfg.N)
-    [stacks] = pair_blocks(tdma_channel_stacks(g, cfg.J), 2)
-    bmat, _ = ic_stack_batch(stacks, 0)
-    bh = bmat @ stacks[:, 0]
+    pairs = tdma_channel_stacks(g, cfg.J)
+    [stacks] = pair_blocks(pairs, 2)
     c1 = tdma_power_scale(cfg.P, cfg.M)
-    r = noise_cov_on_target(bh, 1.0, c1 * c1 / np.sum(np.abs(f[..., 0]) ** 2, axis=-1), bmat)
-    q = dagger(bh) @ solve_psd_stack(r, bh)
-    d = q[:, 0, 0]
-    dev = np.max(np.abs([q[:, 0, 1], q[:, 1, 0], d - q[:, 1, 1], d.imag]), axis=0)
-    worst = float(np.max(dev / np.maximum(np.abs(d), 1e-300)))
-    if worst > 1e-8:
-        return False, f"whitened Gram off-diagonal up to {worst:.2e}"
-    return True, f"whitened Gram diagonal within {worst:.2e} over 1000 channels"
+    sigma = c1 * c1 / np.sum(np.abs(f) ** 2, axis=1)  # (n, J)
+    p, q = gram_pairs(pairs[0], np.zeros((2, cfg.N, 1000), dtype=complex), 1.0)
+    worst = 0.0
+    for j in range(cfg.J):
+        bmat, _ = ic_stack_batch(stacks, j)
+        bh = bmat @ stacks[:, j]
+        r = bmat @ dagger(bmat) + sigma[:, j, None, None] * (bh @ dagger(bh))
+        explicit = dagger(bh) @ solve_psd_stack(r, bh)
+        gamma = schur_pairs(p, q, j, 2, sigma[:, j])[1]
+        dev = np.abs(explicit - gamma[:, None, None] * np.eye(2)).max(axis=(1, 2)) / gamma
+        worst = max(worst, float(dev.max()))
+    if worst > 1e-10:
+        return False, f"explicit whitened Gram off the pair stages' gamma I by {worst:.2e}"
+    return True, f"explicit whitened Gram equals the pair stages' gamma I within {worst:.2e} over 1000 channels"
 
 
 def check_recombination_audit(seed=0):
@@ -114,54 +120,53 @@ def _dense(obs, T):
     return np.moveaxis(obs[:, :t], (0, 1, 2), (1, 3, 2)).reshape(obs.shape[-1], -1)
 
 
-def _sample_cov(n):
-    return np.einsum("ki,kj->ij", n, np.conj(n)) / n.shape[0]
+def _whitened_noise_deviation(pairs, obs, r0_inv, T, sigma=None):
+    """Worst deviation, relative to gamma, of the sample covariance of the
+    whitened noise w that the slicer sees from gamma I, over every split
+    and source: ``pairs`` (S, 2, K, J, 1) of one channel draw, ``obs``
+    (S, 2, K, trials) the recombined noise alone, and ``sigma`` (J,) each
+    source's own relay-noise term (or None)."""
+    trials = obs.shape[-1]
+    worst = 0.0
+    for split, o in zip(pairs, obs):
+        p, q = gram_pairs(np.broadcast_to(split, split.shape[:-1] + (trials,)), o, r0_inv)
+        for j in range(split.shape[-2]):
+            w, gamma = schur_pairs(p, q, j, T, None if sigma is None else sigma[j])
+            cov = w @ np.conj(w).T / trials
+            worst = max(worst, float(np.abs(cov - gamma[0] * np.eye(len(w))).max() / gamma[0]))
+    return worst
 
 
 def check_noise_covariance(seed=0, trials=100_000):
-    """The post-IC covariance stages match the sample covariance of noise
-    simulated through the relay stages, within 3% of the covariance
-    scale."""
+    """Noise simulated through the relay, the downlink and ``recombine``,
+    whitened by the kernels' ``gram_pairs`` and ``schur_pairs`` (with
+    ``forwarded_inverse`` for amplify-and-forward, and the target's relay
+    noise sigma for estimate-and-forward), has sample covariance gamma I
+    in every split, within 3% of gamma."""
     rng = RngStream(seed, 104)
     msgs = []
-    # concurrent-uplink system, M=2, J=2, N=3
-    cfg = NetworkConfig(2, 2, 3, 31.62)
-    design = dstc_design(2)
-    f = rng.complex_normal(cfg.M, cfg.J)
-    g = rng.complex_normal(cfg.M, cfg.N)
-    bmat, _ = ic_stack_batch(pair_blocks(dstc_channel_stacks(f[None], g[None]), 2)[0], 0)
-    c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
-    v = rng.complex_normal(trials, cfg.M, design.T)
-    w = rng.complex_normal(trials, cfg.N, design.T)
-    t = c * apply_design(design, np.moveaxis(v, 0, -1))
-    raw = np.einsum("mtk,mn->ntk", t, g) + np.moveaxis(w, 0, -1)
-    noise = np.einsum("rk,nk->nr", bmat[0], _dense(recombine(raw, design.T), design.T))
-    want = noise_cov_forwarded(gtilde(g), c, 1.0, bmat[0])
-    got = _sample_cov(noise)
-    dev = float(np.abs(got - want).max() / np.abs(want).max())
-    msgs.append(f"concurrent-uplink covariance deviation {dev:.3f}")
-    if dev > 0.03:
-        return False, msgs[-1]
-    # TDMA-uplink system, M=4, J=2, N=3 (group size 2)
-    cfg = NetworkConfig(2, 4, 3, 31.62)
-    design = dstc_design(cfg.M // cfg.J)
-    f = rng.complex_normal(cfg.M, cfg.J)
-    g = rng.complex_normal(cfg.M, cfg.N)
-    [stacks] = pair_blocks(tdma_channel_stacks(g[None], cfg.J), 2)
-    bmat, _ = ic_stack_batch(stacks, 0)
-    c1 = tdma_power_scale(cfg.P, cfg.M)
-    x = np.sum(np.abs(f) ** 2, axis=0)
-    vhat = rng.complex_normal(trials, cfg.J, design.T) / np.sqrt(x)[:, None]
-    xr = relay_forward_groups(np.moveaxis(vhat, 0, -1), design, c1, cfg.M)
-    w = rng.complex_normal(trials, cfg.N, design.T)
-    raw = np.einsum("mtk,mn->ntk", xr, g) + np.moveaxis(w, 0, -1)
-    noise = np.einsum("rk,nk->nr", bmat[0], _dense(recombine(raw, design.T), design.T))
-    want = noise_cov_on_target(bmat[0] @ stacks[0, 0], 1.0, np.array(c1 * c1 / x[0]), bmat[0])
-    got = _sample_cov(noise)
-    dev = float(np.abs(got - want).max() / np.abs(want).max())
-    msgs.append(f"TDMA-uplink covariance deviation {dev:.3f}")
-    if dev > 0.03:
-        return False, msgs[-1]
+    P = 31.62
+    for family, J, M, N in (("AF", 2, 2, 3), ("AF", 2, 4, 3), ("EF", 2, 4, 3), ("EF", 2, 8, 3)):
+        f, g = rng.complex_normal(M, J), rng.complex_normal(M, N)
+        design = dstc_design(M if family == "AF" else M // J)
+        T = design.T
+        kappa = 2.0 if T == 4 else 1.0
+        if family == "AF":
+            c = dstc_power_scale(P, M, J)
+            x = c * apply_design(design, np.moveaxis(rng.complex_normal(trials, M, T), 0, -1))
+            pairs, sigma = dstc_channel_stacks(f[None], g[None]), None
+            r0_inv = forwarded_inverse(g[..., None], c, kappa)
+        else:
+            c = tdma_power_scale(P, M)
+            gains = np.sum(np.abs(f) ** 2, axis=0)
+            est_noise = rng.complex_normal(trials, J, T) / np.sqrt(gains)[:, None]
+            x = relay_forward_groups(np.moveaxis(est_noise, 0, -1), design, c, M)
+            pairs, r0_inv, sigma = tdma_channel_stacks(g[None], J), 1.0 / kappa, kappa * c * c / gains
+        raw = np.einsum("mtk,mn->ntk", x, g) + np.moveaxis(rng.complex_normal(trials, N, T), 0, -1)
+        dev = _whitened_noise_deviation(pairs, recombine(raw, T), r0_inv, T, sigma)
+        msgs.append(f"{family} ({J},{M},{N}) whitened-noise deviation {dev:.3f}")
+        if dev > 0.03:
+            return False, msgs[-1]
     return True, "; ".join(msgs)
 
 

@@ -9,11 +9,68 @@ embeds the pair blocks Q(x, 0) of R0^-1 as a complex matrix, and
 for ``forwarded_inverse``.  ``dense_obs`` and ``obs_pairs`` convert
 between ``recombine``'s observation pairs and the dense recombined
 observation of ``recombination_matrices``.
+
+The dense helpers that no kernel runs live here too: ``block_diag``,
+the explicit IC path's on-target covariance ``noise_cov_on_target``,
+and ``component_search``, exhaustive ML one symbol component at a time,
+the reference for the PSK slicer.
 """
 
 import numpy as np
 
 from marnsim.numerics import dagger, solve_psd_stack
+from marnsim.rx_ic import SymbolSpec, joint_search
+
+
+def block_diag(*blocks):
+    """Zero-padded block diagonal of (..., r_k, c_k) matrices that share
+    their leading axes."""
+    r = np.cumsum([0] + [b.shape[-2] for b in blocks])
+    c = np.cumsum([0] + [b.shape[-1] for b in blocks])
+    out = np.zeros(blocks[0].shape[:-2] + (r[-1], c[-1]), dtype=complex)
+    for k, b in enumerate(blocks):
+        out[..., r[k] : r[k + 1], c[k] : c[k + 1]] = b
+    return out
+
+
+def noise_cov_on_target(bh, kappa, s=None, bmat=None):
+    """Post-IC noise covariance when the relay noise rides on the target's
+    channel: R = kappa (B B* + s (B H)(B H)*), with bh = B H the target's
+    projected channel and s (...,) the per-trial relay noise variance in
+    the forwarded symbols; s = None leaves out the relay term and
+    bmat = None stands for the identity."""
+    k = bh.shape[-2]
+    r = np.broadcast_to(np.eye(k), bh.shape[:-2] + (k, k)) if bmat is None else bmat @ dagger(bmat)
+    if s is not None:
+        r = r + s[..., None, None] * (bh @ dagger(bh))
+    return kappa * r
+
+
+def _components(spec):
+    """(symbols, entries) of each group of ``spec``'s symbols coupled
+    through shared entries, in symbol order."""
+    comps = []
+    for k, terms in enumerate(spec.entries):
+        syms, ents = {idx for idx, _, _ in terms}, [k]
+        for other in [g for g in comps if g[0] & syms]:
+            comps.remove(other)
+            syms, ents = syms | other[0], ents + other[1]
+        comps.append((syms, ents))
+    return sorted((sorted(syms), sorted(ents)) for syms, ents in comps)
+
+
+def component_search(w, q, spec, c):
+    """ML decisions (..., n_symbols) from the whitened (w, q) of ``spec``'s
+    entries, searched one symbol component at a time: ``joint_search`` on
+    each component's entries, ignoring any Gram coupling between
+    components."""
+    out = np.zeros(w.shape[:-1] + (spec.n_symbols,), dtype=np.int64)
+    for syms, ents in _components(spec):
+        pos = {s: k for k, s in enumerate(syms)}
+        entries = tuple(tuple((pos[i], cj, sign) for i, cj, sign in spec.entries[e]) for e in ents)
+        sub = SymbolSpec(len(syms), entries, tuple(spec.rotated[i] for i in syms))
+        out[..., syms] = joint_search(w[..., ents], q[..., ents, :][..., :, ents], sub, c)
+    return out
 
 
 def interleave(a):

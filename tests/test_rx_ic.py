@@ -16,8 +16,6 @@ from marnsim.analysis import snr_tdma_direct
 from marnsim.numerics import NumericError, UsageError, dagger, null_space_projector, solve_psd_stack
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
 from marnsim.rx_ic import (
-    block_diag,
-    component_search,
     default_rotation,
     dstc_channel_stacks,
     forwarded_inverse,
@@ -27,7 +25,6 @@ from marnsim.rx_ic import (
     joint_search,
     ml_decode_batch,
     noise_cov_forwarded,
-    noise_cov_on_target,
     pair_blocks,
     psk_slicer,
     recombination_matrices,
@@ -38,7 +35,17 @@ from marnsim.rx_ic import (
     whiten,
 )
 from marnsim.schemes import SchemeId, relay_forward_groups, simulate_batch
-from gram_oracle import dense_obs, forwarded_core, gram_system, interleave, obs_pairs, schur_ic
+from gram_oracle import (
+    block_diag,
+    component_search,
+    dense_obs,
+    forwarded_core,
+    gram_system,
+    interleave,
+    noise_cov_on_target,
+    obs_pairs,
+    schur_ic,
+)
 from propagation import propagate_noise_cov
 
 
@@ -544,7 +551,7 @@ class TestMlDecode:
 
     @pytest.mark.parametrize("order", [4, 16])
     def test_coupled_pairs_match_exhaustive(self, order):
-        # 16-PSK gives 256 candidates per pair, the full_tdma_dstc path.
+        # At 16-PSK the search scores 65,536 symbol tuples per system.
         obs, h, r, spec, c, true = self._coupled_pairs_system(RngStream(32, order), order, 5)
         q = dagger(h) @ np.linalg.solve(r, h)
         assert np.all(np.abs(q[:, 0, 2]) > 1e-3)  # coupled within a pair
@@ -611,15 +618,14 @@ class TestJointMlDecode:
             want = TestMlDecode._exhaustive(obs[i], h[i], r[i], scale, spec, c)
             assert np.array_equal(got[i], want)
         # The component-wise search ignores the coupling and decides otherwise.
-        assert not np.array_equal(ml_decode_batch(obs, h, r, scale, spec, c), got)
+        assert not np.array_equal(component_search(w, q, spec, c), got)
 
     def test_never_takes_component_search(self, monkeypatch):
-        from marnsim import rx_ic, schemes
+        from marnsim import schemes
 
         def refuse(*args):
             raise AssertionError("ran a component-wise decision")
 
-        monkeypatch.setattr(rx_ic, "component_search", refuse)
         monkeypatch.setattr(schemes, "psk_slicer", refuse)
         for cfg3 in [(1, 2, 3), (2, 2, 3), (2, 4, 3)]:
             simulate_batch(SchemeId.ConcurrentJoint, NetworkConfig(*cfg3, 10.0), make_psk(2), RngStream(44), 16)
@@ -759,10 +765,10 @@ class TestKernelSplitSystems:
     def test_search_input_matches_explicit_ic(self, monkeypatch, scheme):
         # The (w, gamma) each slicer call receives is the generic whitening
         # of the same explicit post-IC systems, whose Gram is gamma_s I per
-        # split; the kernel reaches neither the candidate search nor a solve.
+        # split; the kernel reaches no solve.
         from marnsim import rx_ic
 
-        refuse = [(rx_ic, "component_search"), (rx_ic, "solve_psd_stack")]
+        refuse = [(rx_ic, "solve_psd_stack")]
         for cfg3 in _TAIL_CONFIGS:
             for (obs, h, r, scale), (w, g, _), _ in _capture_tail(monkeypatch, scheme, cfg3, 4, refuse=refuse):
                 want = whiten(obs, h, r, scale)
@@ -774,9 +780,9 @@ class TestKernelSplitSystems:
         # Every kernel decodes from each split's Gram system in pair
         # arithmetic, IC being its Schur complement: none builds dense
         # channel blocks, a dense noise covariance, an IC matrix or a
-        # post-IC covariance, whitens one, solves or inverts a matrix
-        # system or searches candidates component-wise.  A name that ``schemes`` does
-        # not import is refused there too, in case a kernel imports it.
+        # post-IC covariance, whitens one, or solves or inverts a matrix
+        # system.  A name that ``schemes`` does not import is refused there
+        # too, in case a kernel imports it.
         from marnsim import analysis, rx_ic, schemes
 
         def refuse(*args):
@@ -791,10 +797,8 @@ class TestKernelSplitSystems:
             (rx_ic, "noise_cov_forwarded"),
             (schemes, "ic_stack_batch"),
             (rx_ic, "ic_stack_batch"),
-            (rx_ic, "noise_cov_on_target"),
             (schemes, "whiten"),
             (rx_ic, "whiten"),
-            (rx_ic, "component_search"),
             (rx_ic, "solve_psd_stack"),
             (np.linalg, "solve"),
             (np.linalg, "inv"),
