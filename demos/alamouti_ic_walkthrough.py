@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from marnsim.airlink import NetworkConfig, RngStream, draw_channels, make_psk, modulate
+from marnsim.airlink import NetworkConfig, RngStream, draw_channels_batch, make_psk, modulate
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale
 from marnsim.rx_ic import (
     dstc_channel_stacks,
@@ -31,16 +31,16 @@ cfg = NetworkConfig(J=2, M=2, N=3, P=10.0 ** (20 / 10))  # 20 dB transmit SNR
 rng = RngStream(seed=7)
 c = make_psk(2)
 
-ch = draw_channels(cfg, rng)
-print("first-hop channels F (M x J):\n", np.round(ch.F, 3))
-print("second-hop channels G (M x N):\n", np.round(ch.G, 3))
+F, G = draw_channels_batch(cfg, rng, 1)  # one draw: (1, M, J) and (1, M, N)
+print("first-hop channels F (M x J):\n", np.round(F[0], 3))
+print("second-hop channels G (M x N):\n", np.round(G[0], 3))
 
 # Sources transmit simultaneously; the relay hears a superposition.
 design = dstc_design(cfg.M)
 bits = rng.bits(cfg.J * design.T)
 symbols = modulate(bits, c).reshape(cfg.J, design.T)
 uplink_noise = rng.substream(0).complex_normal(cfg.M, design.T)
-received = np.sqrt(cfg.P) * ch.F @ symbols + uplink_noise
+received = np.sqrt(cfg.P) * F[0] @ symbols + uplink_noise
 
 # The relay applies per-antenna linear transforms; no decoding, no
 # backward CSI needed.
@@ -53,9 +53,9 @@ print(f"power scale c = {scale:.4f}")
 # even slots to expose Alamouti structure: one observation pair (u, v)
 # per destination antenna, like the channel's.
 downlink_noise = rng.substream(1).complex_normal(cfg.N, design.T)
-raw = ch.G.T @ codeword + downlink_noise
+raw = G[0].T @ codeword + downlink_noise
 obs = recombine(raw[..., None], design.T)  # (split, (u, v), antenna, trial)
-pairs = dstc_channel_stacks(ch.F[None], ch.G[None])  # (split, (a, b), antenna, source, trial)
+pairs = dstc_channel_stacks(F, G)  # (split, (a, b), antenna, source, trial)
 [blocks] = pair_blocks(pairs, design.T)
 print("\nequivalent channel: one pair (a, b) per source and destination antenna,")
 print("standing for the Alamouti block [[a, -conj(b)], [b, conj(a)]]; stacked, 2N x 2 per source:")
@@ -67,7 +67,7 @@ for j in range(cfg.J):
 # the forwarded relay noise plus the destination noise.  Zero-forcing IC
 # of a target is the Schur complement of the other source's block: its
 # Gram is then a real multiple gamma I, so a PSK slicer decides.
-p, q = gram_pairs(pairs[0], obs[0], forwarded_inverse(ch.G[..., None], scale, 1.0))
+p, q = gram_pairs(pairs[0], obs[0], forwarded_inverse(np.moveaxis(G, 0, -1), scale, 1.0))
 amp = math.sqrt(cfg.P) * scale  # symbol amplitude at the destination
 decided_bits = []
 for j in range(cfg.J):

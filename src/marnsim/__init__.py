@@ -3,11 +3,10 @@ relay networks with distributed space-time coding and zero-forcing
 interference cancellation at the receiver."""
 
 from .airlink import (
-    ChannelRealization,
     Constellation,
     NetworkConfig,
     RngStream,
-    draw_channels,
+    draw_channels_batch,
     make_psk,
     modulate,
 )
@@ -18,7 +17,6 @@ from .analysis import (
     outage_diversity,
     snr_dstc_batch,
     snr_tdma_batch,
-    snr_tdma_closed_form,
     snr_tdma_direct,
     snr_upper_bound_dstc,
 )
@@ -31,7 +29,7 @@ from .harness import (
     run_diversity,
     run_experiment,
 )
-from .numerics import NumericError, Projector, UsageError, is_alamouti, null_space_projector
+from .numerics import NumericError, UsageError, is_alamouti, null_space_projector
 from .relay_codec import DstcDesign, apply_design, dstc_design
 from .rx_ic import (
     ic_stack_batch,

@@ -19,9 +19,7 @@ from .numerics import UsageError
 __all__ = [
     "RngStream",
     "NetworkConfig",
-    "ChannelRealization",
     "Constellation",
-    "draw_channels",
     "draw_channels_batch",
     "make_psk",
     "modulate",
@@ -170,22 +168,10 @@ class NetworkConfig:
         return NetworkConfig(self.J, self.M, self.N, p)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One coherence block: F[i, j] = f_i^(j), G[i, n] = g_in."""
-
-    F: np.ndarray  # (M, J)
-    G: np.ndarray  # (M, N)
-
-
-def draw_channels(cfg: NetworkConfig, rng: RngStream) -> ChannelRealization:
-    """Draw one i.i.d. CN(0,1) realization of both hops."""
-    f, g = draw_channels_batch(cfg, rng, 1)
-    return ChannelRealization(f[0], g[0])
-
-
 def draw_channels_batch(cfg: NetworkConfig, rng: RngStream, n: int):
-    """Stacked draws: F (n, M, J) and G (n, M, N)."""
+    """n i.i.d. CN(0,1) draws of both hops, one coherence block each:
+    F (n, M, J) holds f_i^(j) at [..., i, j] and G (n, M, N) holds g_il
+    at [..., i, l].  One draw is a batch of one."""
     f = rng.complex_normal(n, cfg.M, cfg.J)
     g = rng.complex_normal(n, cfg.M, cfg.N)
     return f, g

@@ -3,9 +3,12 @@
 The TDMA-uplink scheme admits an exact receive-SNR formula: with
 x = sum_i |f_i|^2 (uplink gain of the target) and y the quadratic form of
 the target's stacked downlink channel through the zero-forcing projector,
-the post-IC whitened SNR is the scaled harmonic mean x y / (x + c^2 y).
-Verifying this equality against the simulated system exercises the whole
-IC and covariance pipeline at once, which is why it is a primary oracle.
+the post-IC whitened SNR is the scaled harmonic mean x y / (x + c^2 y)
+(``snr_tdma_batch``).  Verifying this equality against the simulated
+system (``snr_tdma_direct``, on the kernels' pair stages) exercises the
+whole IC and covariance pipeline at once, which is why it is a primary
+oracle.  Each SNR takes (n, M, J) / (n, M, N) channel draws and returns
+(n,) values; one draw is a batch of one.
 
 Diversity orders are estimated two ways: from the small-epsilon slope of
 the SNR outage probability, and from the high-SNR slope of measured BER
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airlink import ChannelRealization, NetworkConfig, RngStream
+from .airlink import NetworkConfig, RngStream
 from .numerics import NumericError, UsageError, dagger, null_space_projector, solve_psd_stack
 from .relay_codec import dstc_design, dstc_power_scale, tdma_power_scale
 from .rx_ic import (
@@ -36,7 +39,6 @@ from .rx_ic import (
 __all__ = [
     "DiversityEstimate",
     "whitened_snr",
-    "snr_tdma_closed_form",
     "snr_tdma_direct",
     "snr_upper_bound_dstc",
     "snr_tdma_batch",
@@ -69,46 +71,33 @@ def whitened_snr(h: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.maximum(np.einsum("...k,...k->...", np.conj(h), w).real, 0.0)
 
 
-def snr_tdma_direct(ch: ChannelRealization, cfg: NetworkConfig, target: int = 0) -> float:
-    """Receive SNR of the target's first symbol on the simulated system.
+def snr_tdma_direct(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int = 0) -> np.ndarray:
+    """Receive SNR (n,) of the target's first symbol on the simulated
+    system, over (n, M, J) / (n, M, N) channel draws.
 
-    Runs one draw through the TDMA-uplink kernel's own stages: the
+    Runs the draws through the TDMA-uplink kernel's own stages: the
     downlink channel pairs, each split's Gram system and the target's
     zero-forcing IC as its Schur complement, with the forwarded combining
     noise c1^2 / x riding on the target's channel.  Sums the target's
-    post-IC Gram gamma over the splits.
+    post-IC Gram gamma over the splits.  NumericError when a draw's
+    uplink column is all zero.
     """
-    x = np.sum(np.abs(ch.F[None, :, target]) ** 2, axis=-1)
-    if x[0] == 0.0:
+    x = np.sum(np.abs(F[..., target]) ** 2, axis=-1)
+    if np.any(x == 0.0):
         raise NumericError("all-zero uplink column")
     T = dstc_design(cfg.M // cfg.J).T
     kappa = 2.0 if T == 4 else 1.0
     c = tdma_power_scale(cfg.P, cfg.M)
-    gamma = 0.0
-    for split in tdma_channel_stacks(ch.G[None], cfg.J):
-        p, q = gram_pairs(split, np.zeros((2, split.shape[1], 1)), 1.0 / kappa)
-        gamma += float(schur_pairs(p, q, target, T, kappa * c * c / x)[1][0])
+    gamma = np.zeros(x.shape)
+    for split in tdma_channel_stacks(G, cfg.J):
+        p, q = gram_pairs(split, np.zeros((2, split.shape[1], len(x))), 1.0 / kappa)
+        gamma += schur_pairs(p, q, target, T, kappa * c * c / x)[1]
     return gamma
 
 
-def snr_tdma_closed_form(ch: ChannelRealization, cfg: NetworkConfig, target: int = 0) -> float:
-    """Closed-form receive SNR of the TDMA-uplink scheme.
-
-    gamma = x y / (x + c^2 y) summed over splits (halved for the 4-slot
-    split pair, whose per-split variances double), with
-    x = sum_i |f_i|^2 and y = g* B* (B B*)^{-1} B g for the stacked first
-    column g of the target's downlink blocks.  Equals snr_tdma_direct to
-    numerical precision; the equality encodes the zero-forcing projector
-    identity and the Alamouti diagonality of the whitened Gram matrix.
-    One draw of snr_tdma_batch.
-    """
-    if cfg.M not in (2 * cfg.J, 4 * cfg.J):
-        raise UsageError(f"closed form covers M in (2J, 4J), got M={cfg.M}, J={cfg.J}")
-    return float(snr_tdma_batch(ch.F[None], ch.G[None], cfg, target)[0])
-
-
-def snr_upper_bound_dstc(ch: ChannelRealization, cfg: NetworkConfig, target: int = 0) -> float:
-    """Channel-only upper bound on the concurrent-uplink receive SNR:
+def snr_upper_bound_dstc(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int = 0) -> np.ndarray:
+    """Channel-only upper bound (n,) on the concurrent-uplink receive SNR
+    of (n, M, J) / (n, M, N) channel draws:
 
     bound = trace(Gt* Gt) * f_t* Theta f_t
 
@@ -119,17 +108,25 @@ def snr_upper_bound_dstc(ch: ChannelRealization, cfg: NetworkConfig, target: int
     """
     if cfg.M != 2:
         raise UsageError(f"upper bound covers M=2, got M={cfg.M}")
-    f_t = ch.F[:, target]
-    others = np.delete(ch.F, target, axis=1)
-    theta = null_space_projector(others).matrix
-    quad = float(np.real(np.vdot(f_t, theta @ f_t)))
-    g_total = 2.0 * float(np.sum(np.abs(ch.G) ** 2))
-    return g_total * max(quad, 0.0)
+    f_t = F[..., target]
+    theta = null_space_projector(np.delete(F, target, axis=-1))
+    quad = np.sum(np.conj(f_t) * (theta @ f_t[..., None])[..., 0], axis=-1).real
+    g_total = 2.0 * np.sum(np.abs(G) ** 2, axis=(-2, -1))
+    return g_total * np.maximum(quad, 0.0)
 
 
 def snr_tdma_batch(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int = 0) -> np.ndarray:
-    """Vectorized closed-form TDMA-uplink SNR over (n, M, J) / (n, M, N)
-    channel draws; degenerate draws come back as 0."""
+    """Closed-form TDMA-uplink SNR (n,) over (n, M, J) / (n, M, N)
+    channel draws, any M >= J; degenerate draws come back as 0.
+
+    gamma = x y / (x + c^2 y) summed over splits (halved for the 4-slot
+    split pair, whose per-split variances double), with
+    x = sum_i |f_i|^2 and y = g* B* (B B*)^{-1} B g for the stacked first
+    column g of the target's downlink blocks and B its explicit IC
+    matrix.  Equals snr_tdma_direct to numerical precision; the equality
+    encodes the zero-forcing projector identity and the Alamouti
+    diagonality of the whitened Gram matrix.
+    """
     x = np.sum(np.abs(F[..., target]) ** 2, axis=-1)
     c = tdma_power_scale(cfg.P, cfg.M)
     T = dstc_design(cfg.M // cfg.J).T

@@ -1,22 +1,20 @@
 """Small dense complex-matrix kernel used by the rest of the simulator.
 
 Matrices are plain complex numpy arrays of at most a few dozen rows
-(stacked 2x2 Alamouti blocks).  Most helpers accept stacked inputs
-(leading batch axes): the Monte Carlo driver solves a whole chunk of
-trials in one LAPACK call, and callers stack every right-hand side that
-shares a matrix so it is factorized once.
+(stacked 2x2 Alamouti blocks).  Every helper accepts stacked inputs
+(leading batch axes), and one matrix is a batch of one: the Monte Carlo
+driver solves a whole chunk of trials in one LAPACK call, and callers
+stack every right-hand side that shares a matrix so it is factorized
+once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "UsageError",
     "NumericError",
-    "Projector",
     "dagger",
     "is_alamouti",
     "null_space_projector",
@@ -40,62 +38,42 @@ def dagger(a):
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def is_alamouti(m, tol: float = 1e-10) -> bool:
-    """True iff ``m`` is 2x2 of the form [[a, -conj(b)], [b, conj(a)]].
+def is_alamouti(m, tol: float = 1e-10) -> np.ndarray:
+    """Whether each (..., 2, 2) matrix of ``m`` has the form
+    [[a, -conj(b)], [b, conj(a)]], as a bool array over the leading axes.
 
     The sign convention is fixed: the conjugates sit in the second column.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise UsageError(f"expected a 2x2 matrix, got shape {m.shape}")
-    scale = max(float(np.abs(m).max()), 1.0)
-    return (
-        abs(m[0, 1] + np.conj(m[1, 0])) <= tol * scale
-        and abs(m[1, 1] - np.conj(m[0, 0])) <= tol * scale
+    if m.shape[-2:] != (2, 2):
+        raise UsageError(f"expected 2x2 matrices, got shape {m.shape}")
+    bound = tol * np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    return (np.abs(m[..., 0, 1] + np.conj(m[..., 1, 0])) <= bound) & (
+        np.abs(m[..., 1, 1] - np.conj(m[..., 0, 0])) <= bound
     )
 
 
-@dataclass(frozen=True)
-class Projector:
-    """An orthogonal projector (Hermitian and idempotent)."""
-
-    matrix: np.ndarray
-
-    def check(self, tol: float = 1e-10) -> None:
-        p = self.matrix
-        scale = max(float(np.linalg.norm(p)), 1e-300)
-        if np.linalg.norm(p @ p - p) > tol * scale:
-            raise NumericError("projector is not idempotent")
-        if np.linalg.norm(p - dagger(p)) > tol * scale:
-            raise NumericError("projector is not Hermitian")
-
-    @property
-    def rank(self) -> int:
-        return int(round(np.real(np.trace(self.matrix))))
-
-
-def null_space_projector(columns) -> Projector:
-    """Projector onto the orthogonal complement of the column space.
+def null_space_projector(columns) -> np.ndarray:
+    """Projector (..., n, n) onto the orthogonal complement of the column
+    space of each (..., n, k) matrix: Hermitian and idempotent.
 
     Rank deficiency (repeated or dependent columns) is handled through an
-    SVD with a relative drop tolerance, so nearly-parallel channel draws
-    do not blow up the projector.
+    SVD with a drop tolerance relative to each matrix's largest singular
+    value, so nearly-parallel channel draws do not blow up the projector.
     """
-    a = np.atleast_2d(np.asarray(columns, dtype=complex))
-    if a.ndim != 2:
-        raise UsageError("columns must be a 2-D array")
-    n, k = a.shape
+    a = np.asarray(columns, dtype=complex)
+    if a.ndim < 2:
+        raise UsageError("columns must be an (..., n, k) array")
+    n, k = a.shape[-2:]
     if k >= n:
         raise UsageError(f"need fewer columns than rows, got {n}x{k}")
     if not np.all(np.isfinite(a)):
         raise NumericError("non-finite entries in columns")
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    keep = s > RANK_TOL * (s[0] if s.size else 0.0)
-    basis = u[:, keep]
+    basis = u * (s > RANK_TOL * s[..., :1])[..., None, :]  # dropped directions zeroed
     p = np.eye(n, dtype=complex) - basis @ dagger(basis)
     # Symmetrize away the last few ulps so the invariant checks are exact.
-    p = 0.5 * (p + dagger(p))
-    return Projector(p)
+    return 0.5 * (p + dagger(p))
 
 
 def solve_psd_stack(a, b):

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .airlink import NetworkConfig, RngStream, make_psk, modulate
-from .numerics import dagger, is_alamouti, solve_psd_stack
+from .numerics import dagger, is_alamouti
 from .relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
 from .rx_ic import (
     dstc_channel_stacks,
@@ -25,6 +25,7 @@ from .rx_ic import (
     gram_pairs,
     gtilde,
     ic_stack_batch,
+    ml_decode_batch,
     noise_cov_forwarded,
     pair_blocks,
     psk_slicer,
@@ -33,6 +34,7 @@ from .rx_ic import (
     schur_pairs,
     symbol_spec,
     tdma_channel_stacks,
+    whiten,
 )
 from .schemes import relay_forward_groups
 
@@ -52,18 +54,20 @@ def check_alamouti_closure(seed=0):
     x = _family(rng, 1000)
     y = _family(rng, 1000)
     scal = rng.generator.standard_normal(1000)
-    for k in range(1000):
-        for m in (x[k] @ y[k], x[k] + y[k], scal[k] * x[k], dagger(x[k])):
-            if not is_alamouti(m):
-                return False, f"closure violated at pair {k}"
+    closed = np.logical_and.reduce(
+        [is_alamouti(m) for m in (x @ y, x + y, scal[:, None, None] * x, dagger(x))]
+    )
+    if not closed.all():
+        return False, f"closure violated at pair {int(np.argmin(closed))}"
     return True, "1000 pairs closed under product, sum, real scaling, adjoint"
 
 
 def check_hermitian_diagonality(seed=0):
     """A Hermitian family member is a real multiple of the identity, and
     the explicit whitened Gram (B h)* R^-1 (B h) of random TDMA-uplink
-    post-IC systems equals the gamma I of the kernels' ``gram_pairs`` and
-    ``schur_pairs`` on the same draws, for both sources."""
+    post-IC systems (``whiten``) equals the gamma I of the kernels'
+    ``gram_pairs`` and ``schur_pairs`` on the same draws, for both
+    sources."""
     rng = RngStream(seed, 102)
     m = _family(rng, 1000)
     gram = m @ dagger(m)
@@ -87,7 +91,7 @@ def check_hermitian_diagonality(seed=0):
         bmat, _ = ic_stack_batch(stacks, j)
         bh = bmat @ stacks[:, j]
         r = bmat @ dagger(bmat) + sigma[:, j, None, None] * (bh @ dagger(bh))
-        explicit = dagger(bh) @ solve_psd_stack(r, bh)
+        explicit = whiten(np.zeros(bh.shape[:-1]), bh, r, 1.0)[1]
         gamma = schur_pairs(p, q, j, 2, sigma[:, j])[1]
         dev = np.abs(explicit - gamma[:, None, None] * np.eye(2)).max(axis=(1, 2)) / gamma
         worst = max(worst, float(dev.max()))
@@ -173,7 +177,7 @@ def check_noise_covariance(seed=0, trials=100_000):
 def check_ml_agreement(seed=0, instances=1000):
     """The kernels' decoder (``gram_pairs``, ``schur_pairs``, then
     ``psk_slicer``) run from the pre-IC observation equals the exhaustive
-    arg-min of the whitened metric on the explicit post-IC system
+    whitened ML decoder ``ml_decode_batch`` on the explicit post-IC system
     (``ic_stack_batch`` and ``noise_cov_forwarded`` on the dense view),
     for both sources of noisy concurrent-uplink draws (J=2, M=2, N=2)."""
     rng = RngStream(seed, 105)
@@ -194,23 +198,17 @@ def check_ml_agreement(seed=0, instances=1000):
         obs = scale * np.einsum("njrk,njk->nr", stacks, sv) + noise
         o = np.stack([obs[:, 0::2].T, obs[:, 1::2].T])  # the observation pairs (u, v)
         p, q = gram_pairs(pairs[0], o, forwarded_inverse(np.moveaxis(g, 0, -1), c, 1.0))
-        # brute force over the target's symbol pair on its explicit post-IC system
-        cand = np.array([[i, j] for i in range(order) for j in range(order)], dtype=np.int64)
-        svc = spec.build(const.points[cand])
         for target in range(cfg.J):
             w, gamma = schur_pairs(p, q, target, 2)
             got = psk_slicer(scale * w, scale * scale * gamma[None], const)
             bmat, bad = ic_stack_batch(stacks, target)
-            h = bmat @ stacks[:, target]
             r = noise_cov_forwarded(gtilde(g), c, 1.0, bmat)
-            resid = np.einsum("nrk,nk->nr", bmat, obs)[:, None, :] - scale * np.einsum("nij,cj->nci", h, svc)
-            rin = np.linalg.solve(r[:, None], resid[..., None])[..., 0]
-            metric = np.einsum("nci,nci->nc", np.conj(resid), rin).real
-            brute = cand[np.argmin(metric, axis=1)]
+            bobs, bh = np.einsum("nrk,nk->nr", bmat, obs), bmat @ stacks[:, target]
+            brute = ml_decode_batch(bobs, bh, r, scale, spec, const)
             if not np.array_equal(got[~bad], brute[~bad]):
                 k = int(np.nonzero(np.any(got != brute, axis=1) & ~bad)[0][0])
                 return False, f"ML disagreement at instance {k}, source {target}, order {order}"
-    return True, "pair decoder equals exhaustive arg-min on the explicit post-IC systems (BPSK and QPSK, both sources)"
+    return True, "pair decoder equals ml_decode_batch on the explicit post-IC systems (BPSK, QPSK, both sources)"
 
 
 def check_power_normalization(seed=0, trials=100_000):

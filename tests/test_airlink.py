@@ -8,7 +8,6 @@ import pytest
 from marnsim.airlink import (
     NetworkConfig,
     RngStream,
-    draw_channels,
     draw_channels_batch,
     make_psk,
     modulate,
@@ -20,9 +19,9 @@ from marnsim.numerics import UsageError
 class TestRngStream:
     def test_deterministic_redraw(self):
         cfg = NetworkConfig(2, 2, 3, 10.0)
-        a = draw_channels(cfg, RngStream(42))
-        b = draw_channels(cfg, RngStream(42))
-        assert np.array_equal(a.F, b.F) and np.array_equal(a.G, b.G)
+        fa, ga = draw_channels_batch(cfg, RngStream(42), 1)
+        fb, gb = draw_channels_batch(cfg, RngStream(42), 1)
+        assert np.array_equal(fa, fb) and np.array_equal(ga, gb)
 
     def test_distinct_streams_differ(self):
         a = RngStream(0, 0).complex_normal(16)
@@ -35,8 +34,8 @@ class TestRngStream:
         assert not np.allclose(a, b)
 
     def test_channel_shapes(self):
-        ch = draw_channels(NetworkConfig(2, 2, 3, 1.0), RngStream(0))
-        assert ch.F.shape == (2, 2) and ch.G.shape == (2, 3)
+        f, g = draw_channels_batch(NetworkConfig(2, 2, 3, 1.0), RngStream(0), 1)
+        assert f.shape == (1, 2, 2) and g.shape == (1, 2, 3)
 
     def test_unit_variance(self):
         f, g = draw_channels_batch(NetworkConfig(2, 4, 4, 1.0), RngStream(1), 4000)

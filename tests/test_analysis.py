@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from marnsim.airlink import ChannelRealization, NetworkConfig, RngStream
+from marnsim.airlink import NetworkConfig, RngStream
 from marnsim.analysis import (
     ber_slope,
     lemma1_composite,
@@ -13,12 +13,11 @@ from marnsim.analysis import (
     outage_diversity,
     snr_dstc_batch,
     snr_tdma_batch,
-    snr_tdma_closed_form,
     snr_tdma_direct,
     snr_upper_bound_dstc,
     whitened_snr,
 )
-from marnsim.numerics import UsageError
+from marnsim.numerics import UsageError, is_alamouti, null_space_projector
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
 from marnsim.rx_ic import dstc_channel_stacks, ic_stack_batch, pair_blocks, recombine
 from gram_oracle import dense_obs
@@ -70,38 +69,38 @@ class TestTdmaClosedForm:
         cfg = NetworkConfig(2, 4, 3, 10.0)
         f = rng.complex_normal(4, 2)
         f[:, 0] = 0.0
-        ch = ChannelRealization(f, rng.complex_normal(4, 3))
-        assert snr_tdma_closed_form(ch, cfg) == 0.0
+        assert snr_tdma_batch(f[None], rng.complex_normal(4, 3)[None], cfg)[0] == 0.0
 
     def test_j1_hand_formula(self):
         # J=1: no cancellation, B = I, y = ||G||^2 stacked, so
         # gamma = x y / (x + c1^2 y).
         rng = RngStream(1)
         cfg = NetworkConfig(1, 2, 3, 6.0)
-        ch = ChannelRealization(rng.complex_normal(2, 1), rng.complex_normal(2, 3))
-        x = float(np.sum(np.abs(ch.F) ** 2))
-        y = float(np.sum(np.abs(ch.G) ** 2))
+        f, g = rng.complex_normal(1, 2, 1), rng.complex_normal(1, 2, 3)
+        x = float(np.sum(np.abs(f) ** 2))
+        y = float(np.sum(np.abs(g) ** 2))
         c1 = tdma_power_scale(cfg.P, cfg.M)
         expect = x * y / (x + c1 * c1 * y)
-        got = snr_tdma_closed_form(ch, cfg)
+        got = snr_tdma_batch(f, g, cfg)[0]
         assert abs(got - expect) < 1e-10 * expect
 
-    @pytest.mark.parametrize("j,m,n", [(2, 4, 3), (2, 8, 2), (1, 4, 2), (3, 6, 4)])
+    # M in {2J, 4J}, and every other M >= J the sampler runs at: groups of
+    # one (T = 1), three (T = 4) and unused relay antennas.
+    @pytest.mark.parametrize(
+        "j,m,n",
+        [
+            (2, 4, 3), (2, 8, 2), (1, 4, 2), (3, 6, 4),
+            (2, 2, 3), (3, 3, 5), (2, 6, 3), (2, 3, 3), (2, 5, 3), (1, 1, 2), (3, 4, 4),
+        ],
+    )
     def test_equals_direct(self, j, m, n):
         rng = RngStream(2, j * 16 + m)
         cfg = NetworkConfig(j, m, n, 25.0)
-        for _ in range(30):
-            ch = ChannelRealization(rng.complex_normal(m, j), rng.complex_normal(m, n))
-            a = snr_tdma_closed_form(ch, cfg)
-            b = snr_tdma_direct(ch, cfg)
-            assert abs(a - b) <= 1e-8 * max(abs(b), 1e-30)
-
-    def test_unsupported_m_raises(self):
-        rng = RngStream(3)
-        cfg = NetworkConfig(2, 6, 3, 1.0)  # M = 3J not covered
-        ch = ChannelRealization(rng.complex_normal(6, 2), rng.complex_normal(6, 3))
-        with pytest.raises(UsageError):
-            snr_tdma_closed_form(ch, cfg)
+        draws = [(rng.complex_normal(m, j), rng.complex_normal(m, n)) for _ in range(30)]
+        f, g = (np.stack(d) for d in zip(*draws))
+        a = snr_tdma_batch(f, g, cfg)
+        b = snr_tdma_direct(f, g, cfg)
+        assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(np.abs(b), 1e-30))
 
     def test_batch_matches_scalar(self):
         rng = RngStream(4)
@@ -110,7 +109,7 @@ class TestTdmaClosedForm:
         g = rng.complex_normal(25, 4, 3)
         batch = snr_tdma_batch(f, g, cfg)
         for i in range(25):
-            scalar = snr_tdma_direct(ChannelRealization(f[i], g[i]), cfg)
+            scalar = snr_tdma_direct(f[i : i + 1], g[i : i + 1], cfg)[0]
             assert abs(batch[i] - scalar) < 1e-8 * max(scalar, 1e-30)
 
 
@@ -130,17 +129,15 @@ class TestDstcSnr:
         cfg = NetworkConfig(2, 2, 2, 5.0)
         f1 = rng.complex_normal(2)
         f = np.stack([f1, 2.0 * f1], axis=1)
-        ch = ChannelRealization(f, rng.complex_normal(2, 2))
-        assert snr_upper_bound_dstc(ch, cfg) < 1e-20
+        assert snr_upper_bound_dstc(f[None], rng.complex_normal(2, 2)[None], cfg)[0] < 1e-20
 
     def test_bound_orthogonal_unit_channels(self):
         cfg = NetworkConfig(2, 2, 2, 5.0)
         rng = RngStream(7)
         g = rng.complex_normal(2, 2)
         f = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        ch = ChannelRealization(f, g)
         expect = 2.0 * np.sum(np.abs(g) ** 2)
-        assert abs(snr_upper_bound_dstc(ch, cfg) - expect) < 1e-10
+        assert abs(snr_upper_bound_dstc(f[None], g[None], cfg)[0] - expect) < 1e-10
 
     def test_bound_dominates_sample(self):
         rng = RngStream(8)
@@ -148,14 +145,45 @@ class TestDstcSnr:
         f = rng.complex_normal(200, 2, 2)
         g = rng.complex_normal(200, 2, 3)
         gamma = snr_dstc_batch(f, g, cfg)
-        for i in range(200):
-            assert snr_upper_bound_dstc(ChannelRealization(f[i], g[i]), cfg) >= gamma[i]
+        assert np.all(snr_upper_bound_dstc(f, g, cfg) >= gamma)
 
     def test_unsupported_m_raises(self):
         rng = RngStream(9)
         cfg = NetworkConfig(2, 4, 3, 1.0)
         with pytest.raises(UsageError):
             snr_dstc_batch(rng.complex_normal(1, 4, 2), rng.complex_normal(1, 4, 3), cfg)
+
+
+def _some_alamouti(m):
+    """The matrices of an (n, 2, 2) stack whose m_00 has a positive real
+    part, made Alamouti members."""
+    m, sel = m.copy(), m[:, 0, 0].real > 0
+    m[sel, 0, 1] = -np.conj(m[sel, 1, 0])
+    m[sel, 1, 1] = np.conj(m[sel, 0, 0])
+    return m
+
+
+# Each quantity as a function of a batch, and the per-row shapes it takes.
+_TDMA, _DSTC = NetworkConfig(2, 4, 3, 12.0), NetworkConfig(2, 2, 3, 12.0)
+_BATCHED = {
+    "snr_tdma_direct": (lambda f, g: snr_tdma_direct(f, g, _TDMA, 1), (4, 2), (4, 3)),
+    "snr_upper_bound_dstc": (lambda f, g: snr_upper_bound_dstc(f, g, _DSTC, 1), (2, 2), (2, 3)),
+    "null_space_projector": (null_space_projector, (5, 2)),
+    "is_alamouti": (lambda m: is_alamouti(_some_alamouti(m)), (2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHED))
+def test_batch_of_one_equals_row(name):
+    fn, *shapes = _BATCHED[name]
+    rng = RngStream(18)
+    args = [rng.complex_normal(40, *shape) for shape in shapes]
+    batch = fn(*args)
+    assert batch.shape[0] == 40
+    for i in (0, 17, 39):
+        assert np.array_equal(fn(*(a[i : i + 1] for a in args))[0], batch[i])
+    if name == "is_alamouti":
+        assert np.array_equal(batch, args[0][:, 0, 0].real > 0)
 
 
 class TestOutageDiversity:

@@ -20,6 +20,13 @@ def _alamouti(a, b):
     return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
 
 
+def _assert_projector(p, tol=1e-10):
+    """Idempotent and Hermitian, each within tol relative to its norm."""
+    scale = max(float(np.linalg.norm(p)), 1e-300)
+    assert np.linalg.norm(p @ p - p) <= tol * scale
+    assert np.linalg.norm(p - dagger(p)) <= tol * scale
+
+
 class TestIsAlamouti:
     def test_identity(self):
         assert is_alamouti(np.eye(2))
@@ -59,7 +66,7 @@ class TestIsAlamouti:
 class TestNullSpaceProjector:
     def test_axis_case(self):
         p = null_space_projector(np.array([[1.0], [0.0]]))
-        assert np.allclose(p.matrix, np.diag([0.0, 1.0]))
+        assert np.allclose(p, np.diag([0.0, 1.0]))
 
     def test_stacked_alamouti_column(self):
         # Two stacked 2x2 Alamouti blocks of f = (1, 1)/sqrt(2): a 4x2
@@ -68,20 +75,20 @@ class TestNullSpaceProjector:
         block = _alamouti(f[0], f[1])
         cols = np.vstack([block, block])
         p = null_space_projector(cols)
-        assert np.linalg.norm(p.matrix @ cols) <= 1e-9 * np.linalg.norm(cols)
-        assert abs(np.trace(p.matrix).real - 2.0) < 1e-10
+        assert np.linalg.norm(p @ cols) <= 1e-9 * np.linalg.norm(cols)
+        assert abs(np.trace(p).real - 2.0) < 1e-10
         q, _ = np.linalg.qr(cols)
         oracle = np.eye(4) - q @ dagger(q)
-        assert np.allclose(p.matrix, oracle, atol=1e-10)
-        p.check()
+        assert np.allclose(p, oracle, atol=1e-10)
+        _assert_projector(p)
 
     def test_duplicate_columns_deduplicated(self):
         rng = np.random.default_rng(2)
         col = _rand_complex(rng, 4, 1)
         single = null_space_projector(col)
         doubled = null_space_projector(np.hstack([col, col]))
-        assert np.allclose(single.matrix, doubled.matrix, atol=1e-10)
-        assert doubled.rank == 3
+        assert np.allclose(single, doubled, atol=1e-10)
+        assert round(np.trace(doubled).real) == 3
 
     def test_too_many_columns_raises(self):
         with pytest.raises(UsageError):
@@ -92,8 +99,22 @@ class TestNullSpaceProjector:
         for _ in range(50):
             cols = _rand_complex(rng, 6, 2)
             p = null_space_projector(cols)
-            p.check()
-            assert np.linalg.norm(p.matrix @ cols) <= 1e-9 * np.linalg.norm(cols)
+            _assert_projector(p)
+            assert np.linalg.norm(p @ cols) <= 1e-9 * np.linalg.norm(cols)
+
+    def test_rank_per_matrix_in_a_stack(self):
+        # Rows 1 and 4 have parallel columns (rank 1); row 3 is full rank at
+        # a scale far below the others, so only a tolerance taken per
+        # matrix keeps both of its directions.
+        rng = np.random.default_rng(9)
+        cols = _rand_complex(rng, 6, 5, 2)
+        cols[[1, 4], :, 1] = 2.0 * cols[[1, 4], :, 0]
+        cols[3] *= 1e-12
+        p = null_space_projector(cols)
+        assert np.allclose(np.trace(p, axis1=-2, axis2=-1).real, [3, 4, 3, 3, 4, 3], atol=1e-10)
+        for i in range(6):
+            _assert_projector(p[i])
+            assert np.linalg.norm(p[i] @ cols[i]) <= 1e-9 * np.linalg.norm(cols[i])
 
 
 class TestHermitianSolve:

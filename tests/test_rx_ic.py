@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from marnsim.airlink import ChannelRealization, NetworkConfig, RngStream, draw_channels_batch, make_psk, modulate
+from marnsim.airlink import NetworkConfig, RngStream, draw_channels_batch, make_psk, modulate
 from marnsim.analysis import snr_tdma_direct
 from marnsim.numerics import NumericError, UsageError, dagger, null_space_projector, solve_psd_stack
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
@@ -310,7 +310,7 @@ class TestIcMatrices:
                     for h in others:
                         assert np.linalg.norm(b @ h) <= 1e-9 * np.linalg.norm(h)
                     proj = dagger(b) @ np.linalg.solve(b @ dagger(b), b)
-                    want = null_space_projector(np.concatenate(others, axis=-1)).matrix
+                    want = null_space_projector(np.concatenate(others, axis=-1))
                     assert np.allclose(proj, want, atol=1e-9)
 
 
@@ -415,7 +415,7 @@ class TestNoiseCovariances:
         f = _cn(rng, 4, 2)
         f[:, 0] = 0.0
         with pytest.raises(NumericError):
-            snr_tdma_direct(ChannelRealization(f, _cn(rng, 4, 3)), NetworkConfig(2, 4, 3, 3.0))
+            snr_tdma_direct(f[None], _cn(rng, 4, 3)[None], NetworkConfig(2, 4, 3, 3.0))
 
 
 class TestWhitenedDiagonality:

@@ -228,7 +228,7 @@ class TestRelayZeroForcing:
         got = relay_zf_gains(F)
         for i in range(len(F)):
             for j in range(J):
-                proj = null_space_projector(np.delete(F[i], j, axis=1)).matrix
+                proj = null_space_projector(np.delete(F[i], j, axis=1))
                 want = np.linalg.norm(proj @ F[i, :, j]) ** 2
                 assert got[i, j] == pytest.approx(want, rel=1e-12)
 
