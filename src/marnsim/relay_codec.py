@@ -103,19 +103,24 @@ def _signed_gather(design: DstcDesign):
     return slot, sign, conj * sign
 
 
-def apply_design(design: DstcDesign, received: np.ndarray) -> np.ndarray:
+def apply_design(design: DstcDesign, received: np.ndarray, out=None) -> np.ndarray:
     """Unscaled per-antenna transform A_i r_i + B_i conj(r_i).
 
     ``received`` has shape (m_used, T, ...), batch axes last; so does the
-    result.  Each entry is a signed slot of r_i or of its conjugate,
-    gathered rather than multiplied by 0/+-1 coefficients.
+    result, written into ``out`` when given.  Each entry is a signed slot
+    of r_i or of its conjugate, gathered rather than multiplied by 0/+-1
+    coefficients.
     """
     received = np.asarray(received, dtype=complex)
     m, T = design.m_used, design.T
     if received.shape[:2] != (m, T):
         raise UsageError(f"received shape {received.shape} != ({m}, {T}, ...)")
     slot, re, im = _signed_gather(design)
-    out = received[np.arange(m)[:, None], slot]  # a fresh array
+    if out is None:
+        out = np.empty(received.shape, dtype=complex)
+    for i in range(m):
+        for t in range(T):
+            out[i, t] = received[i, slot[i, t]]
     shape = (m, T) + (1,) * (out.ndim - 2)
     out.real *= re.reshape(shape)
     out.imag *= im.reshape(shape)

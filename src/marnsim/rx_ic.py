@@ -29,7 +29,11 @@ any IC matrix B that nulls the interferers H_I, eliminated one
 interferer at a time: each pivot is a Hermitian pair, a real scalar.
 Relay noise riding on the target's channel then scales the result.
 These stages are elementwise complex arithmetic on (..., n) arrays whose
-batch axis is last, written into preallocated outputs where they can be.
+batch axis is last.  Each writes its result into ``out`` and its
+temporaries into the scratch of a workspace ``ws`` (``numerics.Workspace``)
+when given: a kernel retains its workspace across batches, so its stages
+write into pages already faulted in.  Without them a stage allocates
+fresh arrays; either way it does the same arithmetic in the same order.
 After IC each split's Gram is a real multiple of the identity, so a PSK
 slicer decides (``psk_slicer``): per symbol for Alamouti, and for the
 quasi-orthogonal pair one slice per candidate of its other symbol.
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airlink import Constellation, nearest_psk
-from .numerics import NumericError, UsageError, dagger, solve_psd_stack
+from .numerics import FRESH, NumericError, UsageError, dagger, solve_psd_stack
 
 __all__ = [
     "DEGENERATE_TOL",
@@ -186,26 +190,26 @@ def recombination_matrices(N: int, T: int):
     raise UsageError(f"unsupported block length T={T}")
 
 
-def recombine(raw: np.ndarray, T: int) -> np.ndarray:
+def recombine(raw: np.ndarray, T: int, out=None) -> np.ndarray:
     """Observation pairs (S, 2, N, ...) of (N, T, ...) raw samples, batch
     axes last: split s's pair (u_n, v_n) at antenna n is entries 2n and
     2n + 1 of ``recombination_matrices``' split s (u_n alone, v_n = 0, for
     T = 1).  The slots combine as the relay antennas of ``_pairs`` do:
     (x_1n, conj(x_2n)) for T = 2, and the + split (x_1n + x_4n,
     conj(x_2n - x_3n)) and the - split (x_1n - x_4n, conj(x_2n + x_3n))
-    for T = 4.
+    for T = 4.  Written into ``out`` when given.
     """
     raw = np.asarray(raw, dtype=complex)
     if T not in (1, 2, 4) or raw.shape[1:2] != (T,):
         raise UsageError(f"raw samples {raw.shape} are not (N, T={T}, ...) with T in 1, 2, 4")
-    return _pairs(np.moveaxis(raw, 1, 0))
+    return _pairs(np.moveaxis(raw, 1, 0), out)
 
 
 # ---------------------------------------------------------------------------
 # Equivalent channel pairs
 
 
-def _pairs(e: np.ndarray) -> np.ndarray:
+def _pairs(e: np.ndarray, out=None) -> np.ndarray:
     """Channel pairs (S, 2, N, J, ...) from the coefficients e (m, N, J, ...)
     of relay antenna i of source j's code at destination antenna n: for
     m = 1 the single split (e_1n, 0); for m = 2 (e_1n, conj(e_2n)), the
@@ -214,13 +218,14 @@ def _pairs(e: np.ndarray) -> np.ndarray:
     (e_1n - e_4n, conj(e_2n + e_3n)) of the anti-Alamouti blocks
     [[alpha, beta], [conj(beta), -conj(alpha)]] (e_4n = 0 when m = 3).
     ``recombine`` applies the same map to the T raw slots in place of the
-    m antennas.
+    m antennas.  Written into ``out`` when given.
     """
     m = len(e)
     if m not in (1, 2, 3, 4):
         raise UsageError(f"unsupported relay antenna group size {m}")
     # One batch-last output written in place: fresh temporaries cost page faults.
-    out = np.empty((1 if m <= 2 else 2, 2) + e.shape[1:], dtype=complex)
+    if out is None:
+        out = np.empty((1 if m <= 2 else 2, 2) + e.shape[1:], dtype=complex)
     if m == 1:
         out[0, 0] = e[0]
         out[0, 1] = 0.0
@@ -236,32 +241,37 @@ def _pairs(e: np.ndarray) -> np.ndarray:
     return out
 
 
-def dstc_channel_stacks(F: np.ndarray, G: np.ndarray) -> np.ndarray:
+def dstc_channel_stacks(F: np.ndarray, G: np.ndarray, out=None, ws=FRESH) -> np.ndarray:
     """Channel pairs of the concurrent-uplink scheme.
 
     F is (..., M, J), G is (..., M, N).  Returns (S, 2, N, J, ...), batch
     axes last, built by ``_pairs`` from the coefficients f_ij g_in, with f
     conjugated on relay antennas 2 and 3, whose code conjugates what they
     receive: S = 1 split for M = 2 (T = 2), S = 2 for M in {3, 4} (T = 4).
+    Written into ``out`` when given; the coefficients are ``ws`` scratch.
     """
-    f = np.moveaxis(np.asarray(F, dtype=complex), (-2, -1), (0, 1)).copy()  # (M, J, ...)
-    f[1:3] = np.conj(f[1:3])
+    f_in = np.moveaxis(np.asarray(F, dtype=complex), (-2, -1), (0, 1))  # (M, J, ...)
     g = np.moveaxis(np.asarray(G, dtype=complex), (-2, -1), (0, 1))  # (M, N, ...)
-    return _pairs(f[:, None] * g[:, :, None])
+    M, J = f_in.shape[:2]
+    f, e = ws.scratch((f_in.shape, complex), ((M, g.shape[1], J) + f_in.shape[2:], complex))
+    np.copyto(f, f_in)
+    np.conj(f[1:3], out=f[1:3])
+    return _pairs(np.multiply(f[:, None], g[:, :, None], out=e), out)
 
 
-def tdma_channel_stacks(G: np.ndarray, J: int) -> np.ndarray:
+def tdma_channel_stacks(G: np.ndarray, J: int, out=None) -> np.ndarray:
     """Channel pairs of the TDMA-uplink scheme.
 
     Source j's group of floor(M/J) relay antennas produces pairs built
     from its second-hop coefficients g_in only.  Returns (S, 2, N, J, ...)
-    as ``dstc_channel_stacks`` does, with T in {1, 2, 4} by group size.
+    as ``dstc_channel_stacks`` does, with T in {1, 2, 4} by group size,
+    written into ``out`` when given.
     """
     G = np.asarray(G, dtype=complex)
     M, N = G.shape[-2:]
     gs = M // J  # 0 when J > M, which _pairs refuses
     g = G[..., : J * gs, :].reshape(*G.shape[:-2], J, gs, N)
-    return _pairs(np.moveaxis(g, (-3, -2, -1), (2, 0, 1)))
+    return _pairs(np.moveaxis(g, (-3, -2, -1), (2, 0, 1)), out)
 
 
 def pair_blocks(pairs: np.ndarray, T: int) -> list:
@@ -368,7 +378,7 @@ def noise_cov_forwarded(gt, c: float, kappa: float, bmat=None) -> np.ndarray:
     return kappa * (c * c * bg @ dagger(bg) + bmat @ dagger(bmat))
 
 
-def forwarded_inverse(g: np.ndarray, c: float, kappa: float) -> np.ndarray:
+def forwarded_inverse(g: np.ndarray, c: float, kappa: float, out=None, ws=FRESH) -> np.ndarray:
     """x = A^-1 / kappa (N, N, ...) of A = c^2 G^T conj(G) + I, from
     downlink coefficients g (M, N, ...) with the batch axes last.
     W = c^2 Gt Gt* + I with Gt = gtilde(G) carries A on its even and
@@ -378,19 +388,20 @@ def forwarded_inverse(g: np.ndarray, c: float, kappa: float) -> np.ndarray:
     2 x 2 blocks of R0^-1 before IC are Q(x, 0).
 
     A is inverted in place by Gauss-Jordan elimination, elementwise over
-    the batch axes.  A is I plus a PSD matrix, so every pivot is real and
-    at least 1: no pivoting is needed.
+    the batch axes, in ``out`` when given, with ``ws`` scratch.  A is I
+    plus a PSD matrix, so every pivot is real and at least 1: no pivoting
+    is needed.
     """
     M, N = g.shape[:2]
-    a = np.zeros((N, N) + g.shape[2:], dtype=complex)
-    tmp = np.empty_like(a)
-    gc = np.conj(g)
+    a = np.empty((N, N) + g.shape[2:], dtype=complex) if out is None else out
+    a[...] = 0.0
+    tmp, gc, row, col = ws.scratch((a.shape, complex), (g.shape, complex), *[(a.shape[1:], complex)] * 2)
+    np.conj(g, out=gc)
     for m in range(M):
         a += np.multiply(g[m, :, None], gc[m, None, :], out=tmp)
     a *= c * c
     for k in range(N):
         a[k, k] += 1.0
-    row, col = np.empty_like(a[0]), np.empty_like(a[0])
     for k in range(N):
         d = 1.0 / a[k, k].real
         np.multiply(a[k], d, out=row)
@@ -439,7 +450,7 @@ def whiten(obs, h, r, scale):
 _PIVOT_FLOOR = 1e-300
 
 
-def gram_pairs(split, obs, r0_inv):
+def gram_pairs(split, obs, r0_inv, out=None, ws=FRESH):
     """Gram system (Q, z) = H* R0^-1 [H | obs] of one split for all J of
     its sources, as pairs (p, q) (J, J + 1, n): Q_jk = Q(p_jk, q_jk) and
     z_j = (p_jJ, q_jJ).
@@ -451,41 +462,51 @@ def gram_pairs(split, obs, r0_inv):
     the blocks Q(x_rs, 0) of R0^-1: then (a', b') = (x a, conj(x) b), and
     Q_jk = sum_r Q(a_rj, b_rj)* Q(a'_rk, b'_rk) has
     p = sum_r conj(a) a' + conj(b) b' and q = sum_r a b' - b a'.
-    Every product is written into scratch and then accumulated: fresh
-    temporaries cost page faults.
+    Every product is written into ``ws`` scratch and then accumulated:
+    fresh temporaries cost page faults.  ``out`` (2, J, J + 1, n), when
+    given, receives (p, q).
     """
     K, J, n = split.shape[1:]
-    a = np.empty((K, J + 1, n), dtype=complex)  # (block row, source or obs, trial)
-    b = np.empty_like(a)
+    full = np.ndim(r0_inv) > 0
+    # (block row, source or obs, trial) arrays, the products (K rows for
+    # a full r0_inv, then J), one block row's conjugated sources, conj(x)
+    a, b, ax, bx, tmp, ac, bc, xc = ws.scratch(
+        *[((K, J + 1, n), complex)] * 4,
+        ((max(K, J) if full else J, J + 1, n), complex),
+        *[((J, 1, n), complex)] * 2,
+        ((K, K, 1, n) if full else (0,), complex),
+    )
     a[:, :J], b[:, :J] = split
     a[:, J], b[:, J] = obs
-    ax, bx, tmp = np.empty_like(a), np.empty_like(a), np.empty_like(a)
-    if np.ndim(r0_inv):  # a'_r = sum_s x_rs a_s, b'_r = sum_s conj(x_rs) b_s
+    if full:  # a'_r = sum_s x_rs a_s, b'_r = sum_s conj(x_rs) b_s
         x = r0_inv[:, :, None]
-        xc = np.conj(x)
+        np.conj(x, out=xc)
         np.multiply(x[:, 0], a[0], out=ax)
         np.multiply(xc[:, 0], b[0], out=bx)
         for s in range(1, K):
-            ax += np.multiply(x[:, s], a[s], out=tmp)
-            bx += np.multiply(xc[:, s], b[s], out=tmp)
+            ax += np.multiply(x[:, s], a[s], out=tmp[:K])
+            bx += np.multiply(xc[:, s], b[s], out=tmp[:K])
     else:
         np.multiply(r0_inv, a, out=ax)
         np.multiply(r0_inv, b, out=bx)
     # Accumulate over block rows r: each term is a (J, J + 1, n) array.
-    ac, bc = np.conj(a[:, :J, None]), np.conj(b[:, :J, None])
-    p, q = np.multiply(ac[0], ax[0]), np.multiply(a[0, :J, None], bx[0])
-    tmp = np.empty_like(p)
-    p += np.multiply(bc[0], bx[0], out=tmp)
-    q -= np.multiply(b[0, :J, None], ax[0], out=tmp)
-    for r in range(1, K):
-        p += np.multiply(ac[r], ax[r], out=tmp)
-        p += np.multiply(bc[r], bx[r], out=tmp)
-        q += np.multiply(a[r, :J, None], bx[r], out=tmp)
-        q -= np.multiply(b[r, :J, None], ax[r], out=tmp)
+    p, q = (np.empty((J, J + 1, n), dtype=complex) for _ in "pq") if out is None else out
+    prod = tmp[:J]
+    for r in range(K):
+        np.conj(a[r, :J, None], out=ac)
+        np.conj(b[r, :J, None], out=bc)
+        if r:
+            p += np.multiply(ac, ax[r], out=prod)
+            q += np.multiply(a[r, :J, None], bx[r], out=prod)
+        else:
+            np.multiply(ac, ax[r], out=p)
+            np.multiply(a[r, :J, None], bx[r], out=q)
+        p += np.multiply(bc, bx[r], out=prod)
+        q -= np.multiply(b[r, :J, None], ax[r], out=prod)
     return p, q
 
 
-def schur_pairs(p, q, target, T, sigma=None):
+def schur_pairs(p, q, target, T, sigma=None, ws=FRESH):
     """Whitened (w, gamma) of source ``target`` (scale 1) after
     zero-forcing IC, the Schur complement of the interferers' block of a
     ``gram_pairs`` system: the interferers are eliminated one at a time,
@@ -494,19 +515,23 @@ def schur_pairs(p, q, target, T, sigma=None):
     filter, T being the block length; the splits of T = 4 are
     Q(a, b) diag(1, -1), so their second entry changes sign.  sigma (n,)
     adds the target's own noise sigma h h* to R0, which scales both by
-    1 / (1 + sigma gamma).  NumericError when not finite.
+    1 / (1 + sigma gamma).  NumericError when not finite.  The system is
+    copied into ``ws`` scratch and eliminated there.
     """
     J = p.shape[0]
     order = [k for k in range(J) if k != target] + [target]
-    idx = np.ix_(order, order + [J])
-    p, q = p[idx], q[idx]
+    p_in, q_in = p, q
+    p, q = ws.scratch(*[((J, J + 1) + p.shape[2:], complex)] * 2)
+    for i, k in enumerate(order):  # p[np.ix_(order, order + [J])]; mode "raise" would buffer
+        np.take(p_in[k], order + [J], axis=0, out=p[i], mode="wrap")
+        np.take(q_in[k], order + [J], axis=0, out=q[i], mode="wrap")
     for k in range(J - 1):
         g = np.maximum(p[k, k].real, _PIVOT_FLOOR)
         ra, rb = p[k + 1 :, k, None] / g, q[k + 1 :, k, None] / g
         ca, cb = p[k, None, k + 1 :], q[k, None, k + 1 :]
         p[k + 1 :, k + 1 :] -= ra * ca - np.conj(rb) * cb
         q[k + 1 :, k + 1 :] -= rb * ca + np.conj(ra) * cb
-    gamma = p[-1, -2].real
+    gamma = p[-1, -2].real.copy()  # out of the scratch, which the next call rewrites
     w = np.stack([p[-1, -1], -q[-1, -1] if T == 4 else q[-1, -1]][: min(T, 2)])
     if sigma is not None:
         f = 1.0 / (1.0 + sigma * gamma)
@@ -514,40 +539,57 @@ def schur_pairs(p, q, target, T, sigma=None):
     return _checked(w, gamma)
 
 
-def _pair_slice(wa, wb, ga, gb, c: Constellation):
+def _pair_slice(wa, wb, ga, gb, c: Constellation, ws=FRESH):
     """ML (x, y) indices of x + y seen as wa under Gram ga and x - y as wb
     under gb, x from ``c`` and y from its rotated copy: for each y, slice
-    x on (wa + wb) - (ga - gb) y, then keep the y of least pair metric."""
+    x on (wa + wb) - (ga - gb) y, then keep the y of least pair metric
+
+      ga |x + y|^2 + gb |x - y|^2 - 2 Re(conj(x + y) wa + conj(x - y) wb),
+
+    its (order, n) terms accumulated in ``ws`` scratch in that order."""
     rot = default_rotation(c.order)
     ys = c.rotated(rot).points[:, None]
-    xi = nearest_psk((wa + wb) - (ga - gb) * ys, c.order)
-    xs = c.points[xi]
-    plus, minus = xs + ys, xs - ys
-    metric = (
-        ga * (plus.real**2 + plus.imag**2)
-        + gb * (minus.real**2 + minus.imag**2)
-        - 2.0 * (plus.real * wa.real + plus.imag * wa.imag + minus.real * wb.real + minus.imag * wb.imag)
+    shape = (c.order,) + np.shape(wa)
+    plus, minus, metric, t1, t2, xi = ws.scratch(
+        *[(shape, complex)] * 2, *[(shape, float)] * 3, (shape, np.int64)
     )
+    np.subtract(wa + wb, np.multiply(ga - gb, ys, out=plus), out=plus)
+    nearest_psk(plus, c.order, out=(metric, xi))
+    np.take(c.points, xi, out=minus, mode="wrap")  # the x of each y; mode "raise" would buffer
+    np.add(minus, ys, out=plus)
+    np.subtract(minus, ys, out=minus)
+    np.add(np.square(plus.real, out=metric), np.square(plus.imag, out=t1), out=metric)
+    metric *= ga
+    np.add(np.square(minus.real, out=t1), np.square(minus.imag, out=t2), out=t1)
+    t1 *= gb
+    metric += t1
+    np.multiply(plus.real, wa.real, out=t1)
+    t1 += np.multiply(plus.imag, wa.imag, out=t2)
+    t1 += np.multiply(minus.real, wb.real, out=t2)
+    t1 += np.multiply(minus.imag, wb.imag, out=t2)
+    t1 *= 2.0
+    metric -= t1
     yi = np.argmin(metric, axis=0)
     return np.take_along_axis(xi, yi[None], axis=0)[0], yi
 
 
-def psk_slicer(w, gamma, c: Constellation):
+def psk_slicer(w, gamma, c: Constellation, ws=FRESH):
     """ML decisions (n, T) of the T = E symbols of ``symbol_spec(T)``
     from the post-IC matched filter w (E, n) of the splits' entries,
     each split's Gram gamma_s I (gamma (S, n)).
 
     T <= 2 slices each symbol on its own entry (s2 on the conjugate of
     conj(s2)'s).  T = 4 slices each pair component {s1, s4} and {s2, s3}:
-    ``order`` metrics per component instead of order^2.
+    ``order`` metrics per component instead of order^2, in ``ws``
+    scratch.
     """
     if len(w) < 4:
         y = w.copy()
         y[1:] = np.conj(y[1:])
         return nearest_psk(y, c.order).T
-    s1, s4 = _pair_slice(w[0], w[2], gamma[0], gamma[1], c)
+    s1, s4 = _pair_slice(w[0], w[2], gamma[0], gamma[1], c, ws=ws)
     # conj(s3) - conj(s2) = -conj(s2 - s3) and -conj(s3) - conj(s2) = -conj(s2 + s3)
-    s2, s3 = _pair_slice(-np.conj(w[3]), -np.conj(w[1]), gamma[1], gamma[0], c)
+    s2, s3 = _pair_slice(-np.conj(w[3]), -np.conj(w[1]), gamma[1], gamma[0], c, ws=ws)
     return np.stack([s1, s2, s3, s4], axis=-1)
 
 

@@ -61,6 +61,52 @@ class TestRngStream:
         assert 2.8 < kurt < 3.2
 
 
+class TestDrawIntoBuffers:
+    # The kernels' draws into retained buffers: the (n, M, J) uplink, the
+    # (n, O, T) hop noise and the (n, J, T) relay-estimate noise.
+    SHAPES = [(4096, 4, 2), (4096, 3, 4), (4096, 2, 2), (3, 1, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_out_bitwise_equals_fresh_draw(self, shape):
+        fresh = RngStream(5, 9)
+        want = [fresh.complex_normal(*shape) for _ in range(2)]
+        stream, buf = RngStream(5, 9), np.full(shape, np.nan, dtype=complex)
+        for w in want:  # a stale buffer, then one holding the last draw
+            assert stream.complex_normal(*shape, out=buf) is buf
+            assert np.array_equal(buf.view(np.uint64), w.view(np.uint64))
+        assert np.array_equal(stream.complex_normal(7), fresh.complex_normal(7))
+
+    def test_draw_channels_batch_into_buffers(self):
+        cfg = NetworkConfig(2, 4, 3, 1.0)
+        want = draw_channels_batch(cfg, RngStream(3), 4096)
+        out = (np.empty((4096, 4, 2), dtype=complex), np.empty((4096, 4, 3), dtype=complex))
+        got = draw_channels_batch(cfg, RngStream(3), 4096, out=out)
+        for g, o, w in zip(got, out, want):
+            assert g is o and np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "buf",
+        [
+            np.empty((4096, 4, 3), dtype=complex),  # wrong shape
+            np.empty((4096, 4, 2), dtype=np.complex64),  # wrong dtype
+            np.empty((4096, 4, 2, 2)),  # the real pairs, not their complex view
+            np.empty((2, 4, 4096), dtype=complex).T,  # batch-last memory
+            np.empty((8192, 4, 2), dtype=complex)[::2],  # strided
+        ],
+    )
+    def test_unfit_buffer_raises_and_draws_nothing(self, buf):
+        stream, before = RngStream(6), buf.copy()
+        with pytest.raises(UsageError):
+            stream.complex_normal(4096, 4, 2, out=buf)
+        assert np.array_equal(buf, before, equal_nan=True)
+        assert np.array_equal(stream.complex_normal(5), RngStream(6).complex_normal(5))
+
+    def test_draw_channels_batch_refuses_swapped_buffers(self):
+        out = (np.empty((64, 4, 3), dtype=complex), np.empty((64, 4, 2), dtype=complex))
+        with pytest.raises(UsageError):
+            draw_channels_batch(NetworkConfig(2, 4, 3, 1.0), RngStream(3), 64, out=out)
+
+
 class TestAwgn:
     # Every noise sample of the simulator is RngStream.complex_normal.
 

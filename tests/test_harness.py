@@ -92,6 +92,18 @@ class TestRunExperiment:
         spec1 = _tiny_spec(workers=1)
         spec2 = _tiny_spec(workers=2)
         assert emit(run_experiment(spec1)) == emit(run_experiment(spec2))
+        # Cells of 4096 + 300 trials: each spawned worker keeps its workspace
+        # across 4096-trial chunks and replaces it for a 300-trial one.
+        wide = dict(
+            schemes=(SchemeId.DstcIcRec,),
+            configs=((2, 4, 3),),
+            snr_db=(6.0, 10.0, 14.0),
+            orders={SchemeId.DstcIcRec: 4},
+            min_errors=10**9,
+            max_trials=4096 + 300,
+        )
+        one, two = (emit(run_experiment(_tiny_spec(workers=w, **wide))) for w in (1, 2))
+        assert one == two
 
     def test_stops_after_min_errors(self):
         spec = _tiny_spec(snr_db=(0.0,), min_errors=20, max_trials=2_000_000)

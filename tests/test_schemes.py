@@ -249,8 +249,8 @@ class TestDegenerateDraws:
 
         orig, calls = schemes._draw_trials, []
 
-        def draw(*args):
-            F, G, bits, s = orig(*args)
+        def draw(*args, **kwargs):  # the keywords carry the kernel's workspace
+            F, G, bits, s = orig(*args, **kwargs)
             if not calls:
                 if scheme is SchemeId.DstcIcRec:
                     F[TestDegenerateDraws.ZEROED, :, src] = 0.0
