@@ -54,7 +54,7 @@ class Workspace:
 
     _ALIGN = 64  # bytes between carved arrays: each starts on a cache line
 
-    def __init__(self, key=None):
+    def __init__(self, key):
         self.key = key
         self.stores = {}  # name -> 1-D complex store
 

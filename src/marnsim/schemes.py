@@ -200,7 +200,7 @@ def check_supported(scheme: SchemeId, J: int, M: int, order: int) -> None:
 # Shared stages
 
 
-def _draw_trials(cfg: NetworkConfig, const: Constellation, T: int, stream: RngStream, n: int, ws=FRESH):
+def _draw_trials(cfg: NetworkConfig, const: Constellation, T: int, stream: RngStream, n: int, *, ws):
     """Uplink F (n, M, J), downlink G (n, M, N), source bits and their
     symbols; the slots that ``symbol_spec(T)`` marks rotated use the
     rotated constellation.  F and G are ``ws`` scratch."""
@@ -262,15 +262,12 @@ def _mrc_gains(F: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(F) ** 2, axis=1)
 
 
-def _through(h: np.ndarray, x: np.ndarray, stream: RngStream, out=None, ws=FRESH):
+def _through(h: np.ndarray, x: np.ndarray, stream: RngStream, out, ws):
     """One hop: (K, T, n) transmit blocks through (K, O, n) channels,
-    received as (O, T, n) samples h^T x plus unit noise, summed over the K
-    transmitters as elementwise products; the noise is drawn (n, O, T)
-    into ``ws`` scratch and viewed batch-last.  Written into ``out`` when
-    given."""
+    received into ``out`` as (O, T, n) samples h^T x plus unit noise,
+    summed over the K transmitters as elementwise products; the noise is
+    drawn (n, O, T) into ``ws`` scratch and viewed batch-last."""
     (_, O, n), T = h.shape, x.shape[1]
-    if out is None:
-        out = np.empty((O, T, n), dtype=complex)
     tmp, noise = ws.scratch(((O, T, n), complex), ((n, O, T), complex))
     np.multiply(h[0, :, None], x[0], out=out)
     for k in range(1, len(h)):
@@ -285,7 +282,7 @@ def _count_errors(idx: np.ndarray, sent_bits: np.ndarray, const: Constellation):
     return np.sum(dec != sent_bits, axis=-1)
 
 
-def _decode(pairs, T, obs, r0_inv, scale, const, bits, sigma=None, ws=FRESH):
+def _decode(pairs, T, obs, r0_inv, scale, const, bits, sigma=None, *, ws):
     """Shared decode tail of every source in the recombined system of
     channel ``pairs`` (S, 2, K, J, n) of a T-slot block and observation
     pairs ``obs`` (S, 2, K, n) (``recombine``) that sent ``bits``
@@ -357,7 +354,7 @@ def _joint_decode(pairs, T, obs, r0_inv, scale, const, bits):
 # pairs: each is written only once what it held before is dead.
 
 
-def _amplify_forward(row, cfg, const, stream, n, ws=FRESH):
+def _amplify_forward(row, cfg, const, stream, n, ws):
     """The sources of each downlink group transmit at once and the relay
     applies the M-antenna DSTC to what it receives, relay noise included."""
     J, M, N, P = cfg.J, cfg.M, cfg.N, cfg.P
@@ -393,7 +390,7 @@ def _amplify_forward(row, cfg, const, stream, n, ws=FRESH):
     return errors, bad
 
 
-def _estimate_forward(row, cfg, const, stream, n, ws=FRESH):
+def _estimate_forward(row, cfg, const, stream, n, ws):
     """The relay estimates each source's symbols and codes each downlink
     group's estimates on disjoint antenna groups; the estimates' noise
     rides on the target's own downlink channel."""
@@ -499,8 +496,9 @@ def simulate_batch(scheme: SchemeId, cfg: NetworkConfig, const: Constellation, s
     row = _ROWS[scheme]
     if row.joint:
         _SLOT.ws = None
-        return row.kernel(row, cfg, const, stream, n)
-    ws = _workspace((scheme, cfg.J, cfg.M, cfg.N, const.order, n))
+        ws = FRESH
+    else:
+        ws = _workspace((scheme, cfg.J, cfg.M, cfg.N, const.order, n))
     return row.kernel(row, cfg, const, stream, n, ws)
 
 
