@@ -126,12 +126,12 @@ def test_concurrent_threads_equal_serial():
         (SchemeId.TdmaIcRec.value, (2, 4, 3), 8, 10.0, 3, 256),
     ]
     serial = [_alone(run) for run in runs]
-    got, ROUNDS = [[] for _ in runs], 6
+    got, rounds = [[] for _ in runs], 6
     start = threading.Barrier(len(runs))
 
     def work(i):
         start.wait(timeout=60)
-        for _ in range(ROUNDS):
+        for _ in range(rounds):
             got[i].append(_batch(runs[i]))
 
     interval = sys.getswitchinterval()
@@ -146,7 +146,7 @@ def test_concurrent_threads_equal_serial():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for want, results in zip(serial, got):
-        assert len(results) == ROUNDS and all(_same(r, want) for r in results)
+        assert len(results) == rounds and all(_same(r, want) for r in results)
 
 
 def _steady_state(scheme):
@@ -177,7 +177,7 @@ def test_retained_plus_transient_within_fresh_peak(scheme):
     retained, peak, growth = _steady_state(scheme)
     assert retained > 0
     assert (retained + peak) / 1e6 <= FRESH_PEAK_MB[scheme]
-    # The interpreter's own bookkeeping moves by a few hundred bytes per
+    # Garbage that awaits the cycle collector moves by a few hundred bytes per
     # batch; a kept array would be at least one float64 per trial.
     assert growth < 8 * CHUNK_TRIALS
 
