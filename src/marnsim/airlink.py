@@ -46,22 +46,14 @@ class RngStream:
         # because the top seed bits are folded differently.
         return RngStream(self.seed ^ (0x9E3779B97F4A7C15 * (k + 1) & 0xFFFFFFFFFFFFFFFF), self.stream)
 
-    def complex_normal(self, *shape, out=None) -> np.ndarray:
+    def complex_normal(self, *shape) -> np.ndarray:
         """CN(0,1) samples: (x + iy)/sqrt(2) with x, y standard normal.
         The pairs are scaled in place and viewed as complex: a complex
         divided by a real scalar is multiplied by its reciprocal, so this
-        is bitwise (x + iy) / sqrt(2).  ``out``, a C-contiguous complex128
-        array of ``shape``, receives and is returned with the samples a
-        fresh draw gives; any other ``out`` raises UsageError and draws
-        nothing."""
-        if out is None:
-            z = self._gen.standard_normal(shape + (2,))
-        elif out.shape == shape and out.dtype == np.complex128 and out.flags.c_contiguous:
-            z = self._gen.standard_normal(out=out.view(np.float64).reshape(shape + (2,)))
-        else:
-            raise UsageError(f"out must be a C-contiguous complex128 {shape} array, got {out.dtype} {out.shape}")
+        is bitwise (x + iy) / sqrt(2)."""
+        z = self._gen.standard_normal(shape + (2,))
         z *= 1.0 / math.sqrt(2.0)
-        return z.view(np.complex128)[..., 0] if out is None else out
+        return z.view(np.complex128)[..., 0]
 
     def bits(self, *shape) -> np.ndarray:
         return self._gen.integers(0, 2, size=shape, dtype=np.int8)
@@ -132,16 +124,13 @@ def make_psk(order: int, rotation: float = 0.0) -> Constellation:
     return Constellation(order, points, labels.astype(np.int8), rotation)
 
 
-def nearest_psk(y, order: int, out=None) -> np.ndarray:
+def nearest_psk(y, order: int) -> np.ndarray:
     """Index k of the PSK point exp(2 pi i k / order) closest to y: the
-    nearest angle, 0 at the origin.  ``out``, when given, is a (float64,
-    int64) pair of arrays of y's shape: the angle is worked out in the
-    first and the indices are written into the second."""
+    nearest angle, 0 at the origin."""
     y = np.asarray(y)
-    angle, idx = (np.empty(y.shape), np.empty(y.shape, dtype=np.int64)) if out is None else out
-    np.arctan2(y.imag, y.real, out=angle)  # np.angle(y)
+    angle = np.arctan2(y.imag, y.real, out=np.empty(y.shape))  # np.angle(y)
     angle *= order / (2.0 * math.pi)
-    idx[...] = np.rint(angle, out=angle)
+    idx = np.rint(angle, out=angle).astype(np.int64)
     return np.remainder(idx, order, out=idx)
 
 
@@ -183,12 +172,10 @@ class NetworkConfig:
         return NetworkConfig(self.J, self.M, self.N, p)
 
 
-def draw_channels_batch(cfg: NetworkConfig, rng: RngStream, n: int, out=None):
+def draw_channels_batch(cfg: NetworkConfig, rng: RngStream, n: int):
     """n i.i.d. CN(0,1) draws of both hops, one coherence block each:
     F (n, M, J) holds f_i^(j) at [..., i, j] and G (n, M, N) holds g_il
-    at [..., i, l].  One draw is a batch of one.  ``out`` is an (F, G)
-    pair of buffers for ``RngStream.complex_normal``'s ``out``."""
-    f_out, g_out = (None, None) if out is None else out
-    f = rng.complex_normal(n, cfg.M, cfg.J, out=f_out)
-    g = rng.complex_normal(n, cfg.M, cfg.N, out=g_out)
+    at [..., i, l].  One draw is a batch of one."""
+    f = rng.complex_normal(n, cfg.M, cfg.J)
+    g = rng.complex_normal(n, cfg.M, cfg.N)
     return f, g

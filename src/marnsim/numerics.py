@@ -5,21 +5,20 @@ Matrices are plain complex numpy arrays of at most a few dozen rows
 (leading batch axes), and one matrix is a batch of one: the Monte Carlo
 driver solves a whole chunk of trials in one LAPACK call, and callers
 stack every right-hand side that shares a matrix so it is factorized
-once.  ``Workspace`` holds the buffers that the simulator's stages write
-into, retained from one batch to the next.
+once.
+
+Importing the module sets the process's heap policy (``_keep_heap``).
 """
 
 from __future__ import annotations
 
-import math
+import ctypes
 
 import numpy as np
 
 __all__ = [
     "UsageError",
     "NumericError",
-    "Workspace",
-    "FRESH",
     "dagger",
     "is_alamouti",
     "null_space_projector",
@@ -36,66 +35,6 @@ class UsageError(ValueError):
 
 class NumericError(ArithmeticError):
     """Input was numerically degenerate (singular, non-finite)."""
-
-
-class Workspace:
-    """Buffers retained from one batch to the next, so that a batch of the
-    same shapes writes into pages the last one faulted in instead of
-    mapping fresh ones; ``key`` names what the buffers are shaped for.
-
-    ``get(name, shape, dtype)`` returns an uninitialised array on the
-    name's store.  A store grows to the largest request it has seen, so
-    arrays that are never live at the same time share memory by sharing a
-    name.  ``scratch(*specs)`` returns one array per (shape, dtype) spec,
-    carved one after another from the store named "scratch" that every
-    stage shares: a stage's scratch is dead once it returns, and a stage
-    holding scratch calls no other stage that takes scratch.
-    """
-
-    _ALIGN = 64  # bytes between carved arrays: each starts on a cache line
-
-    def __init__(self, key):
-        self.key = key
-        self.stores = {}  # name -> 1-D complex store
-
-    @property
-    def nbytes(self) -> int:
-        return sum(store.nbytes for store in self.stores.values())
-
-    def get(self, name, shape, dtype=complex):
-        return self._carve(name, [(shape, dtype)])[0]
-
-    def scratch(self, *specs):
-        return self._carve("scratch", specs)
-
-    def _carve(self, name, specs):
-        layout, end = [], 0
-        for shape, dtype in specs:
-            dtype = np.dtype(dtype)
-            layout.append((end, shape, dtype))
-            end += -(-math.prod(shape) * dtype.itemsize // self._ALIGN) * self._ALIGN
-        store = self.stores.get(name)
-        if store is None or store.nbytes < end:
-            # Views of a replaced store keep it alive until they die.
-            store = self.stores[name] = np.empty(end // 16, dtype=complex)
-        raw = store.view(np.uint8)
-        return [
-            raw[at : at + math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
-            for at, shape, dtype in layout
-        ]
-
-
-class _FreshBuffers:
-    """Stand-in for no workspace: every buffer is a fresh array."""
-
-    def get(self, name, shape, dtype=complex):
-        return np.empty(shape, dtype=dtype)
-
-    def scratch(self, *specs):
-        return [np.empty(shape, dtype=dtype) for shape, dtype in specs]
-
-
-FRESH = _FreshBuffers()
 
 
 def dagger(a):
@@ -170,3 +109,26 @@ def solve_psd_stack(a, b):
         load = np.maximum(1e-12 * np.einsum("...ii->...", af).real / n, 1e-300)
         x[failed] = np.linalg.solve(af + load[..., None, None] * np.eye(n), b[failed])
     return x[..., 0] if vec else x
+
+
+# glibc's mallopt(3) parameters M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, and
+# the values the simulator runs with: 32 MiB is glibc's 64-bit upper limit.
+_HEAP_POLICY = ((-3, 32 << 20), (-1, 256 << 20))
+
+
+def _keep_heap(libc) -> bool:
+    """Ask ``libc``'s allocator to keep freed blocks for reuse: to serve
+    blocks up to 32 MiB from the heap instead of fresh mappings, and to
+    return the heap's top to the OS only past 256 MiB free.  The kernels
+    free and allocate the same mid-size temporaries every batch; under
+    glibc's defaults each batch maps them anew and faults in thousands of
+    fresh pages.  Returns whether ``libc`` accepted every setting.  A libc
+    without ``mallopt`` is left as it is; the arithmetic is the same."""
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(param, value) == 1 for param, value in _HEAP_POLICY])  # tries every setting
+
+
+_keep_heap(ctypes.CDLL(None))

@@ -41,16 +41,11 @@ quasi-orthogonal pair); then the error count.  concurrent_joint cancels
 nothing: it lays the same Gram systems out densely and searches every
 symbol tuple of all sources at once.
 
-The IC rows write every large array into a retained workspace
-(``numerics.Workspace``): named buffers, and one scratch store that the
-stages share.  ``simulate_batch`` keeps one per thread while batches
-repeat its (scheme, J, M, N, order, n) key, so a steady-state batch
-allocates almost nothing and faults in no fresh pages.  A buffer is
-rewritten only once what it held is dead: a stage's scratch dies when
-the stage returns, and the kernels reuse their named buffers as listed
-above ``_amplify_forward``.  A batch with another key drops the held
-workspace before it allocates its own; concurrent_joint, whose search
-dominates, takes none and drops the held one.
+Every stage allocates its own arrays, and each array dies when its stage
+returns or, in the kernels, is deleted once dead, so that a hop's arrays
+are freed before the next hop allocates.  The heap policy that
+``numerics`` sets on import keeps the freed blocks for the next batch, so
+a steady-state batch faults in almost no fresh pages.
 
 simulate_chunk adds the resampling of degenerate channel draws.
 """
@@ -58,9 +53,7 @@ simulate_chunk adds the resampling of degenerate channel draws.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -68,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .airlink import Constellation, NetworkConfig, RngStream, draw_channels_batch, make_psk, modulate, nearest_psk
-from .numerics import FRESH, UsageError, Workspace
+from .numerics import UsageError
 from .relay_codec import (
     apply_design,
     dstc_design,
@@ -106,7 +99,6 @@ __all__ = [
     "relay_zf_gains",
     "simulate_batch",
     "simulate_chunk",
-    "retained_workspace",
     "MAX_RESAMPLES",
 ]
 
@@ -200,12 +192,11 @@ def check_supported(scheme: SchemeId, J: int, M: int, order: int) -> None:
 # Shared stages
 
 
-def _draw_trials(cfg: NetworkConfig, const: Constellation, T: int, stream: RngStream, n: int, *, ws):
+def _draw_trials(cfg: NetworkConfig, const: Constellation, T: int, stream: RngStream, n: int):
     """Uplink F (n, M, J), downlink G (n, M, N), source bits and their
     symbols; the slots that ``symbol_spec(T)`` marks rotated use the
-    rotated constellation.  F and G are ``ws`` scratch."""
-    out = ws.scratch(((n, cfg.M, cfg.J), complex), ((n, cfg.M, cfg.N), complex))
-    F, G = draw_channels_batch(cfg, stream, n, out=out)
+    rotated constellation."""
+    F, G = draw_channels_batch(cfg, stream, n)
     bits = stream.bits(n, cfg.J, T * const.bits_per_symbol)
     s = modulate(bits, const)
     s[..., np.array(symbol_spec(T).rotated)] *= np.exp(1j * default_rotation(const.order))
@@ -221,24 +212,21 @@ def relay_hard_decision(soft: np.ndarray, const: Constellation, P: float) -> np.
     return math.sqrt(P) * (const.points[nearest_psk(soft * np.conj(turn), const.order)] * turn)
 
 
-def relay_forward_groups(est: np.ndarray, design, c: float, M: int, out=None) -> np.ndarray:
+def relay_forward_groups(est: np.ndarray, design, c: float, M: int) -> np.ndarray:
     """Estimate-and-forward relay output: every source's (J, T, ...)
     symbol estimates, batch axes last, coded on disjoint antenna groups.
 
     Source j's codeword, amplified by c, occupies antennas j*g .. (j+1)*g - 1
     with g = design.m_used; antennas past J*g stay silent.  Returns the
-    (M, T, ...) relay transmit block, written into ``out`` when given.
+    (M, T, ...) relay transmit block.
     """
     J, gs = len(est), design.m_used
     if J * gs > M:
         raise UsageError(f"{J} groups of {gs} antennas exceed M={M}")
-    if out is None:
-        out = np.empty((M,) + est.shape[1:], dtype=complex)
-    out[J * gs :] = 0.0
+    out = np.zeros((M,) + est.shape[1:], dtype=complex)
     for j in range(J):
         grp = np.broadcast_to(est[j], (gs,) + est.shape[1:])
-        block = out[j * gs : (j + 1) * gs]
-        np.multiply(c, apply_design(design, grp, out=block), out=block)
+        np.multiply(c, apply_design(design, grp), out=out[j * gs : (j + 1) * gs])
     return out
 
 
@@ -262,17 +250,18 @@ def _mrc_gains(F: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(F) ** 2, axis=1)
 
 
-def _through(h: np.ndarray, x: np.ndarray, stream: RngStream, out, ws):
+def _through(h: np.ndarray, x: np.ndarray, stream: RngStream):
     """One hop: (K, T, n) transmit blocks through (K, O, n) channels,
-    received into ``out`` as (O, T, n) samples h^T x plus unit noise,
-    summed over the K transmitters as elementwise products; the noise is
-    drawn (n, O, T) into ``ws`` scratch and viewed batch-last."""
-    (_, O, n), T = h.shape, x.shape[1]
-    tmp, noise = ws.scratch(((O, T, n), complex), ((n, O, T), complex))
-    np.multiply(h[0, :, None], x[0], out=out)
+    received as (O, T, n) samples h^T x plus unit noise, summed over the K
+    transmitters as elementwise products; the noise is drawn (n, O, T)
+    and viewed batch-last."""
+    out = np.multiply(h[0, :, None], x[0])
+    tmp = np.empty_like(out)
     for k in range(1, len(h)):
         out += np.multiply(h[k, :, None], x[k], out=tmp)
-    out += np.moveaxis(stream.complex_normal(n, O, T, out=noise), 0, -1)
+    del tmp
+    O, T, n = out.shape
+    out += np.moveaxis(stream.complex_normal(n, O, T), 0, -1)
     return out
 
 
@@ -282,7 +271,7 @@ def _count_errors(idx: np.ndarray, sent_bits: np.ndarray, const: Constellation):
     return np.sum(dec != sent_bits, axis=-1)
 
 
-def _decode(pairs, T, obs, r0_inv, scale, const, bits, sigma=None, *, ws):
+def _decode(pairs, T, obs, r0_inv, scale, const, bits, sigma=None):
     """Shared decode tail of every source in the recombined system of
     channel ``pairs`` (S, 2, K, J, n) of a T-slot block and observation
     pairs ``obs`` (S, 2, K, n) (``recombine``) that sent ``bits``
@@ -297,24 +286,21 @@ def _decode(pairs, T, obs, r0_inv, scale, const, bits, sigma=None, *, ws):
     Grams are then real multiples of I and a PSK slicer decides.  With
     more than one source, ``bad`` flags the draws where some source's
     block Q(a, b) in a split fades: |a|^2 + |b|^2 below DEGENERATE_TOL^2.
-    The Gram systems are the buffer "gram" of ``ws``, which also holds
-    every stage's scratch.
     """
     J, n = pairs.shape[-2:]
     errors = np.zeros((n, J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
     if J > 1:
-        power, tmp = ws.scratch(*[(pairs.shape[:1] + pairs.shape[2:], float)] * 2)  # (S, K, J, n)
-        np.square(np.abs(pairs[:, 0], out=power), out=power)
-        power += np.square(np.abs(pairs[:, 1], out=tmp), out=tmp)
+        power, tmp = np.abs(pairs[:, 0]), np.abs(pairs[:, 1])  # (S, K, J, n)
+        np.square(power, out=power)
+        power += np.square(tmp, out=tmp)
         bad = power.min(axis=(0, 1, 2)) < DEGENERATE_TOL**2
-    systems = ws.get("gram", (len(pairs), 2, J, J + 1, n))
-    for split, o, system in zip(pairs, obs, systems):
-        gram_pairs(split, o, r0_inv, out=system, ws=ws)
+        del power, tmp
+    systems = [gram_pairs(split, o, r0_inv) for split, o in zip(pairs, obs)]
     for j in range(J):
         s_j = None if sigma is None else sigma[:, j]
-        w, g = zip(*(schur_pairs(p, q, j, T, s_j, ws=ws) for p, q in systems))
-        idx = psk_slicer(scale * np.concatenate(w), scale * scale * np.stack(g), const, ws=ws)
+        w, g = zip(*(schur_pairs(p, q, j, T, s_j) for p, q in systems))
+        idx = psk_slicer(scale * np.concatenate(w), scale * scale * np.stack(g), const)
         errors[:, j] = _count_errors(idx, bits[:, j], const)
     return errors, bad
 
@@ -348,84 +334,64 @@ def _joint_decode(pairs, T, obs, r0_inv, scale, const, bits):
 # The two relay families
 
 
-# A kernel's buffers in its workspace: "ft", "g" and "s" hold the draws
-# batch-last, "r0_inv" the shared R0^-1.  "x" holds a hop's input and
-# then the observation pairs, "y" a hop's output and then the channel
-# pairs: each is written only once what it held before is dead.
-
-
-def _amplify_forward(row, cfg, const, stream, n, ws):
+def _amplify_forward(row, cfg, const, stream, n):
     """The sources of each downlink group transmit at once and the relay
     applies the M-antenna DSTC to what it receives, relay noise included."""
-    J, M, N, P = cfg.J, cfg.M, cfg.N, cfg.P
+    M, P = cfg.M, cfg.P
     design = dstc_design(M)
     T = design.T
-    S = 2 if T == 4 else 1
-    c = dstc_power_scale(P, M, row.group_size(J))
+    c = dstc_power_scale(P, M, row.group_size(cfg.J))
     kappa = 2.0 if T == 4 else 1.0
-    F, G, bits, s = _draw_trials(cfg, const, T, stream, n, ws=ws)
+    F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
     # batch-last and contiguous for the elementwise products
-    ft, g, st = ws.get("ft", (J, M, n)), ws.get("g", (M, N, n)), ws.get("s", (J, T, n))
-    np.copyto(ft, F.transpose(2, 1, 0))
-    np.copyto(g, np.moveaxis(G, 0, -1))
-    np.copyto(st, np.moveaxis(s, 0, -1))
+    ft = np.ascontiguousarray(F.transpose(2, 1, 0))  # (J, M, n)
+    g, s = (np.ascontiguousarray(np.moveaxis(x, 0, -1)) for x in (G, s))  # (M, N, n), (J, T, n)
+    del F, G
     # R0^-1 has blocks Q(x, 0), shared by every source and split
-    r0_inv = forwarded_inverse(g, c, kappa, out=ws.get("r0_inv", (N, N, n)), ws=ws)
-    decode = _joint_decode if row.joint else functools.partial(_decode, ws=ws)
-    errors = np.zeros((n, J), dtype=np.int64)
+    r0_inv = forwarded_inverse(g, c, kappa)
+    decode = _joint_decode if row.joint else _decode
+    errors = np.zeros((n, cfg.J), dtype=np.int64)
     bad = np.zeros(n, dtype=bool)
-    for grp in row.groups(J):
-        k = grp.stop - grp.start
-        x = np.multiply(math.sqrt(P), st[grp], out=ws.get("x", (k, T, n)))
-        up = _through(ft[grp], x, stream, out=ws.get("y", (M, T, n)), ws=ws)
-        x_relay = apply_design(design, up, out=ws.get("x", (M, T, n)))
+    for grp in row.groups(cfg.J):
+        x_relay = apply_design(design, _through(ft[grp], math.sqrt(P) * s[grp], stream))
         x_relay *= c
-        down = _through(g, x_relay, stream, out=ws.get("y", (N, T, n)), ws=ws)
-        obs = recombine(down, T, out=ws.get("x", (S, 2, N, n)))
-        pairs = dstc_channel_stacks(
-            ft[grp].transpose(2, 1, 0), g.transpose(2, 0, 1), out=ws.get("y", (S, 2, N, k, n)), ws=ws
-        )
+        obs = recombine(_through(g, x_relay, stream), T)
+        pairs = dstc_channel_stacks(ft[grp].transpose(2, 1, 0), g.transpose(2, 0, 1))
         errors[:, grp], bad_g = decode(pairs, T, obs, r0_inv, math.sqrt(P) * c, const, bits[:, grp])
         bad |= bad_g
     return errors, bad
 
 
-def _estimate_forward(row, cfg, const, stream, n, ws):
+def _estimate_forward(row, cfg, const, stream, n):
     """The relay estimates each source's symbols and codes each downlink
     group's estimates on disjoint antenna groups; the estimates' noise
     rides on the target's own downlink channel."""
-    J, M, N, P = cfg.J, cfg.M, cfg.N, cfg.P
+    J, M, P = cfg.J, cfg.M, cfg.P
     design = dstc_design(row.code_antennas(J, M))
     T = design.T
-    S = 2 if T == 4 else 1
     c = tdma_power_scale(P, M)
     kappa = 2.0 if T == 4 else 1.0
-    F, G, bits, s = _draw_trials(cfg, const, T, stream, n, ws=ws)
+    F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
     gains = row.gains(F)  # (n, J)
-    g = ws.get("g", (M, N, n))
-    np.copyto(g, np.moveaxis(G, 0, -1))  # batch-last and contiguous; F and G are not read again
+    g = np.ascontiguousarray(np.moveaxis(G, 0, -1))  # (M, N, n)
+    del F, G
     bad = np.sqrt(gains).min(axis=-1) < DEGENERATE_TOL
     gains = np.maximum(gains, DEGENERATE_TOL**2)
     # The relay's estimate is exactly sqrt(P) s + CN(0, 1/gain) per slot given F.
-    est = np.multiply(math.sqrt(P), s, out=ws.get("s", (n, J, T)))
-    [noise] = ws.scratch(((n, J, T), complex))
-    est += np.divide(stream.complex_normal(n, J, T, out=noise), np.sqrt(gains)[..., None], out=noise)
+    est = stream.complex_normal(n, J, T)
+    est /= np.sqrt(gains)[..., None]
+    est += math.sqrt(P) * s
     if row.hard:  # a hard decision forwards no noise
         est, c, sigma = relay_hard_decision(est, const, P), 1.0 / math.sqrt(M), None
     else:  # R = kappa (I + (c^2 / gain) h h*) with h the target's channel
         sigma = kappa * c * c / gains
     est = np.moveaxis(est, 0, -1)  # (J, T, n)
-    k = row.group_size(J)
-    pairs = tdma_channel_stacks(g.transpose(2, 0, 1), k, out=ws.get("pairs", (S, 2, N, k, n)))
+    pairs = tdma_channel_stacks(g.transpose(2, 0, 1), row.group_size(J))
     errors = np.zeros((n, J), dtype=np.int64)
     for grp in row.groups(J):
-        relay = relay_forward_groups(est[grp], design, c, M, out=ws.get("x", (M, T, n)))
-        down = _through(g, relay, stream, out=ws.get("y", (N, T, n)), ws=ws)
-        obs = recombine(down, T, out=ws.get("x", (S, 2, N, n)))
+        obs = recombine(_through(g, relay_forward_groups(est[grp], design, c, M), stream), T)
         s_g = None if sigma is None else sigma[:, grp]
-        errors[:, grp], bad_g = _decode(
-            pairs, T, obs, 1.0 / kappa, math.sqrt(P) * c, const, bits[:, grp], s_g, ws=ws
-        )
+        errors[:, grp], bad_g = _decode(pairs, T, obs, 1.0 / kappa, math.sqrt(P) * c, const, bits[:, grp], s_g)
         bad |= bad_g
     return errors, bad
 
@@ -461,24 +427,6 @@ _ROWS = {
 }
 
 
-# Each thread's retained workspace (attribute "ws"), for one key at a time.
-_SLOT = threading.local()
-
-
-def retained_workspace():
-    """The workspace that ``simulate_batch`` retains for the calling
-    thread, or None."""
-    return getattr(_SLOT, "ws", None)
-
-
-def _workspace(key) -> Workspace:
-    ws = retained_workspace()
-    if ws is None or ws.key != key:
-        _SLOT.ws = None  # the old key's buffers are freed before the new key's are allocated
-        ws = _SLOT.ws = Workspace(key)
-    return ws
-
-
 def simulate_batch(scheme: SchemeId, cfg: NetworkConfig, const: Constellation, stream: RngStream, n: int):
     """Run n independent end-to-end trials of one scheme.
 
@@ -486,20 +434,10 @@ def simulate_batch(scheme: SchemeId, cfg: NetworkConfig, const: Constellation, s
     of trials that hit a degenerate channel draw and must be resampled.
     Deterministic given the stream; an unsupported cell raises UsageError
     before any draw.
-
-    The IC rows run in the calling thread's retained workspace, kept
-    while batches repeat its (scheme, J, M, N, order, n) key and replaced
-    when the key changes.  concurrent_joint, whose search dominates, takes
-    none and frees the retained one.
     """
     check_supported(scheme, cfg.J, cfg.M, const.order)
     row = _ROWS[scheme]
-    if row.joint:
-        _SLOT.ws = None
-        ws = FRESH
-    else:
-        ws = _workspace((scheme, cfg.J, cfg.M, cfg.N, const.order, n))
-    return row.kernel(row, cfg, const, stream, n, ws)
+    return row.kernel(row, cfg, const, stream, n)
 
 
 def simulate_chunk(scheme: SchemeId, cfg: NetworkConfig, const: Constellation, stream: RngStream, n: int):

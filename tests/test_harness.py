@@ -92,8 +92,8 @@ class TestRunExperiment:
         spec1 = _tiny_spec(workers=1)
         spec2 = _tiny_spec(workers=2)
         assert emit(run_experiment(spec1)) == emit(run_experiment(spec2))
-        # Cells of 4096 + 300 trials: each spawned worker keeps its workspace
-        # across 4096-trial chunks and replaces it for a 300-trial one.
+        # Cells of one full 4096-trial chunk and one 300-trial chunk give the
+        # same totals on one worker and on two.
         wide = dict(
             schemes=(SchemeId.DstcIcRec,),
             configs=((2, 4, 3),),

@@ -576,12 +576,6 @@ class TestMlDecode:
         assert calls == [(3, 8, 5)]  # right-hand side [h | obs]
 
 
-def _snapshot(args):
-    """``args`` with each array copied: a kernel's workspace buffers are
-    rewritten once the call that received them returns."""
-    return tuple(np.array(a) if isinstance(a, np.ndarray) else a for a in args)
-
-
 def _capture(monkeypatch, name, scheme, cfg3, order, trials=64):
     """Every argument tuple that the kernel of ``scheme`` hands to
     ``schemes.<name>`` on one fixed-seed batch at P = 10."""
@@ -589,9 +583,9 @@ def _capture(monkeypatch, name, scheme, cfg3, order, trials=64):
 
     calls, orig = [], getattr(schemes, name)
 
-    def record(*args, **kwargs):  # the keywords carry the kernel's workspace
-        calls.append(_snapshot(args))
-        return orig(*args, **kwargs)
+    def record(*args):
+        calls.append(args)
+        return orig(*args)
 
     with monkeypatch.context() as mp:
         mp.setattr(schemes, name, record)
@@ -629,7 +623,7 @@ class TestJointMlDecode:
     def test_never_takes_component_search(self, monkeypatch):
         from marnsim import schemes
 
-        def refuse(*args, **kwargs):
+        def refuse(*args):
             raise AssertionError("ran a component-wise decision")
 
         monkeypatch.setattr(schemes, "psk_slicer", refuse)
@@ -693,9 +687,9 @@ def _capture_tail(monkeypatch, scheme, cfg3, order, trials=64, refuse=()):
     tails, slices = [], []
 
     def record(store, orig):
-        def wrapped(*args, **kwargs):  # the keywords carry the kernel's workspace
-            out = orig(*args, **kwargs)
-            store.append((_snapshot(args), out))
+        def wrapped(*args):
+            out = orig(*args)
+            store.append((args, out))
             return out
 
         return wrapped
