@@ -16,6 +16,7 @@ from .analysis import (
     lemma1_composite,
     outage_diversity,
     snr_dstc_batch,
+    snr_dstc_direct,
     snr_tdma_batch,
     snr_tdma_direct,
     snr_upper_bound_dstc,

@@ -7,8 +7,15 @@ the post-IC whitened SNR is the scaled harmonic mean x y / (x + c^2 y)
 (``snr_tdma_batch``).  Verifying this equality against the simulated
 system (``snr_tdma_direct``, on the kernels' pair stages) exercises the
 whole IC and covariance pipeline at once, which is why it is a primary
-oracle.  Each SNR takes (n, M, J) / (n, M, N) channel draws and returns
-(n,) values; one draw is a batch of one.
+oracle.  The concurrent uplink has the same pair (``snr_dstc_direct``
+against the explicit-IC ``snr_dstc_batch``).  Each SNR takes
+(n, M, J) / (n, M, N) channel draws and returns (n,) values; one draw is
+a batch of one.
+
+The outage samplers (``harness.make_gamma_sampler``) run the ``*_direct``
+pair stages, one ``CHUNK_TRIALS`` tile of draws at a time.  Every stage is
+elementwise over the batch axis, so the tiles change no value; the dense
+closed forms stay as their independent oracle.
 
 Diversity orders are estimated two ways: from the small-epsilon slope of
 the SNR outage probability, and from the high-SNR slope of measured BER
@@ -27,6 +34,7 @@ from .numerics import NumericError, UsageError, dagger, null_space_projector, so
 from .relay_codec import dstc_design, dstc_power_scale, tdma_power_scale
 from .rx_ic import (
     dstc_channel_stacks,
+    forwarded_inverse,
     gram_pairs,
     gtilde,
     ic_stack_batch,
@@ -40,6 +48,7 @@ __all__ = [
     "DiversityEstimate",
     "whitened_snr",
     "snr_tdma_direct",
+    "snr_dstc_direct",
     "snr_upper_bound_dstc",
     "snr_tdma_batch",
     "snr_dstc_batch",
@@ -93,6 +102,27 @@ def snr_tdma_direct(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: in
         p, q = gram_pairs(split, np.zeros((2, split.shape[1], len(x))), 1.0 / kappa)
         gamma += schur_pairs(p, q, target, T, kappa * c * c / x)[1]
     return gamma
+
+
+def snr_dstc_direct(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int = 0) -> np.ndarray:
+    """Post-IC concurrent-uplink SNR (n,) on the simulated system
+    (2-antenna relay), over (n, M, J) / (n, M, N) channel draws.
+
+    Runs the draws through the amplify-and-forward kernel's own stages:
+    R0^-1 of the forwarded relay noise, the one split's Gram system and
+    the target's zero-forcing IC as its Schur complement.  Equals
+    snr_dstc_batch to numerical precision, except on degenerate draws:
+    where an interferer's column is all zero, the Schur pivot floor
+    leaves its IC a no-op and gives the target's SNR without IC, which
+    is finite, while snr_dstc_batch flags the draw and returns 0.
+    """
+    if cfg.M != 2:
+        raise UsageError(f"direct SNR helper covers M=2, got M={cfg.M}")
+    c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
+    r0_inv = forwarded_inverse(np.ascontiguousarray(np.moveaxis(G, 0, -1)), c, 1.0)  # G as (M, N, n)
+    [split] = dstc_channel_stacks(F, G)
+    p, q = gram_pairs(split, np.zeros((2, split.shape[1], split.shape[-1])), r0_inv)
+    return schur_pairs(p, q, target, 2)[1]
 
 
 def snr_upper_bound_dstc(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int = 0) -> np.ndarray:

@@ -24,8 +24,10 @@ from .analysis import (
     ber_slope,
     make_eps_grid,
     outage_diversity,
-    snr_dstc_batch,
-    snr_tdma_batch,
+    snr_dstc_batch,  # noqa: F401  bench/layers.py traces the dense SNR under this name
+    snr_dstc_direct,
+    snr_tdma_batch,  # noqa: F401  bench/layers.py traces the dense SNR under this name
+    snr_tdma_direct,
 )
 from .numerics import UsageError
 from .schemes import SchemeId, block_length, check_supported, scheme_meta, simulate_chunk
@@ -223,17 +225,29 @@ def run_experiment(spec: ExperimentSpec, progress=None):
 
 
 def make_gamma_sampler(scheme: SchemeId, cfg: NetworkConfig):
-    """Vectorized instantaneous-SNR sampler for schemes with a closed-form
-    or directly computable post-IC SNR."""
-    names = {SchemeId.TdmaIcRec: "snr_tdma_batch", SchemeId.DstcIcRec: "snr_dstc_batch"}
+    """Vectorized instantaneous-SNR sampler for the schemes whose post-IC
+    SNR the kernels' pair stages compute (``snr_tdma_direct``,
+    ``snr_dstc_direct``).
+
+    Each call draws all n channel pairs at once, so the stream is the same
+    for any tiling, then computes their SNR one ``CHUNK_TRIALS`` tile at a
+    time, which keeps the stages' temporaries small.  Every pair stage is
+    elementwise over the batch axis, so the tiles change no value."""
+    names = {SchemeId.TdmaIcRec: "snr_tdma_direct", SchemeId.DstcIcRec: "snr_dstc_direct"}
     if scheme not in names:
         raise UsageError(f"no SNR sampler for scheme {scheme.value}")
     if scheme is SchemeId.DstcIcRec and cfg.M != 2:
         raise UsageError("SNR sampler for the concurrent scheme covers M=2")
 
     def sampler(stream: RngStream, n: int) -> np.ndarray:
+        F, G = draw_channels_batch(cfg, stream, n)
         # Looked up at call time, so a wrapper installed on the module applies.
-        return globals()[names[scheme]](*draw_channels_batch(cfg, stream, n), cfg)
+        snr = globals()[names[scheme]]
+        gamma = np.empty(n)
+        for i in range(0, n, CHUNK_TRIALS):
+            tile = slice(i, i + CHUNK_TRIALS)
+            gamma[tile] = snr(F[tile], G[tile], cfg)
+        return gamma
 
     return sampler
 

@@ -12,6 +12,7 @@ from marnsim.analysis import (
     make_eps_grid,
     outage_diversity,
     snr_dstc_batch,
+    snr_dstc_direct,
     snr_tdma_batch,
     snr_tdma_direct,
     snr_upper_bound_dstc,
@@ -153,6 +154,34 @@ class TestDstcSnr:
         with pytest.raises(UsageError):
             snr_dstc_batch(rng.complex_normal(1, 4, 2), rng.complex_normal(1, 4, 3), cfg)
 
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_direct_equals_closed_form(self, target):
+        rng = RngStream(10, target)
+        cfg = NetworkConfig(2, 2, 3, 25.0)
+        f, g = rng.complex_normal(500, 2, 2), rng.complex_normal(500, 2, 3)
+        a = snr_dstc_batch(f, g, cfg, target)
+        b = snr_dstc_direct(f, g, cfg, target)
+        assert np.all(np.abs(a - b) <= 1e-8 * a)
+
+    def test_direct_unsupported_m_raises(self):
+        rng = RngStream(9)
+        cfg = NetworkConfig(2, 4, 3, 1.0)
+        with pytest.raises(UsageError):
+            snr_dstc_direct(rng.complex_normal(1, 4, 2), rng.complex_normal(1, 4, 3), cfg)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_direct_zeroed_column_is_finite(self, column):
+        # Column 1 is the interferer: the pair stages' pivot floor leaves
+        # its IC a no-op where the closed form flags the draw.  Column 0 is
+        # the target, whose SNR is then 0.
+        rng = RngStream(12, column)
+        cfg = NetworkConfig(2, 2, 3, 25.0)
+        f, g = rng.complex_normal(4, 2, 2), rng.complex_normal(4, 2, 3)
+        f[1, :, column] = 0.0
+        gamma, closed = snr_dstc_direct(f, g, cfg), snr_dstc_batch(f, g, cfg)
+        assert np.all(np.isfinite(gamma)) and closed[1] == 0.0
+        assert (gamma[1] > 0.0) == (column == 1)
+
 
 def _some_alamouti(m):
     """The matrices of an (n, 2, 2) stack whose m_00 has a positive real
@@ -167,6 +196,7 @@ def _some_alamouti(m):
 _TDMA, _DSTC = NetworkConfig(2, 4, 3, 12.0), NetworkConfig(2, 2, 3, 12.0)
 _BATCHED = {
     "snr_tdma_direct": (lambda f, g: snr_tdma_direct(f, g, _TDMA, 1), (4, 2), (4, 3)),
+    "snr_dstc_direct": (lambda f, g: snr_dstc_direct(f, g, _DSTC, 1), (2, 2), (2, 3)),
     "snr_upper_bound_dstc": (lambda f, g: snr_upper_bound_dstc(f, g, _DSTC, 1), (2, 2), (2, 3)),
     "null_space_projector": (null_space_projector, (5, 2)),
     "is_alamouti": (lambda m: is_alamouti(_some_alamouti(m)), (2, 2)),

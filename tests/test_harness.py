@@ -1,11 +1,16 @@
 """Tests for the Monte Carlo driver, emission, and the CLI."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from marnsim.airlink import NetworkConfig, RngStream
+from marnsim.airlink import NetworkConfig, RngStream, draw_channels_batch
+from marnsim.analysis import snr_dstc_batch, snr_dstc_direct, snr_tdma_batch, snr_tdma_direct
 from marnsim.cli import main
 from marnsim.harness import (
+    CHUNK_TRIALS,
     CSV_HEADER,
     BerPoint,
     ExperimentSpec,
@@ -13,13 +18,26 @@ from marnsim.harness import (
     canned_spec,
     emit,
     load_config_file,
+    make_gamma_sampler,
     parse_csv,
     run_diversity,
     run_experiment,
     wilson_interval,
 )
 from marnsim.numerics import UsageError
+from marnsim.relay_codec import dstc_design
+from marnsim.rx_ic import dstc_channel_stacks, ic_stack_batch, pair_blocks, tdma_channel_stacks
 from marnsim.schemes import SchemeId
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def oracles():
+    spec = importlib.util.spec_from_file_location("bench_oracles", BENCH / "oracles.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tiny_spec(**kw):
@@ -221,24 +239,84 @@ class TestRunDiversity:
         with pytest.raises(UsageError):
             run_diversity(SchemeId.FullTdmaDstc, cfg, trials=1000)
 
+    @pytest.mark.parametrize("n,tiles", [(64, 1), (2 * CHUNK_TRIALS + 17, 3)])
     @pytest.mark.parametrize(
-        "scheme,name", [(SchemeId.TdmaIcRec, "snr_tdma_batch"), (SchemeId.DstcIcRec, "snr_dstc_batch")]
+        "scheme,name", [(SchemeId.TdmaIcRec, "snr_tdma_direct"), (SchemeId.DstcIcRec, "snr_dstc_direct")]
     )
-    def test_sampler_draws_uplink_then_downlink(self, monkeypatch, scheme, name):
+    def test_sampler_draws_uplink_then_downlink(self, monkeypatch, scheme, name, n, tiles):
         # The sampler draws F (n, M, J) then G (n, M, N) from the stream and
-        # calls the SNR function the harness module holds at call time.
+        # calls the SNR function the harness module holds at call time, one
+        # CHUNK_TRIALS tile at a time.
         import marnsim.harness as harness
 
         cfg = NetworkConfig(2, 2, 3, 10.0)
         sampler = harness.make_gamma_sampler(scheme, cfg)
         ref = RngStream(5, 1)
-        f, g = ref.complex_normal(64, 2, 2), ref.complex_normal(64, 2, 3)
+        f, g = ref.complex_normal(n, 2, 2), ref.complex_normal(n, 2, 3)
         want = getattr(harness, name)(f, g, cfg)
         calls = []
         orig = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda *a: calls.append(a) or orig(*a))
-        assert np.array_equal(sampler(RngStream(5, 1), 64), want)
-        assert len(calls) == 1
+        assert np.array_equal(sampler(RngStream(5, 1), n), want)
+        assert len(calls) == tiles
+        assert all(len(a[0]) <= CHUNK_TRIALS for a in calls)
+
+    @pytest.mark.parametrize(
+        "scheme,cfg3",
+        [
+            (SchemeId.TdmaIcRec, (2, 4, 3)),
+            (SchemeId.TdmaIcRec, (2, 2, 3)),
+            (SchemeId.DstcIcRec, (2, 2, 2)),
+            (SchemeId.DstcIcRec, (2, 2, 3)),
+            (SchemeId.DstcIcRec, (2, 2, 4)),
+        ],
+    )
+    def test_sampler_matches_explicit_ic(self, oracles, scheme, cfg3):
+        # The sampler runs the kernels' pair stages in tiles; the explicit-IC
+        # closed form on the same draws is its independent oracle, and that
+        # IC cancels the interferers.
+        cfg = NetworkConfig(*cfg3, 100.0)
+        n, key = 2 * CHUNK_TRIALS + 17, cfg3[1] * 8 + cfg3[2]
+        F, G = draw_channels_batch(cfg, RngStream(21, key), n)
+        got = make_gamma_sampler(scheme, cfg)(RngStream(21, key), n)
+        if scheme is SchemeId.TdmaIcRec:
+            dense, direct = snr_tdma_batch, snr_tdma_direct
+            splits = pair_blocks(tdma_channel_stacks(G, cfg.J), dstc_design(cfg.M // cfg.J).T)
+        else:
+            dense, direct = snr_dstc_batch, snr_dstc_direct
+            splits = pair_blocks(dstc_channel_stacks(F, G), 2)
+        want = dense(F, G, cfg)
+        # Relative to each draw's own gamma, so the deep fades (the bottom
+        # 2% of gamma, where an outage event is decided) are held to it too.
+        assert np.all(np.abs(got - want) <= 1e-8 * want)
+        assert np.array_equal(got, direct(F, G, cfg))
+        for split in splits:
+            bmat, bad = ic_stack_batch(split, 0)
+            assert not bad.any()
+            assert oracles.ic_residual(split, bmat, 0, bad) <= oracles.IC_RESIDUAL_TOL
+
+    def test_sampler_builds_no_ic_matrix(self, monkeypatch):
+        # Both samplers run on the pair stages alone: no explicit IC matrix,
+        # no dense covariance solve.
+        import marnsim.harness as harness
+        from marnsim import analysis, rx_ic
+
+        def refuse(*args):
+            raise AssertionError("explicit IC stage on the sampler path")
+
+        for owner, name in [
+            (rx_ic, "ic_stack_batch"),
+            (analysis, "ic_stack_batch"),
+            (analysis, "solve_psd_stack"),
+            (np.linalg, "solve"),
+        ]:
+            monkeypatch.setattr(owner, name, refuse)
+        for scheme, cfg3 in [(SchemeId.TdmaIcRec, (2, 4, 3)), (SchemeId.DstcIcRec, (2, 2, 3))]:
+            cfg = NetworkConfig(*cfg3, 10.0)
+            assert np.all(harness.make_gamma_sampler(scheme, cfg)(RngStream(22), 64) > 0)
+        # The refusal is live: the closed form builds the explicit IC.
+        with pytest.raises(AssertionError, match="explicit IC"):
+            harness.snr_dstc_batch(*draw_channels_batch(cfg, RngStream(22), 8), cfg)
 
 
 class TestConfigFile:
