@@ -16,9 +16,7 @@ from .analysis import (
     lemma1_composite,
     outage_diversity,
     snr_dstc_batch,
-    snr_dstc_direct,
     snr_tdma_batch,
-    snr_tdma_direct,
     snr_upper_bound_dstc,
 )
 from .harness import (
@@ -43,6 +41,7 @@ from .schemes import (
     SchemeId,
     SchemeMeta,
     int_free_condition,
+    post_ic_snr,
     relay_forward_groups,
     relay_hard_decision,
     scheme_meta,

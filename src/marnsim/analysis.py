@@ -5,17 +5,16 @@ x = sum_i |f_i|^2 (uplink gain of the target) and y the quadratic form of
 the target's stacked downlink channel through the zero-forcing projector,
 the post-IC whitened SNR is the scaled harmonic mean x y / (x + c^2 y)
 (``snr_tdma_batch``).  Verifying this equality against the simulated
-system (``snr_tdma_direct``, on the kernels' pair stages) exercises the
-whole IC and covariance pipeline at once, which is why it is a primary
-oracle.  The concurrent uplink has the same pair (``snr_dstc_direct``
-against the explicit-IC ``snr_dstc_batch``).  Each SNR takes
-(n, M, J) / (n, M, N) channel draws and returns (n,) values; one draw is
-a batch of one.
+system (``schemes.post_ic_snr``, the kernel's own front end) exercises
+the whole IC and covariance pipeline at once, which is why it is a
+primary oracle.  The concurrent uplink (M = 2) has the same pair: the
+explicit-IC ``snr_dstc_batch`` against ``post_ic_snr`` of
+``dstc_icrec``.  Each SNR takes (n, M, J) / (n, M, N) channel draws and
+returns (n,) values; one draw is a batch of one.
 
-The outage samplers (``harness.make_gamma_sampler``) run the ``*_direct``
-pair stages, one ``CHUNK_TRIALS`` tile of draws at a time.  Every stage is
-elementwise over the batch axis, so the tiles change no value; the dense
-closed forms stay as their independent oracle.
+The outage samplers (``harness.make_gamma_sampler``) run ``post_ic_snr``,
+one ``CHUNK_TRIALS`` tile of draws at a time; the dense closed forms
+stay as their independent oracle.
 
 Diversity orders are estimated two ways: from the small-epsilon slope of
 the SNR outage probability, and from the high-SNR slope of measured BER
@@ -30,25 +29,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airlink import NetworkConfig, RngStream
-from .numerics import NumericError, UsageError, dagger, null_space_projector, solve_psd_stack
+from .numerics import UsageError, dagger, null_space_projector, solve_psd_stack
 from .relay_codec import dstc_design, dstc_power_scale, tdma_power_scale
 from .rx_ic import (
     dstc_channel_stacks,
-    forwarded_inverse,
-    gram_pairs,
     gtilde,
     ic_stack_batch,
     noise_cov_forwarded,
     pair_blocks,
-    schur_pairs,
     tdma_channel_stacks,
 )
 
 __all__ = [
     "DiversityEstimate",
     "whitened_snr",
-    "snr_tdma_direct",
-    "snr_dstc_direct",
     "snr_upper_bound_dstc",
     "snr_tdma_batch",
     "snr_dstc_batch",
@@ -80,51 +74,6 @@ def whitened_snr(h: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.maximum(np.einsum("...k,...k->...", np.conj(h), w).real, 0.0)
 
 
-def snr_tdma_direct(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int = 0) -> np.ndarray:
-    """Receive SNR (n,) of the target's first symbol on the simulated
-    system, over (n, M, J) / (n, M, N) channel draws.
-
-    Runs the draws through the TDMA-uplink kernel's own stages: the
-    downlink channel pairs, each split's Gram system and the target's
-    zero-forcing IC as its Schur complement, with the forwarded combining
-    noise c1^2 / x riding on the target's channel.  Sums the target's
-    post-IC Gram gamma over the splits.  NumericError when a draw's
-    uplink column is all zero.
-    """
-    x = np.sum(np.abs(F[..., target]) ** 2, axis=-1)
-    if np.any(x == 0.0):
-        raise NumericError("all-zero uplink column")
-    T = dstc_design(cfg.M // cfg.J).T
-    kappa = 2.0 if T == 4 else 1.0
-    c = tdma_power_scale(cfg.P, cfg.M)
-    gamma = np.zeros(x.shape)
-    for split in tdma_channel_stacks(G, cfg.J):
-        p, q = gram_pairs(split, np.zeros((2, split.shape[1], len(x))), 1.0 / kappa)
-        gamma += schur_pairs(p, q, target, T, kappa * c * c / x)[1]
-    return gamma
-
-
-def snr_dstc_direct(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int = 0) -> np.ndarray:
-    """Post-IC concurrent-uplink SNR (n,) on the simulated system
-    (2-antenna relay), over (n, M, J) / (n, M, N) channel draws.
-
-    Runs the draws through the amplify-and-forward kernel's own stages:
-    R0^-1 of the forwarded relay noise, the one split's Gram system and
-    the target's zero-forcing IC as its Schur complement.  Equals
-    snr_dstc_batch to numerical precision, except on degenerate draws:
-    where an interferer's column is all zero, the Schur pivot floor
-    leaves its IC a no-op and gives the target's SNR without IC, which
-    is finite, while snr_dstc_batch flags the draw and returns 0.
-    """
-    if cfg.M != 2:
-        raise UsageError(f"direct SNR helper covers M=2, got M={cfg.M}")
-    c = dstc_power_scale(cfg.P, cfg.M, cfg.J)
-    r0_inv = forwarded_inverse(np.ascontiguousarray(np.moveaxis(G, 0, -1)), c, 1.0)  # G as (M, N, n)
-    [split] = dstc_channel_stacks(F, G)
-    p, q = gram_pairs(split, np.zeros((2, split.shape[1], split.shape[-1])), r0_inv)
-    return schur_pairs(p, q, target, 2)[1]
-
-
 def snr_upper_bound_dstc(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int = 0) -> np.ndarray:
     """Channel-only upper bound (n,) on the concurrent-uplink receive SNR
     of (n, M, J) / (n, M, N) channel draws:
@@ -153,8 +102,8 @@ def snr_tdma_batch(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int
     split pair, whose per-split variances double), with
     x = sum_i |f_i|^2 and y = g* B* (B B*)^{-1} B g for the stacked first
     column g of the target's downlink blocks and B its explicit IC
-    matrix.  Equals snr_tdma_direct to numerical precision; the equality
-    encodes the zero-forcing projector identity and the Alamouti
+    matrix.  Equals post_ic_snr of tdma_icrec to numerical precision; the
+    equality encodes the zero-forcing projector identity and the Alamouti
     diagonality of the whitened Gram matrix.
     """
     x = np.sum(np.abs(F[..., target]) ** 2, axis=-1)

@@ -25,12 +25,10 @@ from .analysis import (
     make_eps_grid,
     outage_diversity,
     snr_dstc_batch,  # noqa: F401  bench/layers.py traces the dense SNR under this name
-    snr_dstc_direct,
     snr_tdma_batch,  # noqa: F401  bench/layers.py traces the dense SNR under this name
-    snr_tdma_direct,
 )
 from .numerics import UsageError
-from .schemes import SchemeId, block_length, check_supported, scheme_meta, simulate_chunk
+from .schemes import SchemeId, block_length, check_supported, post_ic_snr, scheme_meta, simulate_chunk
 
 __all__ = [
     "ExperimentSpec",
@@ -225,28 +223,23 @@ def run_experiment(spec: ExperimentSpec, progress=None):
 
 
 def make_gamma_sampler(scheme: SchemeId, cfg: NetworkConfig):
-    """Vectorized instantaneous-SNR sampler for the schemes whose post-IC
-    SNR the kernels' pair stages compute (``snr_tdma_direct``,
-    ``snr_dstc_direct``).
+    """Vectorized instantaneous-SNR sampler of source 0's post-IC SNR
+    (``schemes.post_ic_snr``) for the rows that have one: ``dstc_icrec``,
+    ``tdma_icrec``, ``ic_relay_tdma`` and ``full_tdma_dstc``.  Any other
+    row or an unsupported cell raises UsageError here, before any draw.
 
     Each call draws all n channel pairs at once, so the stream is the same
     for any tiling, then computes their SNR one ``CHUNK_TRIALS`` tile at a
-    time, which keeps the stages' temporaries small.  Every pair stage is
+    time, which keeps the stages' temporaries small.  Every stage is
     elementwise over the batch axis, so the tiles change no value."""
-    names = {SchemeId.TdmaIcRec: "snr_tdma_direct", SchemeId.DstcIcRec: "snr_dstc_direct"}
-    if scheme not in names:
-        raise UsageError(f"no SNR sampler for scheme {scheme.value}")
-    if scheme is SchemeId.DstcIcRec and cfg.M != 2:
-        raise UsageError("SNR sampler for the concurrent scheme covers M=2")
+    post_ic_snr(scheme, np.zeros((0, cfg.M, cfg.J)), np.zeros((0, cfg.M, cfg.N)), cfg)  # refuses, drawing nothing
 
     def sampler(stream: RngStream, n: int) -> np.ndarray:
         F, G = draw_channels_batch(cfg, stream, n)
-        # Looked up at call time, so a wrapper installed on the module applies.
-        snr = globals()[names[scheme]]
         gamma = np.empty(n)
         for i in range(0, n, CHUNK_TRIALS):
             tile = slice(i, i + CHUNK_TRIALS)
-            gamma[tile] = snr(F[tile], G[tile], cfg)
+            gamma[tile] = post_ic_snr(scheme, F[tile], G[tile], cfg)
         return gamma
 
     return sampler

@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .airlink import Constellation, NetworkConfig, RngStream, draw_channels_batch, make_psk, modulate, nearest_psk
-from .numerics import UsageError
+from .numerics import NumericError, UsageError
 from .relay_codec import (
     apply_design,
     dstc_design,
@@ -99,6 +99,7 @@ __all__ = [
     "relay_zf_gains",
     "simulate_batch",
     "simulate_chunk",
+    "post_ic_snr",
     "MAX_RESAMPLES",
 ]
 
@@ -170,8 +171,9 @@ def int_free_condition(J: int, M: int, N: int) -> bool:
 
 
 def block_length(scheme: SchemeId, J: int, M: int) -> int:
-    """Symbols per source per codeword block (downlink slot count)."""
-    return dstc_design(_ROWS[scheme].code_antennas(J, M)).T
+    """Symbols per source per codeword block (downlink slot count); it
+    depends on neither N nor P."""
+    return _ROWS[scheme].link(NetworkConfig(J, M, J, 1.0))[0].T
 
 
 def check_supported(scheme: SchemeId, J: int, M: int, order: int) -> None:
@@ -246,8 +248,17 @@ def relay_zf_gains(F: np.ndarray) -> np.ndarray:
 
 
 def _mrc_gains(F: np.ndarray) -> np.ndarray:
-    """Maximum-ratio combining at the relay: (n, J) gains sum_i |f_ij|^2."""
-    return np.sum(np.abs(F) ** 2, axis=1)
+    """Maximum-ratio combining at the relay: (n, J) gains sum_i |f_ij|^2,
+    accumulated over the M relay antennas in place, one source at a time
+    so that each loop runs over the n draws (on an (n, J) slice of F,
+    numpy's inner loop has length J)."""
+    n, M, J = F.shape
+    x, tmp = np.empty((J, n)), np.empty(n)
+    for j in range(J):
+        np.square(np.abs(F[:, 0, j], out=x[j]), out=x[j])
+        for i in range(1, M):
+            x[j] += np.square(np.abs(F[:, i, j], out=tmp), out=tmp)
+    return x.T
 
 
 def _through(h: np.ndarray, x: np.ndarray, stream: RngStream):
@@ -337,11 +348,9 @@ def _joint_decode(pairs, T, obs, r0_inv, scale, const, bits):
 def _amplify_forward(row, cfg, const, stream, n):
     """The sources of each downlink group transmit at once and the relay
     applies the M-antenna DSTC to what it receives, relay noise included."""
-    M, P = cfg.M, cfg.P
-    design = dstc_design(M)
+    P = cfg.P
+    design, c, kappa = row.link(cfg)
     T = design.T
-    c = dstc_power_scale(P, M, row.group_size(cfg.J))
-    kappa = 2.0 if T == 4 else 1.0
     F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
     # batch-last and contiguous for the elementwise products
     ft = np.ascontiguousarray(F.transpose(2, 1, 0))  # (J, M, n)
@@ -367,10 +376,8 @@ def _estimate_forward(row, cfg, const, stream, n):
     group's estimates on disjoint antenna groups; the estimates' noise
     rides on the target's own downlink channel."""
     J, M, P = cfg.J, cfg.M, cfg.P
-    design = dstc_design(row.code_antennas(J, M))
+    design, c, kappa = row.link(cfg)
     T = design.T
-    c = tdma_power_scale(P, M)
-    kappa = 2.0 if T == 4 else 1.0
     F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
     gains = row.gains(F)  # (n, J)
     g = np.ascontiguousarray(np.moveaxis(G, 0, -1))  # (M, N, n)
@@ -416,6 +423,15 @@ class _Row(NamedTuple):
         """Relay antennas whose code carries one source."""
         return M if self.kernel is _amplify_forward else M // self.group_size(J)
 
+    def link(self, cfg):
+        """(design, c, kappa): the relay code of one source, the relay's
+        amplification and the noise scale of each split (2 in the splits
+        of the 4-slot codeword, else 1)."""
+        design = dstc_design(self.code_antennas(cfg.J, cfg.M))
+        af = self.kernel is _amplify_forward
+        c = dstc_power_scale(cfg.P, cfg.M, self.group_size(cfg.J)) if af else tdma_power_scale(cfg.P, cfg.M)
+        return design, c, 2.0 if design.T == 4 else 1.0
+
 
 _ROWS = {
     SchemeId.DstcIcRec: _Row(_amplify_forward, True),
@@ -456,6 +472,40 @@ def simulate_chunk(scheme: SchemeId, cfg: NetworkConfig, const: Constellation, s
         errors[idx] = err2
         bad[idx] = bad2
     return errors, bad
+
+
+def post_ic_snr(scheme: SchemeId, F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int = 0) -> np.ndarray:
+    """Post-IC SNR (n,) of source ``target`` on (n, M, J) / (n, M, N)
+    channel draws: its kernel's front end with no noise and no decision,
+    i.e. each split's Gram system on zero observations (R0^-1 of the
+    forwarded noise, or the relay's estimation noise kappa c^2 / gain on
+    the target) and the Schur complement's gamma, at scale 1 and summed
+    over the splits; the kernel's slicer receives scale^2 times each.
+    UsageError for a hard relay decision or joint ML (no post-IC SNR), a
+    cell ``check_supported`` refuses, or a target outside 0..J-1;
+    NumericError on a zero relay gain (an all-zero uplink column)."""
+    row = _ROWS[scheme]
+    check_supported(scheme, cfg.J, cfg.M, 2)  # no decision, so any PSK order
+    if row.hard or row.joint:
+        raise UsageError(f"{scheme.value} has no post-IC SNR")
+    if not 0 <= target < cfg.J:
+        raise UsageError(f"target {target} is not a source of J={cfg.J}")
+    design, c, kappa = row.link(cfg)
+    grp = row.groups(cfg.J)[target // row.group_size(cfg.J)]
+    if row.kernel is _amplify_forward:
+        r0_inv = forwarded_inverse(np.ascontiguousarray(np.moveaxis(G, 0, -1)), c, kappa)  # G as (M, N, n)
+        pairs, sigma = dstc_channel_stacks(F[..., grp], G), None
+    else:
+        gain = row.gains(F)[:, target]
+        if np.any(gain == 0.0):
+            raise NumericError("all-zero uplink column")
+        r0_inv, sigma = 1.0 / kappa, kappa * c * c / gain
+        pairs = tdma_channel_stacks(G, row.group_size(cfg.J))
+    gamma = np.zeros(len(F))
+    for split in pairs:
+        p, q = gram_pairs(split, np.zeros((2, split.shape[1], len(F))), r0_inv)
+        gamma += schur_pairs(p, q, target - grp.start, design.T, sigma)[1]
+    return gamma
 
 
 def bits_per_channel_use(scheme: SchemeId, J: int, M: int, N: int, order: int) -> Fraction:

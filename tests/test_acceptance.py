@@ -22,12 +22,11 @@ from marnsim.analysis import (
     outage_diversity,
     snr_dstc_batch,
     snr_tdma_batch,
-    snr_tdma_direct,
     snr_upper_bound_dstc,
 )
 from marnsim.harness import ExperimentSpec, run_experiment
 from marnsim.rx_ic import ic_stack_batch, pair_blocks, tdma_channel_stacks
-from marnsim.schemes import SchemeId, scheme_meta
+from marnsim.schemes import SchemeId, post_ic_snr, scheme_meta
 from marnsim.selftest import run_selftest
 
 pytestmark = pytest.mark.slow
@@ -61,7 +60,7 @@ def test_criterion_01_closed_form_equals_direct(capsys):
         draws = [(rng.complex_normal(m, j), rng.complex_normal(m, n)) for _ in range(10_000)]
         f, g = (np.stack(d) for d in zip(*draws))
         a = snr_tdma_batch(f, g, cfg)
-        b = snr_tdma_direct(f, g, cfg)
+        b = post_ic_snr(SchemeId.TdmaIcRec, f, g, cfg)
         worst = max(worst, float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-30))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 60.0

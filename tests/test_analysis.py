@@ -12,15 +12,14 @@ from marnsim.analysis import (
     make_eps_grid,
     outage_diversity,
     snr_dstc_batch,
-    snr_dstc_direct,
     snr_tdma_batch,
-    snr_tdma_direct,
     snr_upper_bound_dstc,
     whitened_snr,
 )
 from marnsim.numerics import UsageError, is_alamouti, null_space_projector
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
 from marnsim.rx_ic import dstc_channel_stacks, ic_stack_batch, pair_blocks, recombine
+from marnsim.schemes import SchemeId, post_ic_snr
 from gram_oracle import dense_obs
 from propagation import propagate_noise_cov
 
@@ -100,7 +99,7 @@ class TestTdmaClosedForm:
         draws = [(rng.complex_normal(m, j), rng.complex_normal(m, n)) for _ in range(30)]
         f, g = (np.stack(d) for d in zip(*draws))
         a = snr_tdma_batch(f, g, cfg)
-        b = snr_tdma_direct(f, g, cfg)
+        b = post_ic_snr(SchemeId.TdmaIcRec, f, g, cfg)
         assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(np.abs(b), 1e-30))
 
     def test_batch_matches_scalar(self):
@@ -110,7 +109,7 @@ class TestTdmaClosedForm:
         g = rng.complex_normal(25, 4, 3)
         batch = snr_tdma_batch(f, g, cfg)
         for i in range(25):
-            scalar = snr_tdma_direct(f[i : i + 1], g[i : i + 1], cfg)[0]
+            scalar = post_ic_snr(SchemeId.TdmaIcRec, f[i : i + 1], g[i : i + 1], cfg)[0]
             assert abs(batch[i] - scalar) < 1e-8 * max(scalar, 1e-30)
 
 
@@ -160,14 +159,24 @@ class TestDstcSnr:
         cfg = NetworkConfig(2, 2, 3, 25.0)
         f, g = rng.complex_normal(500, 2, 2), rng.complex_normal(500, 2, 3)
         a = snr_dstc_batch(f, g, cfg, target)
-        b = snr_dstc_direct(f, g, cfg, target)
+        b = post_ic_snr(SchemeId.DstcIcRec, f, g, cfg, target)
         assert np.all(np.abs(a - b) <= 1e-8 * a)
 
     def test_direct_unsupported_m_raises(self):
+        # post_ic_snr refuses a cell the kernels refuse (M = 5 amplify-and-
+        # forward), the rows with no post-IC SNR (a hard relay decision,
+        # joint ML with no IC) and a target that is not a source.
         rng = RngStream(9)
-        cfg = NetworkConfig(2, 4, 3, 1.0)
-        with pytest.raises(UsageError):
-            snr_dstc_direct(rng.complex_normal(1, 4, 2), rng.complex_normal(1, 4, 3), cfg)
+        for scheme, (j, m, n), target, why in [
+            (SchemeId.DstcIcRec, (2, 5, 3), 0, "M in 2..4"),
+            (SchemeId.DecodeRelayIcDest, (2, 4, 3), 0, "no post-IC SNR"),
+            (SchemeId.ConcurrentJoint, (2, 2, 3), 0, "no post-IC SNR"),
+            (SchemeId.TdmaIcRec, (2, 4, 3), 2, "not a source"),
+            (SchemeId.FullTdmaDstc, (2, 4, 3), -1, "not a source"),
+        ]:
+            f, g = rng.complex_normal(1, m, j), rng.complex_normal(1, m, n)
+            with pytest.raises(UsageError, match=why):
+                post_ic_snr(scheme, f, g, NetworkConfig(j, m, n, 1.0), target)
 
     @pytest.mark.parametrize("column", [0, 1])
     def test_direct_zeroed_column_is_finite(self, column):
@@ -178,7 +187,7 @@ class TestDstcSnr:
         cfg = NetworkConfig(2, 2, 3, 25.0)
         f, g = rng.complex_normal(4, 2, 2), rng.complex_normal(4, 2, 3)
         f[1, :, column] = 0.0
-        gamma, closed = snr_dstc_direct(f, g, cfg), snr_dstc_batch(f, g, cfg)
+        gamma, closed = post_ic_snr(SchemeId.DstcIcRec, f, g, cfg), snr_dstc_batch(f, g, cfg)
         assert np.all(np.isfinite(gamma)) and closed[1] == 0.0
         assert (gamma[1] > 0.0) == (column == 1)
 
@@ -195,8 +204,8 @@ def _some_alamouti(m):
 # Each quantity as a function of a batch, and the per-row shapes it takes.
 _TDMA, _DSTC = NetworkConfig(2, 4, 3, 12.0), NetworkConfig(2, 2, 3, 12.0)
 _BATCHED = {
-    "snr_tdma_direct": (lambda f, g: snr_tdma_direct(f, g, _TDMA, 1), (4, 2), (4, 3)),
-    "snr_dstc_direct": (lambda f, g: snr_dstc_direct(f, g, _DSTC, 1), (2, 2), (2, 3)),
+    "post_ic_snr(tdma_icrec)": (lambda f, g: post_ic_snr(SchemeId.TdmaIcRec, f, g, _TDMA, 1), (4, 2), (4, 3)),
+    "post_ic_snr(dstc_icrec)": (lambda f, g: post_ic_snr(SchemeId.DstcIcRec, f, g, _DSTC, 1), (2, 2), (2, 3)),
     "snr_upper_bound_dstc": (lambda f, g: snr_upper_bound_dstc(f, g, _DSTC, 1), (2, 2), (2, 3)),
     "null_space_projector": (null_space_projector, (5, 2)),
     "is_alamouti": (lambda m: is_alamouti(_some_alamouti(m)), (2, 2)),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from marnsim.airlink import NetworkConfig, RngStream, draw_channels_batch
-from marnsim.analysis import snr_dstc_batch, snr_dstc_direct, snr_tdma_batch, snr_tdma_direct
+from marnsim.analysis import snr_dstc_batch, snr_tdma_batch
 from marnsim.cli import main
 from marnsim.harness import (
     CHUNK_TRIALS,
@@ -27,7 +27,7 @@ from marnsim.harness import (
 from marnsim.numerics import UsageError
 from marnsim.relay_codec import dstc_design
 from marnsim.rx_ic import dstc_channel_stacks, ic_stack_batch, pair_blocks, tdma_channel_stacks
-from marnsim.schemes import SchemeId
+from marnsim.schemes import SchemeId, post_ic_snr
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -228,6 +228,10 @@ class TestCannedSpec:
             canned_spec("fig9")
 
 
+# The rows that have a post-IC SNR, in table order.
+_POST_IC_ROWS = [SchemeId.DstcIcRec, SchemeId.TdmaIcRec, SchemeId.IcRelayTdma, SchemeId.FullTdmaDstc]
+
+
 class TestRunDiversity:
     def test_tdma_223_slope_two(self):
         cfg = NetworkConfig(2, 2, 3, 10.0 ** 2.0)
@@ -237,15 +241,13 @@ class TestRunDiversity:
     def test_unsupported_scheme_raises(self):
         cfg = NetworkConfig(2, 2, 3, 10.0)
         with pytest.raises(UsageError):
-            run_diversity(SchemeId.FullTdmaDstc, cfg, trials=1000)
+            run_diversity(SchemeId.ConcurrentJoint, cfg, trials=1000)
 
     @pytest.mark.parametrize("n,tiles", [(64, 1), (2 * CHUNK_TRIALS + 17, 3)])
-    @pytest.mark.parametrize(
-        "scheme,name", [(SchemeId.TdmaIcRec, "snr_tdma_direct"), (SchemeId.DstcIcRec, "snr_dstc_direct")]
-    )
-    def test_sampler_draws_uplink_then_downlink(self, monkeypatch, scheme, name, n, tiles):
+    @pytest.mark.parametrize("scheme", _POST_IC_ROWS)
+    def test_sampler_draws_uplink_then_downlink(self, monkeypatch, scheme, n, tiles):
         # The sampler draws F (n, M, J) then G (n, M, N) from the stream and
-        # calls the SNR function the harness module holds at call time, one
+        # calls the post_ic_snr the harness module holds at call time, one
         # CHUNK_TRIALS tile at a time.
         import marnsim.harness as harness
 
@@ -253,13 +255,29 @@ class TestRunDiversity:
         sampler = harness.make_gamma_sampler(scheme, cfg)
         ref = RngStream(5, 1)
         f, g = ref.complex_normal(n, 2, 2), ref.complex_normal(n, 2, 3)
-        want = getattr(harness, name)(f, g, cfg)
+        want = post_ic_snr(scheme, f, g, cfg)
         calls = []
-        orig = getattr(harness, name)
-        monkeypatch.setattr(harness, name, lambda *a: calls.append(a) or orig(*a))
+        monkeypatch.setattr(harness, "post_ic_snr", lambda *a: calls.append(a) or post_ic_snr(*a))
         assert np.array_equal(sampler(RngStream(5, 1), n), want)
         assert len(calls) == tiles
-        assert all(len(a[0]) <= CHUNK_TRIALS for a in calls)
+        assert all(len(a[1]) <= CHUNK_TRIALS for a in calls)
+
+    @pytest.mark.parametrize(
+        "scheme,cfg3",
+        [(SchemeId.DecodeRelayIcDest, (2, 4, 3)), (SchemeId.ConcurrentJoint, (2, 4, 3)), (SchemeId.DstcIcRec, (2, 5, 3))],
+    )
+    def test_sampler_refuses_when_built(self, monkeypatch, scheme, cfg3):
+        # A row with no post-IC SNR, or a cell the kernels refuse (M = 5
+        # amplify-and-forward), is refused when the sampler is built,
+        # before any draw from any stream.
+        draws = []
+        monkeypatch.setattr(RngStream, "complex_normal", lambda *a: draws.append(a))
+        cfg = NetworkConfig(*cfg3, 10.0)
+        with pytest.raises(UsageError):
+            make_gamma_sampler(scheme, cfg)
+        with pytest.raises(UsageError):
+            run_diversity(scheme, cfg, trials=1000)
+        assert not draws
 
     @pytest.mark.parametrize(
         "scheme,cfg3",
@@ -280,24 +298,24 @@ class TestRunDiversity:
         F, G = draw_channels_batch(cfg, RngStream(21, key), n)
         got = make_gamma_sampler(scheme, cfg)(RngStream(21, key), n)
         if scheme is SchemeId.TdmaIcRec:
-            dense, direct = snr_tdma_batch, snr_tdma_direct
+            dense = snr_tdma_batch
             splits = pair_blocks(tdma_channel_stacks(G, cfg.J), dstc_design(cfg.M // cfg.J).T)
         else:
-            dense, direct = snr_dstc_batch, snr_dstc_direct
+            dense = snr_dstc_batch
             splits = pair_blocks(dstc_channel_stacks(F, G), 2)
         want = dense(F, G, cfg)
         # Relative to each draw's own gamma, so the deep fades (the bottom
         # 2% of gamma, where an outage event is decided) are held to it too.
         assert np.all(np.abs(got - want) <= 1e-8 * want)
-        assert np.array_equal(got, direct(F, G, cfg))
+        assert np.array_equal(got, post_ic_snr(scheme, F, G, cfg))
         for split in splits:
             bmat, bad = ic_stack_batch(split, 0)
             assert not bad.any()
             assert oracles.ic_residual(split, bmat, 0, bad) <= oracles.IC_RESIDUAL_TOL
 
     def test_sampler_builds_no_ic_matrix(self, monkeypatch):
-        # Both samplers run on the pair stages alone: no explicit IC matrix,
-        # no dense covariance solve.
+        # Every sampler runs on the pair stages alone: no explicit IC
+        # matrix, no dense covariance solve.
         import marnsim.harness as harness
         from marnsim import analysis, rx_ic
 
@@ -311,10 +329,12 @@ class TestRunDiversity:
             (np.linalg, "solve"),
         ]:
             monkeypatch.setattr(owner, name, refuse)
-        for scheme, cfg3 in [(SchemeId.TdmaIcRec, (2, 4, 3)), (SchemeId.DstcIcRec, (2, 2, 3))]:
-            cfg = NetworkConfig(*cfg3, 10.0)
-            assert np.all(harness.make_gamma_sampler(scheme, cfg)(RngStream(22), 64) > 0)
+        for scheme in _POST_IC_ROWS:
+            for cfg3 in [(2, 4, 3), (2, 2, 3)]:
+                cfg = NetworkConfig(*cfg3, 10.0)
+                assert np.all(harness.make_gamma_sampler(scheme, cfg)(RngStream(22), 64) > 0)
         # The refusal is live: the closed form builds the explicit IC.
+        cfg = NetworkConfig(2, 2, 3, 10.0)
         with pytest.raises(AssertionError, match="explicit IC"):
             harness.snr_dstc_batch(*draw_channels_batch(cfg, RngStream(22), 8), cfg)
 
@@ -396,6 +416,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "outage slope" in out
+
+    @pytest.mark.parametrize("scheme,rc", [("ic_relay_tdma", 0), ("concurrent_joint", 1)])
+    def test_diversity_takes_post_ic_rows(self, capsys, scheme, rc):
+        got = main(["diversity", "--scheme", scheme, "--config", "2,4,3", "--trials", "4096"])
+        out = capsys.readouterr().out
+        assert got == rc
+        assert (f"{scheme} 2x4x3: outage slope" in out) == (rc == 0)
 
     def test_simulate_negative_workers_is_usage_error(self, capsys):
         rc = main(

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from marnsim.airlink import NetworkConfig, RngStream, draw_channels_batch, make_psk, modulate
-from marnsim.analysis import snr_tdma_direct
 from marnsim.numerics import NumericError, UsageError, dagger, null_space_projector, solve_psd_stack
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
 from marnsim.rx_ic import (
@@ -34,7 +33,7 @@ from marnsim.rx_ic import (
     tdma_channel_stacks,
     whiten,
 )
-from marnsim.schemes import SchemeId, relay_forward_groups, simulate_batch
+from marnsim.schemes import SchemeId, post_ic_snr, relay_forward_groups, simulate_batch
 from gram_oracle import (
     block_diag,
     component_search,
@@ -410,12 +409,12 @@ class TestNoiseCovariances:
 
     def test_zero_uplink_raises(self):
         # The relay noise variance c1^2 / x has no value for x = 0; the
-        # direct SNR, which builds this covariance for one draw, refuses it.
+        # post-IC SNR, which builds this covariance for one draw, refuses it.
         rng = RngStream(13)
         f = _cn(rng, 4, 2)
         f[:, 0] = 0.0
         with pytest.raises(NumericError):
-            snr_tdma_direct(f[None], _cn(rng, 4, 3)[None], NetworkConfig(2, 4, 3, 3.0))
+            post_ic_snr(SchemeId.TdmaIcRec, f[None], _cn(rng, 4, 3)[None], NetworkConfig(2, 4, 3, 3.0))
 
 
 class TestWhitenedDiagonality:
@@ -833,6 +832,29 @@ class TestKernelSplitSystems:
 
         monkeypatch.setattr(rx_ic, "solve_psd_stack", refuse)
         simulate_batch(scheme, NetworkConfig(*cfg3, 10.0), make_psk(4), RngStream(45), 32)
+
+    @pytest.mark.parametrize(
+        "scheme", [SchemeId.DstcIcRec, SchemeId.TdmaIcRec, SchemeId.IcRelayTdma, SchemeId.FullTdmaDstc]
+    )
+    def test_post_ic_snr_matches_kernel_slicer(self, monkeypatch, scheme):
+        # On the kernel's own draws, post_ic_snr of each source is the gamma
+        # the kernel's slicer receives for it, divided by scale^2 and summed
+        # over the splits.  The slicer sees the sources in order, group by
+        # group.
+        from marnsim import schemes
+
+        for cfg3 in _TAIL_CONFIGS:
+            draws = []
+            orig = schemes._draw_trials
+            monkeypatch.setattr(schemes, "_draw_trials", lambda *a: draws.append(orig(*a)) or draws[-1])
+            (_, _, _, _, scale, *_), *_ = _capture(monkeypatch, "_decode", scheme, cfg3, 4)
+            slices = _capture(monkeypatch, "psk_slicer", scheme, cfg3, 4)
+            monkeypatch.undo()
+            (F, G, _, _), _ = draws  # one batch per captured run
+            assert len(slices) == cfg3[0]
+            for j, (_, g, _) in enumerate(slices):
+                got = post_ic_snr(scheme, F, G, NetworkConfig(*cfg3, 10.0), j)
+                assert np.all(np.abs(got - g.sum(axis=0) / scale**2) <= 1e-12 * got)
 
 
 def _rel_err(got, want):
