@@ -70,31 +70,21 @@ class Constellation:
     order: int
     points: np.ndarray
     labels: np.ndarray  # (order, log2(order)) int8 bit rows
-    rotation: float = 0.0
 
     @property
     def bits_per_symbol(self) -> int:
         return int(round(math.log2(self.order)))
 
-    def bits_of(self, index) -> np.ndarray:
-        """Gray label bits of a constellation point index."""
-        return self.labels[index]
-
     def index_of_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`bits_of` for an (..., b) bit array."""
+        """Point index of each Gray label in an (..., b) bit array: the
+        inverse of ``labels``."""
         b = self.bits_per_symbol
         weights = 1 << np.arange(b - 1, -1, -1)
         packed = np.asarray(bits).reshape(*bits.shape[:-1], b) @ weights
-        return self._bits_to_index[packed]
-
-    @property
-    def _bits_to_index(self) -> np.ndarray:
-        return _gray_inverse(self.order)
+        return _gray_inverse(self.order)[packed]
 
     def rotated(self, angle: float) -> "Constellation":
-        return Constellation(
-            self.order, self.points * np.exp(1j * angle), self.labels, self.rotation + angle
-        )
+        return Constellation(self.order, self.points * np.exp(1j * angle), self.labels)
 
 
 def _gray(k: np.ndarray) -> np.ndarray:
@@ -108,8 +98,8 @@ def _gray_inverse(order: int) -> np.ndarray:
     return inv
 
 
-def make_psk(order: int, rotation: float = 0.0) -> Constellation:
-    """PSK constellation with points exp(i(2*pi*k/order + rotation)).
+def make_psk(order: int) -> Constellation:
+    """PSK constellation with points exp(2 pi i k / order).
 
     Labels are the binary-reflected Gray code around the circle, so
     adjacent points differ in exactly one bit.
@@ -117,11 +107,11 @@ def make_psk(order: int, rotation: float = 0.0) -> Constellation:
     if order not in (2, 4, 8, 16):
         raise UsageError(f"unsupported PSK order {order}")
     k = np.arange(order)
-    points = np.exp(1j * (2.0 * np.pi * k / order + rotation))
+    points = np.exp(1j * (2.0 * np.pi * k / order))
     b = int(round(math.log2(order)))
     gray = _gray(k)
     labels = (gray[:, None] >> np.arange(b - 1, -1, -1)) & 1
-    return Constellation(order, points, labels.astype(np.int8), rotation)
+    return Constellation(order, points, labels.astype(np.int8))
 
 
 def nearest_psk(y, order: int) -> np.ndarray:
@@ -163,13 +153,6 @@ class NetworkConfig:
             )
         if not self.P > 0:
             raise UsageError("transmit power P must be positive")
-
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * math.log10(self.P)
-
-    def with_power(self, p: float) -> "NetworkConfig":
-        return NetworkConfig(self.J, self.M, self.N, p)
 
 
 def draw_channels_batch(cfg: NetworkConfig, rng: RngStream, n: int):

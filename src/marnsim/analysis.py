@@ -62,10 +62,6 @@ class DiversityEstimate:
     fit_range: tuple
     points: tuple
 
-    @property
-    def ok(self) -> bool:
-        return bool(np.isfinite(self.slope) and np.isfinite(self.stderr))
-
 
 def whitened_snr(h: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Whitened receive SNR h* R^{-1} h of (..., K) channel columns under
@@ -135,28 +131,25 @@ def snr_dstc_batch(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int
 # ---------------------------------------------------------------------------
 # Diversity estimators
 
-
-def make_eps_grid(start: float, count: int = 12, factor: float = 2.0):
-    """Decreasing geometric epsilon grid start, start/factor, ..."""
-    if start <= 0 or count < 1 or factor <= 1:
-        raise UsageError("need start > 0, count >= 1, factor > 1")
-    return start / factor ** np.arange(count)
+EPS_FACTOR = 2.0  # ratio of neighbouring epsilon grid points
+MIN_EVENTS = 50  # outage events a grid point needs to enter the fit
+OUTAGE_BATCH = 200_000  # sampler draws per call
 
 
-def outage_diversity(
-    sampler,
-    eps_grid,
-    trials: int,
-    stream: RngStream = None,
-    min_events: int = 50,
-    batch: int = 200_000,
-) -> DiversityEstimate:
+def make_eps_grid(start: float, count: int = 12):
+    """Decreasing geometric epsilon grid start, start/EPS_FACTOR, ..."""
+    if start <= 0 or count < 1:
+        raise UsageError("need start > 0, count >= 1")
+    return start / EPS_FACTOR ** np.arange(count)
+
+
+def outage_diversity(sampler, eps_grid, trials: int, stream: RngStream = None) -> DiversityEstimate:
     """Small-epsilon slope of log P(gamma < eps) vs log eps.
 
-    ``sampler(stream, n)`` returns n gamma draws.  Points with fewer than
-    ``min_events`` outage events are dropped; the weighted least-squares
-    fit uses per-point event counts as weights.  Fewer than 3 usable
-    points yields a flagged (NaN) estimate.
+    ``sampler(stream, n)`` returns n gamma draws, at most OUTAGE_BATCH per
+    call.  Points with fewer than MIN_EVENTS outage events are dropped;
+    the weighted least-squares fit uses per-point event counts as weights.
+    Fewer than 3 usable points yields a flagged (NaN) estimate.
     """
     if trials < 1:
         raise UsageError(f"need at least one trial, got {trials}")
@@ -167,11 +160,11 @@ def outage_diversity(
     counts = np.zeros(eps.size, dtype=np.int64)
     done = 0
     while done < trials:
-        n = min(batch, trials - done)
+        n = min(OUTAGE_BATCH, trials - done)
         g = np.asarray(sampler(stream, n), dtype=float)
         counts += np.sum(g[:, None] < eps[None, :], axis=0)
         done += n
-    keep = counts >= min_events
+    keep = counts >= MIN_EVENTS
     pts = tuple(
         (float(e), int(k), float(k) / trials) for e, k in zip(eps[keep], counts[keep])
     )

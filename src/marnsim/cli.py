@@ -82,8 +82,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p):
-    # None means "not given on the command line" so config-file values can
-    # fill in; hard defaults are applied after merging.
+    # None means "not given on the command line": a config-file value fills
+    # in, and a stop setting given nowhere keeps ExperimentSpec's default.
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--min-errors", type=int, default=None)
     p.add_argument("--max-trials", type=int, default=None)
@@ -156,16 +156,17 @@ def _cmd_simulate(args) -> int:
         raise UsageError("at least one --config J,M,N is required")
     grid = _parse_grid(str(pick(args.snr_db, "snr_db", "10:5:30")))
     order = _parse_mod(str(pick(args.mod, "mod", "bpsk")))
-    workers = pick(args.workers, "workers", None)
+    stop = {}
+    for key in ("min_errors", "max_trials", "seed", "workers"):
+        value = pick(getattr(args, key), key, None)
+        if value is not None:
+            stop[key] = _parse_number(int, value, key)
     spec = ExperimentSpec(
         tuple(SchemeId.parse(s) for s in schemes),
         tuple(_parse_triple(c) for c in configs),
         grid,
         default_order=order,
-        min_errors=_parse_number(int, pick(args.min_errors, "min_errors", 200), "min_errors"),
-        max_trials=_parse_number(int, pick(args.max_trials, "max_trials", 2_000_000), "max_trials"),
-        seed=_parse_number(int, pick(args.seed, "seed", 0), "seed"),
-        workers=None if workers is None else _parse_number(int, workers, "workers"),
+        **stop,
     )
     return _run_and_emit(spec, args)
 
@@ -197,11 +198,7 @@ def _cmd_diversity(args) -> int:
 
 def _cmd_compare(args) -> int:
     spec = canned_spec(
-        args.figure,
-        seed=args.seed if args.seed is not None else 0,
-        min_errors=args.min_errors if args.min_errors is not None else 200,
-        max_trials=args.max_trials if args.max_trials is not None else 2_000_000,
-        workers=args.workers,
+        args.figure, seed=args.seed, min_errors=args.min_errors, max_trials=args.max_trials, workers=args.workers
     )
     return _run_and_emit(spec, args)
 

@@ -60,6 +60,8 @@ COMPARISON_ORDERS = {
 
 CHUNK_TRIALS = 4096
 WAVE_CHUNKS = 4
+Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
+GRID_POINTS = 12  # epsilon grid points of run_diversity
 
 
 def default_workers() -> int:
@@ -132,15 +134,15 @@ class BerPoint:
         )
 
 
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(k: int, n: int):
+    """Wilson score interval (95%) for a binomial proportion."""
     if n <= 0:
         return 0.0, 1.0
     p = k / n
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / n
     center = (p + z2 / (2 * n)) / denom
-    half = z * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / denom
+    half = Z95 * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / denom
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
@@ -251,7 +253,6 @@ def run_diversity(
     trials: int = 1_000_000,
     seed: int = 0,
     eps_start: float = None,
-    grid_points: int = 12,
 ) -> DiversityEstimate:
     """Outage-probability diversity estimate for one scheme and config."""
     sampler = make_gamma_sampler(scheme, cfg)
@@ -261,7 +262,7 @@ def run_diversity(
         if positive.size < 100:
             raise UsageError("SNR sampler produced too few positive draws")
         eps_start = float(np.quantile(positive, 0.02))
-    grid = make_eps_grid(eps_start, grid_points)
+    grid = make_eps_grid(eps_start, GRID_POINTS)
     return outage_diversity(sampler, grid, trials, RngStream(seed, 0xD1FE))
 
 
@@ -297,13 +298,8 @@ def emit(points, fmt: str = "csv", path: str = None) -> str:
     return text
 
 
-def parse_csv(text_or_path: str):
-    """Inverse of emit(..., 'csv'); accepts a path or the CSV text."""
-    if "\n" not in text_or_path and os.path.exists(text_or_path):
-        with open(text_or_path) as fh:
-            text = fh.read()
-    else:
-        text = text_or_path
+def parse_csv(text: str):
+    """Inverse of emit(..., 'csv'): the points of a CSV text."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise UsageError("missing or unexpected CSV header")
@@ -328,9 +324,9 @@ def parse_csv(text_or_path: str):
     return points
 
 
-def ber_slope_from_csv(text_or_path: str, window: int = 4):
-    """Per-curve BER slope estimates from an emitted CSV."""
-    points = parse_csv(text_or_path)
+def ber_slope_from_csv(text: str, window: int = 4):
+    """Per-curve BER slope estimates from an emitted CSV text."""
+    points = parse_csv(text)
     curves = {}
     for p in points:
         curves.setdefault((p.scheme, p.J, p.M, p.N), []).append(p)
@@ -349,9 +345,11 @@ def ber_slope_from_csv(text_or_path: str, window: int = 4):
 _ALL_SCHEMES = tuple(SchemeId)
 
 
-def canned_spec(name: str, seed: int = 0, min_errors: int = 200, max_trials: int = 2_000_000, workers: int = None) -> ExperimentSpec:
-    """Prebuilt sweeps matching the published experiment setups."""
-    common = dict(seed=seed, min_errors=min_errors, max_trials=max_trials, workers=workers)
+def canned_spec(name: str, seed: int = None, min_errors: int = None, max_trials: int = None, workers: int = None) -> ExperimentSpec:
+    """Prebuilt sweeps matching the published experiment setups; a stop
+    setting left at None keeps ExperimentSpec's default."""
+    given = dict(seed=seed, min_errors=min_errors, max_trials=max_trials, workers=workers)
+    common = {key: value for key, value in given.items() if value is not None}
     if name == "fig4":
         return ExperimentSpec(
             (SchemeId.DstcIcRec,),

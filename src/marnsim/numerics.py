@@ -28,6 +28,9 @@ __all__ = [
 # Singular values / pivots below RANK_TOL * (largest value) count as zero.
 RANK_TOL = 1e-10
 
+# is_alamouti's tolerance, relative to each matrix's largest entry (or 1).
+ALAMOUTI_TOL = 1e-10
+
 
 class UsageError(ValueError):
     """Caller violated a precondition (bad shape, unsupported parameter)."""
@@ -42,7 +45,7 @@ def dagger(a):
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def is_alamouti(m, tol: float = 1e-10) -> np.ndarray:
+def is_alamouti(m) -> np.ndarray:
     """Whether each (..., 2, 2) matrix of ``m`` has the form
     [[a, -conj(b)], [b, conj(a)]], as a bool array over the leading axes.
 
@@ -51,7 +54,7 @@ def is_alamouti(m, tol: float = 1e-10) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (2, 2):
         raise UsageError(f"expected 2x2 matrices, got shape {m.shape}")
-    bound = tol * np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    bound = ALAMOUTI_TOL * np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
     return (np.abs(m[..., 0, 1] + np.conj(m[..., 1, 0])) <= bound) & (
         np.abs(m[..., 1, 1] - np.conj(m[..., 0, 0])) <= bound
     )

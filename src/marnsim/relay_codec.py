@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericError, UsageError
+from .numerics import UsageError
 
 __all__ = [
     "DstcDesign",
@@ -35,19 +35,6 @@ class DstcDesign:
     m_used: int
     A: np.ndarray  # (m_used, T, T) int8
     B: np.ndarray  # (m_used, T, T) int8
-
-    @property
-    def pairs(self):
-        return [(self.A[i], self.B[i]) for i in range(self.m_used)]
-
-    def validate(self) -> None:
-        for i, (a, b) in enumerate(self.pairs):
-            nz = (np.any(a), np.any(b))
-            if nz[0] == nz[1]:
-                raise NumericError(f"antenna {i}: exactly one of A, B must be nonzero")
-            m = a if nz[0] else b
-            if not (np.all(np.sum(np.abs(m), axis=0) == 1) and np.all(np.sum(np.abs(m), axis=1) == 1)):
-                raise NumericError(f"antenna {i}: not a signed permutation")
 
 
 def _design_pairs(T: int):

@@ -93,7 +93,6 @@ __all__ = [
     "int_free_condition",
     "block_length",
     "check_supported",
-    "bits_per_channel_use",
     "relay_hard_decision",
     "relay_forward_groups",
     "relay_zf_gains",
@@ -128,10 +127,6 @@ class SchemeId(enum.Enum):
             if low in (member.value, member.name.lower()):
                 return member
         raise UsageError(f"unknown scheme name {name!r}")
-
-    @property
-    def number(self) -> int:
-        return list(type(self)).index(self) + 1
 
 
 @dataclass(frozen=True)
@@ -507,8 +502,3 @@ def post_ic_snr(scheme: SchemeId, F: np.ndarray, G: np.ndarray, cfg: NetworkConf
         gamma += schur_pairs(p, q, target - grp.start, design.T, sigma)[1]
     return gamma
 
-
-def bits_per_channel_use(scheme: SchemeId, J: int, M: int, N: int, order: int) -> Fraction:
-    """Information rate in bits/source/channel use for a PSK order."""
-    meta = scheme_meta(scheme, J, M, N)
-    return meta.symbol_rate * int(round(math.log2(order)))

@@ -97,7 +97,7 @@ class TestConstellation:
     def test_unit_energy(self, order):
         c = make_psk(order)
         assert abs(np.mean(np.abs(c.points) ** 2) - 1.0) < 1e-12
-        rot = make_psk(order, np.pi / 4)
+        rot = make_psk(order).rotated(np.pi / 4)
         assert np.allclose(np.abs(rot.points), 1.0)
 
     @pytest.mark.parametrize("order", [4, 8, 16])
@@ -134,7 +134,7 @@ class TestModulate:
         rng = np.random.default_rng(10)
         bits = rng.integers(0, 2, size=(5, 4 * c.bits_per_symbol)).astype(np.int8)
         syms = modulate(bits, c)
-        back = c.bits_of(nearest_psk(syms, order)).reshape(5, -1)
+        back = c.labels[nearest_psk(syms, order)].reshape(5, -1)
         assert np.array_equal(back, bits)
 
     def test_length_mismatch_raises(self):
@@ -150,10 +150,3 @@ class TestNetworkConfig:
     def test_nonpositive_power_raises(self):
         with pytest.raises(UsageError):
             NetworkConfig(2, 2, 2, 0.0)
-
-    def test_snr_db(self):
-        assert abs(NetworkConfig(1, 1, 1, 100.0).snr_db - 20.0) < 1e-12
-
-    def test_with_power(self):
-        cfg = NetworkConfig(2, 2, 2, 1.0).with_power(5.0)
-        assert cfg.P == 5.0 and cfg.J == 2

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo driver, emission, and the CLI."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -190,8 +191,18 @@ class TestEmitParse:
     def test_parse_from_path(self, tmp_path):
         points = run_experiment(_tiny_spec(snr_db=(10.0,)))
         path = tmp_path / "out.csv"
-        emit(points, path=str(path))
-        assert parse_csv(str(path)) == points
+        text = emit(points, path=str(path))
+        assert path.read_text() == text
+        assert parse_csv(path.read_text()) == points
+
+    def test_parse_takes_text_not_a_path(self, tmp_path):
+        # A one-line string is CSV text even when it names a file.
+        path = tmp_path / "out.csv"
+        emit(run_experiment(_tiny_spec(snr_db=(10.0,))), path=str(path))
+        with pytest.raises(UsageError):
+            parse_csv(str(path))
+        with pytest.raises(UsageError):
+            ber_slope_from_csv(str(path))
 
 
 class TestBerSlopeFromCsv:
@@ -504,6 +515,20 @@ class TestCli:
         rc = main(["diversity", "--from-csv", str(tmp_path / "missing.csv")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: cannot read --from-csv")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scheme", "tdma_icrec", "--config", "2,2,3", "--snr-db", "10"],
+        ["compare", "fig7"],
+    ])
+    def test_stop_rule_defaults_come_from_the_spec(self, monkeypatch, argv):
+        import marnsim.cli as cli
+
+        built = []
+        monkeypatch.setattr(cli, "_run_and_emit", lambda spec, args: built.append(spec) or 0)
+        assert main(argv) == 0
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
+        for key in ("min_errors", "max_trials", "seed", "workers"):
+            assert getattr(built[0], key) == defaults[key]
 
     def test_selftest_exit_zero(self, capsys):
         assert main(["selftest"]) == 0

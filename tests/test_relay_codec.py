@@ -50,7 +50,12 @@ class TestDstcDesign:
 
     @pytest.mark.parametrize("m", range(1, 5))
     def test_validate_all_sizes(self, m):
-        dstc_design(m).validate()
+        # Exactly one of A_i, B_i is nonzero, and it is a signed permutation.
+        d = dstc_design(m)
+        for a, b in zip(d.A, d.B):
+            assert np.any(a) != np.any(b)
+            p = np.abs(a + b)
+            assert np.all(p.sum(axis=0) == 1) and np.all(p.sum(axis=1) == 1)
 
     @pytest.mark.parametrize("m", range(5, 9))
     def test_above_four_antennas_raises(self, m):

@@ -10,7 +10,6 @@ from marnsim.harness import COMPARISON_ORDERS
 from marnsim.numerics import UsageError, null_space_projector
 from marnsim.schemes import (
     SchemeId,
-    bits_per_channel_use,
     block_length,
     check_supported,
     int_free_condition,
@@ -46,10 +45,6 @@ class TestSchemeId:
             SchemeId.parse("scheme7")
         with pytest.raises(UsageError):
             SchemeId.parse("bogus")
-
-    def test_number_property(self):
-        assert SchemeId.DstcIcRec.number == 1
-        assert SchemeId.ConcurrentJoint.number == 6
 
 
 class TestSchemeMeta:
@@ -134,7 +129,7 @@ class TestCheckSupported:
 class TestBitsPerChannelUse:
     def test_comparison_orders_give_one_bit(self):
         for scheme, order in COMPARISON_ORDERS.items():
-            assert bits_per_channel_use(scheme, 2, 2, 3, order) == 1
+            assert scheme_meta(scheme, 2, 2, 3).symbol_rate * make_psk(order).bits_per_symbol == 1
 
 
 class TestSimulation:
