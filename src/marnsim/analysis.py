@@ -136,7 +136,7 @@ MIN_EVENTS = 50  # outage events a grid point needs to enter the fit
 OUTAGE_BATCH = 200_000  # sampler draws per call
 
 
-def make_eps_grid(start: float, count: int = 12):
+def make_eps_grid(start: float, count: int):
     """Decreasing geometric epsilon grid start, start/EPS_FACTOR, ..."""
     if start <= 0 or count < 1:
         raise UsageError("need start > 0, count >= 1")

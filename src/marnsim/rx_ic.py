@@ -40,8 +40,11 @@ matrices (``ic_stack_batch``) and the forwarded-noise covariance
 build the closed-form SNR and the tests' reference systems.  The joint
 receiver, which cancels nothing, reads the same Gram systems laid out
 as one dense whitened system and searches every symbol tuple of all
-sources at once (``joint_search``); ``ml_decode_batch`` runs the same
-search on a dense (obs, h, R) system after ``whiten``.
+sources at once (``joint_search``): each tuple's metric is the real part
+of one row of a complex matrix product, a candidate feature table times
+the entries of the Hermitian Gram and the matched filter, so the search
+holds every tuple's score.  ``ml_decode_batch`` runs the same search on
+a dense (obs, h, R) system after ``whiten``.
 
 One system is a batch of one.
 Every observation entry is an explicit linear combination of raw samples;
@@ -51,7 +54,6 @@ construction end to end.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -566,17 +568,33 @@ def psk_slicer(w, gamma, c: Constellation):
 
 
 def _candidate_table(spec: SymbolSpec, c: Constellation):
-    """Every symbol-index tuple of ``spec`` and the entry values it
-    induces.  Enumeration is lexicographic in symbol indices so argmin
-    tie-breaking lands on the lowest indices."""
+    """Every symbol-index tuple of ``spec`` (C, n_symbols), lexicographic
+    as ``itertools.product`` lists them so that argmin ties land on the
+    lowest, and the feature table (C, E(E+1)/2 + E) of the E entries s_e
+    each induces: columns |s_e|^2, 2 conj(s_e) s_f for e < f (in
+    ``np.triu_indices`` order) and -2 conj(s_e).  One column-major array,
+    filled a column at a time with no whole-table temporaries: the
+    entries go to the last E columns and become -2 conj(s_e) last."""
+    n, e = spec.n_symbols, len(spec.entries)
+    combos = np.indices((c.order,) * n).reshape(n, -1).T
     rot = c.rotated(default_rotation(c.order))
-    combos = np.array(list(itertools.product(range(c.order), repeat=spec.n_symbols)), dtype=np.int64)
-    points = np.stack([(rot if f else c).points[combos[:, k]] for k, f in enumerate(spec.rotated)], axis=-1)
-    sv = np.zeros((len(combos), len(spec.entries)), dtype=complex)
+    points = [(rot if f else c).points for f in spec.rotated]
+    iu, ju = np.triu_indices(e, 1)
+    table = np.empty((len(combos), e + len(iu) + e), dtype=complex, order="F")
+    quad, sv = table[:, : e + len(iu)], table[:, e + len(iu) :]
     for k, terms in enumerate(spec.entries):
+        sv[:, k] = 0.0
         for idx, conj, sign in terms:
-            sv[:, k] += sign * (np.conj(points[:, idx]) if conj else points[:, idx])
-    return combos, sv
+            v = points[idx][combos[:, idx]]
+            sv[:, k] += sign * (np.conj(v) if conj else v)
+    for col, (i, j) in enumerate(zip(np.r_[:e, iu], np.r_[:e, ju])):
+        np.conj(sv[:, i], out=quad[:, col])
+        quad[:, col] *= sv[:, j]
+        if i != j:
+            quad[:, col] *= 2.0
+    np.conj(sv, out=sv)
+    sv *= -2.0
+    return combos, table
 
 
 def ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation):
@@ -591,12 +609,17 @@ def ml_decode_batch(obs, h, r, scale, spec: SymbolSpec, c: Constellation):
 
 def joint_search(w, q, spec: SymbolSpec, c: Constellation):
     """ML decisions (..., n_symbols) over every symbol tuple of ``spec`` at
-    once, from the whitened matched filter w (..., E) and Gram q
-    (..., E, E) of the E entries of ``spec``; the search holds
-    (..., order^n_symbols) metrics.
+    once, from the whitened matched filter w (..., E) and Hermitian Gram
+    q (..., E, E) of the E entries of ``spec``.
+
+    A tuple's metric s* q s - 2 Re(s* w) is, for Hermitian q, the real
+    part of its row of ``_candidate_table`` times
+    theta = [q_ee, q_ef for e < f, w_e]: one complex matrix product gives
+    the (..., order^n_symbols) complex scores of every tuple, held in
+    memory at once.  Ties go to the lowest tuple.
     """
-    combos, sv = _candidate_table(spec, c)
-    quad = np.einsum("ce,...ef,cf->...c", np.conj(sv), q, sv).real
-    lin = 2.0 * np.einsum("ce,...e->...c", np.conj(sv), w).real
-    best = np.argmin(quad - lin, axis=-1)
+    combos, table = _candidate_table(spec, c)
+    iu, ju = np.triu_indices(w.shape[-1], 1)
+    theta = np.concatenate([np.diagonal(q, axis1=-2, axis2=-1), q[..., iu, ju], w], axis=-1)
+    best = np.argmin((theta @ table.T).real, axis=-1)
     return combos[best]

@@ -40,6 +40,9 @@ from .schemes import relay_forward_groups
 
 __all__ = ["run_selftest", "ALL_CHECKS"]
 
+TRIALS = 100_000  # Monte Carlo draws per configuration of the noise and power checks
+ML_INSTANCES = 1000  # channel draws per PSK order of the ML agreement check
+
 
 def _family(rng, n):
     """n random members [[a, -conj(b)], [b, conj(a)]]: the dense view of
@@ -47,7 +50,7 @@ def _family(rng, n):
     return pair_blocks(rng.complex_normal(1, 2, 1, 1, n), 2)[0][:, 0]
 
 
-def check_alamouti_closure(seed=0):
+def check_alamouti_closure(seed):
     """Products, real-scalar multiples, sums, and adjoints of family
     members stay in the family (1000 random pairs)."""
     rng = RngStream(seed, 101)
@@ -62,7 +65,7 @@ def check_alamouti_closure(seed=0):
     return True, "1000 pairs closed under product, sum, real scaling, adjoint"
 
 
-def check_hermitian_diagonality(seed=0):
+def check_hermitian_diagonality(seed):
     """A Hermitian family member is a real multiple of the identity, and
     the explicit whitened Gram (B h)* R^-1 (B h) of random TDMA-uplink
     post-IC systems (``whiten``) equals the gamma I of the kernels'
@@ -100,7 +103,7 @@ def check_hermitian_diagonality(seed=0):
     return True, f"explicit whitened Gram equals the pair stages' gamma I within {worst:.2e} over 1000 channels"
 
 
-def check_recombination_audit(seed=0):
+def check_recombination_audit(seed):
     """Every equivalent-system observation equals the recorded linear
     combination of raw destination samples to 1e-12."""
     rng = RngStream(seed, 103)
@@ -141,7 +144,7 @@ def _whitened_noise_deviation(pairs, obs, r0_inv, T, sigma=None):
     return worst
 
 
-def check_noise_covariance(seed=0, trials=100_000):
+def check_noise_covariance(seed):
     """Noise simulated through the relay, the downlink and ``recombine``,
     whitened by the kernels' ``gram_pairs`` and ``schur_pairs`` (with
     ``forwarded_inverse`` for amplify-and-forward, and the target's relay
@@ -157,16 +160,16 @@ def check_noise_covariance(seed=0, trials=100_000):
         kappa = 2.0 if T == 4 else 1.0
         if family == "AF":
             c = dstc_power_scale(P, M, J)
-            x = c * apply_design(design, np.moveaxis(rng.complex_normal(trials, M, T), 0, -1))
+            x = c * apply_design(design, np.moveaxis(rng.complex_normal(TRIALS, M, T), 0, -1))
             pairs, sigma = dstc_channel_stacks(f[None], g[None]), None
             r0_inv = forwarded_inverse(g[..., None], c, kappa)
         else:
             c = tdma_power_scale(P, M)
             gains = np.sum(np.abs(f) ** 2, axis=0)
-            est_noise = rng.complex_normal(trials, J, T) / np.sqrt(gains)[:, None]
+            est_noise = rng.complex_normal(TRIALS, J, T) / np.sqrt(gains)[:, None]
             x = relay_forward_groups(np.moveaxis(est_noise, 0, -1), design, c, M)
             pairs, r0_inv, sigma = tdma_channel_stacks(g[None], J), 1.0 / kappa, kappa * c * c / gains
-        raw = np.einsum("mtk,mn->ntk", x, g) + np.moveaxis(rng.complex_normal(trials, N, T), 0, -1)
+        raw = np.einsum("mtk,mn->ntk", x, g) + np.moveaxis(rng.complex_normal(TRIALS, N, T), 0, -1)
         dev = _whitened_noise_deviation(pairs, recombine(raw, T), r0_inv, T, sigma)
         msgs.append(f"{family} ({J},{M},{N}) whitened-noise deviation {dev:.3f}")
         if dev > 0.03:
@@ -174,7 +177,7 @@ def check_noise_covariance(seed=0, trials=100_000):
     return True, "; ".join(msgs)
 
 
-def check_ml_agreement(seed=0, instances=1000):
+def check_ml_agreement(seed):
     """The kernels' decoder (``gram_pairs``, ``schur_pairs``, then
     ``psk_slicer``) run from the pre-IC observation equals the exhaustive
     whitened ML decoder ``ml_decode_batch`` on the explicit post-IC system
@@ -187,14 +190,14 @@ def check_ml_agreement(seed=0, instances=1000):
     spec = symbol_spec(2)
     for order in (2, 4):
         const = make_psk(order)
-        f = rng.complex_normal(instances, cfg.M, cfg.J)
-        g = rng.complex_normal(instances, cfg.M, cfg.N)
+        f = rng.complex_normal(ML_INSTANCES, cfg.M, cfg.J)
+        g = rng.complex_normal(ML_INSTANCES, cfg.M, cfg.N)
         pairs = dstc_channel_stacks(f, g)
         [stacks] = pair_blocks(pairs, 2)
-        sv = spec.build(modulate(rng.bits(instances, cfg.J, 2 * const.bits_per_symbol), const))
+        sv = spec.build(modulate(rng.bits(ML_INSTANCES, cfg.J, 2 * const.bits_per_symbol), const))
         r0 = noise_cov_forwarded(gtilde(g), c, 1.0)
         # colored noise with exactly the covariance R0 via its Cholesky root
-        noise = np.einsum("nij,nj->ni", np.linalg.cholesky(r0), rng.complex_normal(instances, 2 * cfg.N))
+        noise = np.einsum("nij,nj->ni", np.linalg.cholesky(r0), rng.complex_normal(ML_INSTANCES, 2 * cfg.N))
         obs = scale * np.einsum("njrk,njk->nr", stacks, sv) + noise
         o = np.stack([obs[:, 0::2].T, obs[:, 1::2].T])  # the observation pairs (u, v)
         p, q = gram_pairs(pairs[0], o, forwarded_inverse(np.moveaxis(g, 0, -1), c, 1.0))
@@ -211,7 +214,7 @@ def check_ml_agreement(seed=0, instances=1000):
     return True, "pair decoder equals ml_decode_batch on the explicit post-IC systems (BPSK, QPSK, both sources)"
 
 
-def check_power_normalization(seed=0, trials=100_000):
+def check_power_normalization(seed):
     """Average total relay transmit power per slot stays within 2% of P
     under protocol-distributed inputs."""
     rng = RngStream(seed, 106)
@@ -220,10 +223,10 @@ def check_power_normalization(seed=0, trials=100_000):
         P = 10.0
         design = dstc_design(M)
         c = dstc_power_scale(P, M, J)
-        f = rng.complex_normal(trials, M, J)
-        s = np.exp(2j * np.pi * rng.generator.random((trials, J, design.T)))
+        f = rng.complex_normal(TRIALS, M, J)
+        s = np.exp(2j * np.pi * rng.generator.random((TRIALS, J, design.T)))
         r = math.sqrt(P) * np.einsum("nmj,njt->nmt", f, s) + rng.complex_normal(
-            trials, M, design.T
+            TRIALS, M, design.T
         )
         t = c * apply_design(design, np.moveaxis(r, 0, -1))
         power = float(np.mean(np.sum(np.abs(t) ** 2, axis=0)))  # per slot, all antennas
@@ -234,8 +237,8 @@ def check_power_normalization(seed=0, trials=100_000):
         P = 10.0
         design = dstc_design(M // J)
         c1 = tdma_power_scale(P, M)
-        s = np.exp(2j * np.pi * rng.generator.random((trials, J, design.T)))
-        rhat = math.sqrt(P) * s + rng.complex_normal(trials, J, design.T)
+        s = np.exp(2j * np.pi * rng.generator.random((TRIALS, J, design.T)))
+        rhat = math.sqrt(P) * s + rng.complex_normal(TRIALS, J, design.T)
         xr = relay_forward_groups(np.moveaxis(rhat, 0, -1), design, c1, M)
         power = float(np.mean(np.sum(np.abs(xr) ** 2, axis=0)))
         if abs(power / P - 1.0) > 0.02:

@@ -12,14 +12,17 @@ observation of ``recombination_matrices``.
 
 The dense helpers that no kernel runs live here too: ``block_diag``,
 the explicit IC path's on-target covariance ``noise_cov_on_target``,
-and ``component_search``, exhaustive ML one symbol component at a time,
-the reference for the PSK slicer.
+``component_search``, exhaustive ML one symbol component at a time,
+the reference for the PSK slicer, and ``einsum_search``, the joint
+search scored term by term, the reference for ``joint_search``.
 """
+
+import itertools
 
 import numpy as np
 
 from marnsim.numerics import dagger, solve_psd_stack
-from marnsim.rx_ic import SymbolSpec, joint_search
+from marnsim.rx_ic import SymbolSpec, default_rotation, joint_search
 
 
 def block_diag(*blocks):
@@ -71,6 +74,23 @@ def component_search(w, q, spec, c):
         sub = SymbolSpec(len(syms), entries, tuple(spec.rotated[i] for i in syms))
         out[..., syms] = joint_search(w[..., ents], q[..., ents, :][..., :, ents], sub, c)
     return out
+
+
+def einsum_search(w, q, spec, c):
+    """ML decisions (..., n_symbols) of ``joint_search``'s arguments,
+    scored as Re(sv* q sv) - 2 Re(sv* w) over the entry values sv of
+    every symbol tuple, listed by ``itertools.product``: ties go to the
+    lowest tuple."""
+    rot = c.rotated(default_rotation(c.order))
+    combos = np.array(list(itertools.product(range(c.order), repeat=spec.n_symbols)), dtype=np.int64)
+    points = np.stack([(rot if f else c).points[combos[:, k]] for k, f in enumerate(spec.rotated)], axis=-1)
+    sv = np.zeros((len(combos), len(spec.entries)), dtype=complex)
+    for k, terms in enumerate(spec.entries):
+        for idx, conj, sign in terms:
+            sv[:, k] += sign * (np.conj(points[:, idx]) if conj else points[:, idx])
+    quad = np.einsum("ce,...ef,cf->...c", np.conj(sv), q, sv).real
+    lin = 2.0 * np.einsum("ce,...e->...c", np.conj(sv), w).real
+    return combos[np.argmin(quad - lin, axis=-1)]
 
 
 def interleave(a):

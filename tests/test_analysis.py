@@ -241,7 +241,7 @@ class TestOutageDiversity:
 
     def test_grid_validation(self):
         with pytest.raises(UsageError):
-            make_eps_grid(-1.0)
+            make_eps_grid(-1.0, 12)
         with pytest.raises(UsageError):
             outage_diversity(_gamma_sampler(1.0), [0.0], 100)
 

@@ -7,7 +7,8 @@ memory, and peaks no higher than the kernels did before the policy.  The
 measurements run in a spawned process, so no earlier test's heap counts.
 Without the policy, or without ``mallopt``, the decisions are the same.
 ``python tests/test_heap_policy.py`` prints the steady-state time and
-minor page faults per 4096-trial chunk of every row.
+minor page faults per 4096-trial chunk of every row, and per 64-trial
+chunk of the joint search at (2,4,3).
 """
 
 import ctypes
@@ -31,6 +32,7 @@ from marnsim.harness import CHUNK_TRIALS, COMPARISON_ORDERS
 from marnsim.schemes import SchemeId, simulate_batch, simulate_chunk
 
 IC_ROWS = [s for s in SchemeId if s is not SchemeId.ConcurrentJoint]
+ROWS = IC_ROWS + [SchemeId.ConcurrentJoint]
 
 # tracemalloc peak of one 4096-trial (2,4,3) batch, in MB, of each IC row
 # as the kernels allocated before any buffer reuse (each scheme at its
@@ -48,6 +50,19 @@ FRESH_PEAK_MB = {
 # faults in a few.
 MAX_FAULTS = 64
 
+# tracemalloc peak of one 64-trial (2,4,3) concurrent_joint batch at QPSK,
+# in MB: the search's candidate table and its complex scores.  Scoring by
+# a three-operand einsum peaked at 181 MB.
+JOINT_PEAK_MB = 160.0
+JOINT_TRIALS = 64
+
+
+def _cfg3(scheme):
+    """Each row's steady-state (J, M, N): fig8's, or fig7's (2,2,3) for
+    concurrent_joint, since a 4096-trial chunk of its (2,4,3) search does
+    not fit in memory."""
+    return (2, 2, 3) if scheme is SchemeId.ConcurrentJoint else (2, 4, 3)
+
 
 def _faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -56,8 +71,9 @@ def _faults():
 def _steady_state(scheme):
     """(minor faults per batch, tracemalloc peak of one batch, traced
     growth from the end of the 2nd batch to the end of the 3rd) of
-    steady-state 4096-trial batches at (2,4,3)."""
-    cfg, const = NetworkConfig(2, 4, 3, 100.0), make_psk(COMPARISON_ORDERS[scheme])
+    steady-state 4096-trial batches at the row's ``_cfg3``, each row at
+    its fig8 PSK order."""
+    cfg, const = NetworkConfig(*_cfg3(scheme), 100.0), make_psk(COMPARISON_ORDERS[scheme])
     for k in range(3):
         simulate_batch(scheme, cfg, const, RngStream(5, k), CHUNK_TRIALS)
     batches, before = 8, _faults()
@@ -78,7 +94,7 @@ def _steady_state(scheme):
 
 
 def _steady_states():
-    return {s.value: _steady_state(s) for s in IC_ROWS}
+    return {s.value: _steady_state(s) for s in ROWS}
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +103,7 @@ def steady():
         return pool.apply_async(_steady_states).get(timeout=300)
 
 
-@pytest.mark.parametrize("scheme", IC_ROWS)
+@pytest.mark.parametrize("scheme", ROWS)
 def test_steady_batches_fault_in_no_fresh_pages(steady, scheme):
     faults, _, _ = steady[scheme.value]
     assert faults < MAX_FAULTS
@@ -100,6 +116,19 @@ def test_steady_batches_keep_nothing_within_fresh_peak(steady, scheme):
     # Garbage that awaits the cycle collector moves by a few hundred bytes per
     # batch; a kept array would be at least one float64 per trial.
     assert growth < 8 * CHUNK_TRIALS
+
+
+def test_joint_search_peak():
+    scheme = SchemeId.ConcurrentJoint
+    cfg, const = NetworkConfig(2, 4, 3, 100.0), make_psk(COMPARISON_ORDERS[scheme])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        simulate_batch(scheme, cfg, const, RngStream(5, 0), JOINT_TRIALS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 < JOINT_PEAK_MB
 
 
 def test_libc_without_mallopt_is_left_alone():
@@ -145,28 +174,29 @@ def test_decisions_without_the_policy_are_the_same():
 
 
 def table():
-    """Rows of (scheme, (J, M, N), ms per chunk, minor faults per chunk)
-    for steady-state 4096-trial simulate_chunk calls, each row at its fig8
-    PSK order; concurrent_joint at fig7's (2,2,3), since a 4096-trial
-    chunk of its (2,4,3) search does not fit in memory."""
+    """Rows of (scheme, (J, M, N), trials, ms per chunk, minor faults per
+    chunk) for steady-state simulate_chunk calls, each row at its fig8
+    PSK order: 4096-trial chunks at the row's ``_cfg3``, then 64-trial
+    chunks of concurrent_joint at (2,4,3)."""
+    cases = [(s, _cfg3(s), CHUNK_TRIALS) for s in SchemeId]
+    cases.append((SchemeId.ConcurrentJoint, (2, 4, 3), JOINT_TRIALS))
     rows = []
-    for scheme in SchemeId:
-        cfg3 = (2, 2, 3) if scheme is SchemeId.ConcurrentJoint else (2, 4, 3)
+    for scheme, cfg3, trials in cases:
         cfg, const = NetworkConfig(*cfg3, 100.0), make_psk(COMPARISON_ORDERS[scheme])
         for k in range(3):
-            simulate_chunk(scheme, cfg, const, RngStream(7, k), CHUNK_TRIALS)
+            simulate_chunk(scheme, cfg, const, RngStream(7, k), trials)
         chunks, times, before = 20, [], _faults()
         for k in range(chunks):
             t0 = time.perf_counter()
-            simulate_chunk(scheme, cfg, const, RngStream(7, 3 + k), CHUNK_TRIALS)
+            simulate_chunk(scheme, cfg, const, RngStream(7, 3 + k), trials)
             times.append(time.perf_counter() - t0)
-        rows.append((scheme.value, cfg3, 1e3 * float(np.median(times)), (_faults() - before) / chunks))
+        rows.append((scheme.value, cfg3, trials, 1e3 * float(np.median(times)), (_faults() - before) / chunks))
     return rows
 
 
 if __name__ == "__main__":
-    print("| row | (J,M,N) | ms per chunk | minor faults per chunk |")
-    print("|---|---|---|---|")
-    for name, cfg3, ms, faults in table():
-        print(f"| `{name}` | {cfg3} | {ms:.1f} | {faults:.1f} |")
-    print("\nSteady-state 4096-trial chunks, each row at its fig8 PSK order; median time of 20.")
+    print("| row | (J,M,N) | trials per chunk | ms per chunk | minor faults per chunk |")
+    print("|---|---|---|---|---|")
+    for name, cfg3, trials, ms, faults in table():
+        print(f"| `{name}` | {cfg3} | {trials} | {ms:.1f} | {faults:.1f} |")
+    print("\nSteady-state chunks, each row at its fig8 PSK order; median time of 20.")

@@ -15,6 +15,8 @@ from marnsim.airlink import NetworkConfig, RngStream, draw_channels_batch, make_
 from marnsim.numerics import NumericError, UsageError, dagger, null_space_projector, solve_psd_stack
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
 from marnsim.rx_ic import (
+    SymbolSpec,
+    _candidate_table,
     default_rotation,
     dstc_channel_stacks,
     forwarded_inverse,
@@ -38,6 +40,7 @@ from gram_oracle import (
     block_diag,
     component_search,
     dense_obs,
+    einsum_search,
     forwarded_core,
     gram_system,
     interleave,
@@ -575,6 +578,24 @@ class TestMlDecode:
         assert calls == [(3, 8, 5)]  # right-hand side [h | obs]
 
 
+# (T, J, order) of joint searches up to 2^16 hypotheses.
+_JOINT_SEARCHES = [
+    (T, J, order)
+    for T in (1, 2, 4)
+    for J in (1, 2, 3)
+    for order in (2, 4, 8, 16)
+    if order ** (T * J) <= 1 << 16
+]
+
+
+def _joint_spec(T, J):
+    """The joint receiver's layout of J sources' T-slot entries, source by
+    source, as ``schemes._joint_decode`` builds it."""
+    spec = symbol_spec(T)
+    entries = sum((spec.shifted(j * spec.n_symbols).entries for j in range(J)), ())
+    return SymbolSpec(J * spec.n_symbols, entries, spec.rotated * J)
+
+
 def _capture(monkeypatch, name, scheme, cfg3, order, trials=64):
     """Every argument tuple that the kernel of ``scheme`` hands to
     ``schemes.<name>`` on one fixed-seed batch at P = 10."""
@@ -618,6 +639,38 @@ class TestJointMlDecode:
             assert np.array_equal(got[i], want)
         # The component-wise search ignores the coupling and decides otherwise.
         assert not np.array_equal(component_search(w, q, spec, c), got)
+
+    @pytest.mark.parametrize("T,J,order", _JOINT_SEARCHES)
+    def test_decides_as_einsum_scorer(self, T, J, order):
+        # On random Hermitian systems the feature-table product decides as
+        # the term-by-term einsum does; a disagreement can only be a metric
+        # near-tie.
+        spec, c = _joint_spec(T, J), make_psk(order)
+        e, n = len(spec.entries), min(64, (1 << 19) // order ** (T * J))
+        rng = RngStream(61, 100 * T + 10 * J + order)
+        a = _cn(rng, n, e, e)
+        w, q = 2.0 * _cn(rng, n, e), a @ dagger(a)
+        _assert_near_ties(w, q, spec, c, joint_search(w, q, spec, c), einsum_search(w, q, spec, c))
+
+    @pytest.mark.parametrize("cfg3", [(2, 2, 3), (2, 4, 3)])
+    def test_kernel_systems_decide_as_einsum_scorer(self, monkeypatch, cfg3):
+        (w, q, spec, c), = _capture(monkeypatch, "joint_search", SchemeId.ConcurrentJoint, cfg3, 4)
+        _assert_near_ties(w, q, spec, c, joint_search(w, q, spec, c), einsum_search(w, q, spec, c))
+
+    @pytest.mark.parametrize("T,J,order", [(1, 3, 4), (2, 2, 4), (4, 1, 8), (4, 2, 2)])
+    def test_candidate_table_in_product_order(self, T, J, order):
+        spec, c = _joint_spec(T, J), make_psk(order)
+        combos, table = _candidate_table(spec, c)
+        assert combos.tolist() == [list(t) for t in itertools.product(range(order), repeat=spec.n_symbols)]
+        # Each row holds the features of its own tuple's entries.
+        consts = [c.rotated(default_rotation(order)) if f else c for f in spec.rotated]
+        sv = spec.build(np.stack([consts[k].points[combos[:, k]] for k in range(spec.n_symbols)], axis=-1))
+        e = sv.shape[-1]
+        iu, ju = np.triu_indices(e, 1)
+        want = np.concatenate([np.abs(sv) ** 2, 2.0 * np.conj(sv[:, iu]) * sv[:, ju], -2.0 * np.conj(sv)], axis=1)
+        assert np.abs(table - want).max() < 1e-13
+        # All-equal metrics decide tuple 0.
+        assert not joint_search(np.zeros((3, e)), np.zeros((3, e, e)), spec, c).any()
 
     def test_never_takes_component_search(self, monkeypatch):
         from marnsim import schemes
@@ -1110,6 +1163,16 @@ def _metric(w, q, spec, c, idx):
     return quad - lin, np.abs(quad) + np.abs(lin)
 
 
+def _assert_near_ties(w, q, spec, c, got, want):
+    """Decisions got and want (n, n_symbols) of the whitened (w, q) differ
+    only where their metrics are within 1e-12 of the terms' magnitudes."""
+    differ = np.flatnonzero(np.any(got != want, axis=-1))
+    if differ.size:
+        m_got, _ = _metric(w[differ], q[differ], spec, c, got[differ])
+        m_want, size = _metric(w[differ], q[differ], spec, c, want[differ])
+        assert np.all(np.abs(m_got - m_want) < 1e-12 * size)
+
+
 class TestPskSlicer:
     @pytest.mark.parametrize("order", [2, 4, 8, 16])
     @pytest.mark.parametrize("scheme", [s for s in SchemeId if s is not SchemeId.ConcurrentJoint])
@@ -1122,11 +1185,7 @@ class TestPskSlicer:
                 spec = symbol_spec(len(w))
                 q = _split_grams(g, len(w))
                 got, want = psk_slicer(w, g, c), component_search(w.T, q, spec, c)
-                differ = np.flatnonzero(np.any(got != want, axis=-1))
-                if differ.size:
-                    m_got, _ = _metric(w.T[differ], q[differ], spec, c, got[differ])
-                    m_want, size = _metric(w.T[differ], q[differ], spec, c, want[differ])
-                    assert np.all(np.abs(m_got - m_want) < 1e-12 * size)
+                _assert_near_ties(w.T, q, spec, c, got, want)
 
     @pytest.mark.parametrize("e", [1, 2])
     def test_ties_go_to_lowest_index(self, e):
