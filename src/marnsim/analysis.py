@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airlink import NetworkConfig, RngStream
-from .numerics import UsageError, dagger, null_space_projector, solve_psd_stack
+from .numerics import UsageError, dagger, solve_psd_stack, zf_residual
 from .relay_codec import dstc_design, dstc_power_scale, tdma_power_scale
 from .rx_ic import (
     dstc_channel_stacks,
@@ -78,16 +78,15 @@ def snr_upper_bound_dstc(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, targe
 
     with Gt the relay-noise mixing matrix (trace = 2 * sum |g_in|^2) and
     Theta the projector onto the orthogonal complement of the other
-    sources' uplink columns.  Dominates the actual post-IC SNR on every
-    draw; its diversity order caps the scheme's at M - J + 1.
+    sources' uplink columns, so that f_t* Theta f_t is the target's
+    zero-forcing residual (``zf_residual``).  Dominates the actual
+    post-IC SNR on every draw; its diversity order caps the scheme's at
+    M - J + 1.
     """
     if cfg.M != 2:
         raise UsageError(f"upper bound covers M=2, got M={cfg.M}")
-    f_t = F[..., target]
-    theta = null_space_projector(np.delete(F, target, axis=-1))
-    quad = np.sum(np.conj(f_t) * (theta @ f_t[..., None])[..., 0], axis=-1).real
     g_total = 2.0 * np.sum(np.abs(G) ** 2, axis=(-2, -1))
-    return g_total * np.maximum(quad, 0.0)
+    return g_total * zf_residual(np.moveaxis(F, 0, -1), target)
 
 
 def snr_tdma_batch(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int = 0) -> np.ndarray:
@@ -133,6 +132,7 @@ def snr_dstc_batch(F: np.ndarray, G: np.ndarray, cfg: NetworkConfig, target: int
 
 EPS_FACTOR = 2.0  # ratio of neighbouring epsilon grid points
 MIN_EVENTS = 50  # outage events a grid point needs to enter the fit
+MIN_BIT_ERRORS = 100  # bit errors a BER point needs to enter the fit
 OUTAGE_BATCH = 200_000  # sampler draws per call
 
 
@@ -204,7 +204,7 @@ def ber_slope(points, window: int = 4) -> DiversityEstimate:
     for p in pts:
         if not p[1] > 0:
             raise UsageError(f"BER must be positive, got {p[1]} at {p[0]} dB")
-        if len(p) > 2 and p[2] < 100:
+        if len(p) > 2 and p[2] < MIN_BIT_ERRORS:
             raise UsageError(f"point at {p[0]} dB has only {p[2]} bit errors")
     top = pts[-window:] if window and window >= 3 else pts
     x = np.array([p[0] / 10.0 for p in top])

@@ -20,6 +20,7 @@ import numpy as np
 
 from .airlink import NetworkConfig, RngStream, draw_channels_batch, make_psk
 from .analysis import (
+    MIN_BIT_ERRORS,
     DiversityEstimate,
     ber_slope,
     make_eps_grid,
@@ -308,31 +309,24 @@ def parse_csv(text: str):
         cols = ln.split(",")
         if len(cols) != 12:
             raise UsageError(f"bad CSV row: {ln!r}")
-        points.append(
-            BerPoint(
-                SchemeId(cols[0]),
-                int(cols[1]),
-                int(cols[2]),
-                int(cols[3]),
-                float(cols[4]),
-                int(cols[5]),
-                int(cols[6]),
-                int(cols[7]),
-                int(cols[8]),
-            )
-        )
+        try:
+            point = BerPoint(SchemeId(cols[0]), *map(int, cols[1:4]), float(cols[4]), *map(int, cols[5:9]))
+        except ValueError as exc:
+            raise UsageError(f"bad CSV row {ln!r}: {exc}") from None
+        points.append(point)
     return points
 
 
 def ber_slope_from_csv(text: str, window: int = 4):
-    """Per-curve BER slope estimates from an emitted CSV text."""
+    """Per-curve BER slope estimates from an emitted CSV text, over the
+    points with at least MIN_BIT_ERRORS bit errors."""
     points = parse_csv(text)
     curves = {}
     for p in points:
         curves.setdefault((p.scheme, p.J, p.M, p.N), []).append(p)
     out = {}
     for key, pts in curves.items():
-        usable = [(p.snr_db, p.ber, p.bit_errors) for p in pts if p.bit_errors > 0]
+        usable = [(p.snr_db, p.ber, p.bit_errors) for p in pts if p.bit_errors >= MIN_BIT_ERRORS]
         if len(usable) >= 3:
             out[key] = ber_slope(usable, window)
     return out
@@ -388,7 +382,10 @@ def canned_spec(name: str, seed: int = None, min_errors: int = None, max_trials:
 def load_config_file(path: str) -> dict:
     """Flat key=value settings from [simulate]/[diversity] sections."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise UsageError(f"cannot parse config file {path!r}: {exc}") from exc
     if not read:
         raise UsageError(f"cannot read config file {path!r}")
     out = {}

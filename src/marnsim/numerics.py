@@ -1,11 +1,13 @@
 """Small dense complex-matrix kernel used by the rest of the simulator.
 
 Matrices are plain complex numpy arrays of at most a few dozen rows
-(stacked 2x2 Alamouti blocks).  Every helper accepts stacked inputs
-(leading batch axes), and one matrix is a batch of one: the Monte Carlo
-driver solves a whole chunk of trials in one LAPACK call, and callers
-stack every right-hand side that shares a matrix so it is factorized
-once.
+(stacked 2x2 Alamouti blocks).  Every matrix helper accepts stacked
+inputs (leading batch axes), and one matrix is a batch of one: the Monte
+Carlo driver solves a whole chunk of trials in one LAPACK call, and
+callers stack every right-hand side that shares a matrix so it is
+factorized once.  ``zf_residual``, the one zero-forcing residual behind
+the relay gains and the concurrent-uplink SNR bound, works batch-last
+instead, elementwise over the draws, as the kernels do.
 
 Importing the module sets the process's heap policy (``_keep_heap``).
 """
@@ -13,6 +15,7 @@ Importing the module sets the process's heap policy (``_keep_heap``).
 from __future__ import annotations
 
 import ctypes
+import functools
 
 import numpy as np
 
@@ -21,12 +24,9 @@ __all__ = [
     "NumericError",
     "dagger",
     "is_alamouti",
-    "null_space_projector",
     "solve_psd_stack",
+    "zf_residual",
 ]
-
-# Singular values / pivots below RANK_TOL * (largest value) count as zero.
-RANK_TOL = 1e-10
 
 # is_alamouti's tolerance, relative to each matrix's largest entry (or 1).
 ALAMOUTI_TOL = 1e-10
@@ -60,27 +60,37 @@ def is_alamouti(m) -> np.ndarray:
     )
 
 
-def null_space_projector(columns) -> np.ndarray:
-    """Projector (..., n, n) onto the orthogonal complement of the column
-    space of each (..., n, k) matrix: Hermitian and idempotent.
+def zf_residual(f, target: int) -> np.ndarray:
+    """Zero-forcing gain (n,) of column ``target`` of the batch-last
+    (M, J, n) uplink ``f``: ||f_j - sum proj f_j||^2 once the other
+    columns are projected off by modified Gram-Schmidt, elementwise over
+    the draws (Golub and Van Loan, Matrix Computations, 4th ed., 5.2.8).
+    With no other column it is the maximum-ratio gain sum_i |f_ij|^2; a
+    column that is zero, or zero once projected, projects off nothing.
+    Sums over M run in row order, so no value depends on the batch."""
+    basis = []  # (q, ||q||^2) of the other columns, mutually orthogonal
+    for k in range(f.shape[1]):
+        if k != target:
+            q = f[:, k]
+            for b, bb in basis:
+                q = q - _projection(b, bb, q)
+            basis.append((q, _power(q)))
+    r = f[:, target]
+    for b, bb in basis:
+        r = r - _projection(b, bb, r)
+    return _power(r)
 
-    Rank deficiency (repeated or dependent columns) is handled through an
-    SVD with a drop tolerance relative to each matrix's largest singular
-    value, so nearly-parallel channel draws do not blow up the projector.
-    """
-    a = np.asarray(columns, dtype=complex)
-    if a.ndim < 2:
-        raise UsageError("columns must be an (..., n, k) array")
-    n, k = a.shape[-2:]
-    if k >= n:
-        raise UsageError(f"need fewer columns than rows, got {n}x{k}")
-    if not np.all(np.isfinite(a)):
-        raise NumericError("non-finite entries in columns")
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    basis = u * (s > RANK_TOL * s[..., :1])[..., None, :]  # dropped directions zeroed
-    p = np.eye(n, dtype=complex) - basis @ dagger(basis)
-    # Symmetrize away the last few ulps so the invariant checks are exact.
-    return 0.5 * (p + dagger(p))
+
+def _power(x):
+    """sum_m |x_m|^2 (n,) of (M, n) x."""
+    p = np.square(np.abs(x))
+    return functools.reduce(np.add, p[1:], p[0])
+
+
+def _projection(b, bb, x):
+    """(b* x / b* b) b (M, n): x projected onto b, 0 where b = 0."""
+    dot = functools.reduce(np.add, np.conj(b[1:]) * x[1:], np.conj(b[0]) * x[0])
+    return np.divide(dot, bb, out=np.zeros_like(dot), where=bb > 0) * b
 
 
 def solve_psd_stack(a, b):

@@ -17,10 +17,12 @@ Amplify-and-forward (AF): the sources of a downlink group transmit at
 once, and the relay applies the M-antenna distributed space-time code to
 what it receives, forwarding its own noise (``noise_cov_forwarded``).
 Estimate-and-forward (EF): the relay estimates each source's symbols
-(MRC over a TDMA uplink, or zero-forcing separation of a concurrent one)
-and codes each group's estimates on disjoint groups of M // (group size)
-antennas; the estimates' noise rides on the target's channel (the
-``sigma`` of ``schur_pairs``).  Each kernel runs with the batch axis last
+(MRC over a TDMA uplink, or zero-forcing separation of a concurrent one;
+either gain is the power of the source's uplink column left once the
+other sources' columns are projected off, ``zf_residual``, with none
+projected off for MRC) and codes each group's estimates on disjoint
+groups of M // (group size) antennas; the estimates' noise rides on the
+target's channel (the ``sigma`` of ``schur_pairs``).  Each kernel runs with the batch axis last
 from the draws on: the uplink and the downlink are sums of J or M
 elementwise products, the relay codes (antenna, slot, n) blocks, and
 ``recombine`` returns each split's observation pairs.  Every row decodes
@@ -61,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .airlink import Constellation, NetworkConfig, RngStream, draw_channels_batch, make_psk, modulate, nearest_psk
-from .numerics import NumericError, UsageError
+from .numerics import NumericError, UsageError, zf_residual
 from .relay_codec import (
     apply_design,
     dstc_design,
@@ -95,7 +97,6 @@ __all__ = [
     "check_supported",
     "relay_hard_decision",
     "relay_forward_groups",
-    "relay_zf_gains",
     "simulate_batch",
     "simulate_chunk",
     "post_ic_snr",
@@ -227,33 +228,11 @@ def relay_forward_groups(est: np.ndarray, design, c: float, M: int) -> np.ndarra
     return out
 
 
-def relay_zf_gains(F: np.ndarray) -> np.ndarray:
-    """Zero-forcing separation at the relay: (n, J) residual powers
-    ||f_j - Q_j Q_j* f_j||^2 of each source's (n, M, J) uplink column
-    projected off the other sources' columns (orthonormal basis Q_j).
-    The residual power sets the noise of the separated symbols."""
-    n, _, J = F.shape
-    npj = np.empty((n, J))
-    for j in range(J):
-        fj = F[:, :, j]
-        u = np.linalg.qr(np.delete(F, j, axis=2))[0]  # (n, M, 0) when J = 1
-        resid = fj - np.einsum("nmk,nk->nm", u, np.einsum("nmk,nm->nk", np.conj(u), fj))
-        npj[:, j] = np.sum(np.abs(resid) ** 2, axis=-1)
-    return npj
-
-
-def _mrc_gains(F: np.ndarray) -> np.ndarray:
-    """Maximum-ratio combining at the relay: (n, J) gains sum_i |f_ij|^2,
-    accumulated over the M relay antennas in place, one source at a time
-    so that each loop runs over the n draws (on an (n, J) slice of F,
-    numpy's inner loop has length J)."""
-    n, M, J = F.shape
-    x, tmp = np.empty((J, n)), np.empty(n)
-    for j in range(J):
-        np.square(np.abs(F[:, 0, j], out=x[j]), out=x[j])
-        for i in range(1, M):
-            x[j] += np.square(np.abs(F[:, i, j], out=tmp), out=tmp)
-    return x.T
+def _mrc_gain(f: np.ndarray, target: int) -> np.ndarray:
+    """Maximum-ratio combining at the relay: the (n,) gain sum_i |f_ij|^2
+    of the target's column of the batch-last (M, J, n) uplink, its
+    zero-forcing residual with no interferer projected off."""
+    return zf_residual(f[:, target : target + 1], 0)
 
 
 def _through(h: np.ndarray, x: np.ndarray, stream: RngStream):
@@ -374,9 +353,10 @@ def _estimate_forward(row, cfg, const, stream, n):
     design, c, kappa = row.link(cfg)
     T = design.T
     F, G, bits, s = _draw_trials(cfg, const, T, stream, n)
-    gains = row.gains(F)  # (n, J)
+    f = np.ascontiguousarray(F.transpose(1, 2, 0))  # (M, J, n)
+    gains = np.stack([row.gains(f, j) for j in range(J)], axis=-1)  # (n, J)
     g = np.ascontiguousarray(np.moveaxis(G, 0, -1))  # (M, N, n)
-    del F, G
+    del F, f, G
     bad = np.sqrt(gains).min(axis=-1) < DEGENERATE_TOL
     gains = np.maximum(gains, DEGENERATE_TOL**2)
     # The relay's estimate is exactly sqrt(P) s + CN(0, 1/gain) per slot given F.
@@ -403,7 +383,7 @@ class _Row(NamedTuple):
 
     kernel: object  # _amplify_forward or _estimate_forward
     shared_downlink: bool  # all J sources in one downlink group, or one group each
-    gains: object = None  # estimate-and-forward: per-source relay gains from F
+    gains: object = None  # estimate-and-forward: relay gain (n,) of one source from the (M, J, n) uplink
     hard: bool = False  # estimate-and-forward: forward hard decisions
     joint: bool = False  # amplify-and-forward: joint ML over the group, no IC
 
@@ -430,10 +410,10 @@ class _Row(NamedTuple):
 
 _ROWS = {
     SchemeId.DstcIcRec: _Row(_amplify_forward, True),
-    SchemeId.TdmaIcRec: _Row(_estimate_forward, True, _mrc_gains),
-    SchemeId.IcRelayTdma: _Row(_estimate_forward, False, relay_zf_gains),
+    SchemeId.TdmaIcRec: _Row(_estimate_forward, True, _mrc_gain),
+    SchemeId.IcRelayTdma: _Row(_estimate_forward, False, zf_residual),
     SchemeId.FullTdmaDstc: _Row(_amplify_forward, False),
-    SchemeId.DecodeRelayIcDest: _Row(_estimate_forward, True, _mrc_gains, hard=True),
+    SchemeId.DecodeRelayIcDest: _Row(_estimate_forward, True, _mrc_gain, hard=True),
     SchemeId.ConcurrentJoint: _Row(_amplify_forward, True, joint=True),
 }
 
@@ -491,7 +471,7 @@ def post_ic_snr(scheme: SchemeId, F: np.ndarray, G: np.ndarray, cfg: NetworkConf
         r0_inv = forwarded_inverse(np.ascontiguousarray(np.moveaxis(G, 0, -1)), c, kappa)  # G as (M, N, n)
         pairs, sigma = dstc_channel_stacks(F[..., grp], G), None
     else:
-        gain = row.gains(F)[:, target]
+        gain = row.gains(np.moveaxis(F, 0, -1), target)
         if np.any(gain == 0.0):
             raise NumericError("all-zero uplink column")
         r0_inv, sigma = 1.0 / kappa, kappa * c * c / gain

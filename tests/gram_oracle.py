@@ -10,6 +10,10 @@ for ``forwarded_inverse``.  ``dense_obs`` and ``obs_pairs`` convert
 between ``recombine``'s observation pairs and the dense recombined
 observation of ``recombination_matrices``.
 
+``null_space_projector`` is the SVD projector onto the orthogonal
+complement of a column space, the reference for the zero-forcing
+residual ``numerics.zf_residual`` and for the explicit IC matrices.
+
 The dense helpers that no kernel runs live here too: ``block_diag``,
 the explicit IC path's on-target covariance ``noise_cov_on_target``,
 ``component_search``, exhaustive ML one symbol component at a time,
@@ -21,8 +25,34 @@ import itertools
 
 import numpy as np
 
-from marnsim.numerics import dagger, solve_psd_stack
+from marnsim.numerics import NumericError, UsageError, dagger, solve_psd_stack
 from marnsim.rx_ic import SymbolSpec, default_rotation, joint_search
+
+# Singular values / pivots below RANK_TOL * (largest value) count as zero.
+RANK_TOL = 1e-10
+
+
+def null_space_projector(columns) -> np.ndarray:
+    """Projector (..., n, n) onto the orthogonal complement of the column
+    space of each (..., n, k) matrix: Hermitian and idempotent.
+
+    Rank deficiency (repeated or dependent columns) is handled through an
+    SVD with a drop tolerance relative to each matrix's largest singular
+    value, so nearly-parallel channel draws do not blow up the projector.
+    """
+    a = np.asarray(columns, dtype=complex)
+    if a.ndim < 2:
+        raise UsageError("columns must be an (..., n, k) array")
+    n, k = a.shape[-2:]
+    if k >= n:
+        raise UsageError(f"need fewer columns than rows, got {n}x{k}")
+    if not np.all(np.isfinite(a)):
+        raise NumericError("non-finite entries in columns")
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    basis = u * (s > RANK_TOL * s[..., :1])[..., None, :]  # dropped directions zeroed
+    p = np.eye(n, dtype=complex) - basis @ dagger(basis)
+    # Symmetrize away the last few ulps so the invariant checks are exact.
+    return 0.5 * (p + dagger(p))
 
 
 def block_diag(*blocks):

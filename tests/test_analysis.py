@@ -16,7 +16,7 @@ from marnsim.analysis import (
     snr_upper_bound_dstc,
     whitened_snr,
 )
-from marnsim.numerics import UsageError, is_alamouti, null_space_projector
+from marnsim.numerics import UsageError, is_alamouti, zf_residual
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
 from marnsim.rx_ic import dstc_channel_stacks, ic_stack_batch, pair_blocks, recombine
 from marnsim.schemes import SchemeId, post_ic_snr
@@ -207,7 +207,7 @@ _BATCHED = {
     "post_ic_snr(tdma_icrec)": (lambda f, g: post_ic_snr(SchemeId.TdmaIcRec, f, g, _TDMA, 1), (4, 2), (4, 3)),
     "post_ic_snr(dstc_icrec)": (lambda f, g: post_ic_snr(SchemeId.DstcIcRec, f, g, _DSTC, 1), (2, 2), (2, 3)),
     "snr_upper_bound_dstc": (lambda f, g: snr_upper_bound_dstc(f, g, _DSTC, 1), (2, 2), (2, 3)),
-    "null_space_projector": (null_space_projector, (5, 2)),
+    "zf_residual": (lambda f: zf_residual(np.moveaxis(f, 0, -1), 1), (5, 3)),
     "is_alamouti": (lambda m: is_alamouti(_some_alamouti(m)), (2, 2)),
 }
 

@@ -220,6 +220,15 @@ class TestBerSlopeFromCsv:
         est = slopes[(SchemeId.TdmaIcRec, 2, 2, 3)]
         assert abs(est.slope - 2.0) < 0.05
 
+    def test_sparse_top_cells_are_left_out(self):
+        # A sweep's top cells can end with 1-99 or 0 bit errors; the fit
+        # runs over the cells with at least 100, as ber_slope requires.
+        cells = [(10, 500000), (15, 50000), (20, 5000), (25, 500), (30, 55), (35, 0)]
+        pts = [BerPoint(SchemeId.TdmaIcRec, 2, 2, 3, snr, 10**7, 0, 10**7, errs) for snr, errs in cells]
+        est = ber_slope_from_csv(emit(pts))[(SchemeId.TdmaIcRec, 2, 2, 3)]
+        assert est.fit_range == (10.0, 25.0)
+        assert abs(est.slope - 2.0) < 0.05
+
 
 class TestCannedSpec:
     def test_concurrent_sweep_configs(self):
@@ -364,6 +373,15 @@ class TestConfigFile:
     def test_missing_file_raises(self):
         with pytest.raises(UsageError):
             load_config_file("/nonexistent/sim.ini")
+
+    @pytest.mark.parametrize(
+        "text", ["scheme = tdma_icrec\n", "[simulate]\nseed = 1\n[simulate]\nseed = 2\n"], ids=["no-header", "duplicate"]
+    )
+    def test_unparsable_file_raises(self, tmp_path, text):
+        path = tmp_path / "sim.ini"
+        path.write_text(text)
+        with pytest.raises(UsageError, match="cannot parse config file"):
+            load_config_file(str(path))
 
 
 class TestCli:
@@ -510,6 +528,27 @@ class TestCli:
         rc = main(argv + ["--out", str(tmp_path / target)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: cannot write --out")
+
+    @pytest.mark.parametrize(
+        "row", ["bogus,2,2,3,10,100,0,400,10,2.5e-2,1e-2,5e-2", "tdma_icrec,2,x,3,10,100,0,400,10,2.5e-2,1e-2,5e-2"],
+        ids=["unknown-scheme", "non-numeric"],
+    )
+    def test_diversity_bad_csv_row_is_usage_error(self, tmp_path, capsys, row):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"{CSV_HEADER}\n{row}\n")
+        rc = main(["diversity", "--from-csv", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: bad CSV row {row!r}: ")
+
+    @pytest.mark.parametrize(
+        "text", ["scheme = tdma_icrec\n", "[simulate]\nseed = 1\n[simulate]\nseed = 2\n"], ids=["no-header", "duplicate"]
+    )
+    def test_unparsable_config_file_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "sim.ini"
+        path.write_text(text)
+        rc = main(["simulate", "--config-file", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot parse config file {str(path)!r}")
 
     def test_diversity_missing_csv_is_usage_error(self, tmp_path, capsys):
         rc = main(["diversity", "--from-csv", str(tmp_path / "missing.csv")])

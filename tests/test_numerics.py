@@ -7,9 +7,9 @@ from marnsim.numerics import (
     UsageError,
     dagger,
     is_alamouti,
-    null_space_projector,
     solve_psd_stack,
 )
+from gram_oracle import null_space_projector
 
 
 def _rand_complex(rng, *shape):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from marnsim.airlink import NetworkConfig, RngStream, draw_channels_batch, make_psk, modulate
-from marnsim.numerics import NumericError, UsageError, dagger, null_space_projector, solve_psd_stack
+from marnsim.numerics import NumericError, UsageError, dagger, solve_psd_stack
 from marnsim.relay_codec import apply_design, dstc_design, dstc_power_scale, tdma_power_scale
 from marnsim.rx_ic import (
     SymbolSpec,
@@ -45,6 +45,7 @@ from gram_oracle import (
     gram_system,
     interleave,
     noise_cov_on_target,
+    null_space_projector,
     obs_pairs,
     schur_ic,
 )

@@ -7,17 +7,17 @@ import pytest
 
 from marnsim.airlink import NetworkConfig, RngStream, make_psk
 from marnsim.harness import COMPARISON_ORDERS
-from marnsim.numerics import UsageError, null_space_projector
+from marnsim.numerics import UsageError, zf_residual
 from marnsim.schemes import (
     SchemeId,
     block_length,
     check_supported,
     int_free_condition,
-    relay_zf_gains,
     scheme_meta,
     simulate_batch,
     simulate_chunk,
 )
+from gram_oracle import null_space_projector
 
 SUPPORTED = {
     SchemeId.DstcIcRec: (2, 2, 3),
@@ -217,15 +217,41 @@ class TestSimulation:
 
 
 class TestRelayZeroForcing:
+    """The relay gains' zero-forcing residual ``zf_residual`` against the
+    SVD projector onto the complement of the other uplink columns."""
+
+    @staticmethod
+    def _projected(F, j):
+        """||Theta f_j||^2 (n,) of (n, M, J) draws F, Theta from the SVD."""
+        return np.array([np.linalg.norm(null_space_projector(np.delete(x, j, axis=1)) @ x[:, j]) ** 2 for x in F])
+
     @pytest.mark.parametrize("J", [1, 2, 3])
     def test_gains_match_null_space_projector(self, J):
+        # J = 1 projects off nothing: the maximum-ratio gain.
         F = RngStream(60, J).complex_normal(8, 4, J)
-        got = relay_zf_gains(F)
-        for i in range(len(F)):
-            for j in range(J):
-                proj = null_space_projector(np.delete(F[i], j, axis=1))
-                want = np.linalg.norm(proj @ F[i, :, j]) ** 2
-                assert got[i, j] == pytest.approx(want, rel=1e-12)
+        for j in range(J):
+            np.testing.assert_allclose(zf_residual(np.moveaxis(F, 0, -1), j), self._projected(F, j), rtol=1e-12)
+
+    @pytest.mark.parametrize("M,J", [(2, 2), (3, 3), (4, 2), (4, 4), (8, 2)])
+    def test_residual_matches_svd_projector(self, M, J):
+        F = RngStream(62, 8 * M + J).complex_normal(64, M, J)
+        for j in range(J):
+            np.testing.assert_allclose(zf_residual(np.moveaxis(F, 0, -1), j), self._projected(F, j), rtol=1e-12)
+
+    def test_zero_interferer_leaves_the_target_power(self):
+        F = RngStream(63).complex_normal(16, 4, 3)
+        F[:, :, 1] = 0.0
+        f = np.moveaxis(F, 0, -1)
+        np.testing.assert_allclose(zf_residual(f[:, :2], 0), np.sum(np.abs(F[:, :, 0]) ** 2, axis=1), rtol=1e-15)
+        # Among other interferers, a zero column projects off nothing.
+        np.testing.assert_allclose(zf_residual(f, 0), zf_residual(f[:, [0, 2]], 0), rtol=1e-15)
+
+    def test_target_parallel_to_an_interferer(self):
+        F = RngStream(64).complex_normal(16, 4, 3)
+        F[:, :, 0] = 2.0 * F[:, :, 1]
+        f = np.moveaxis(F, 0, -1)
+        assert np.all(zf_residual(f[:, :2], 0) < 1e-20)
+        assert np.all(zf_residual(f, 0) < 1e-20)
 
 
 class TestDegenerateDraws:
